@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .ingest import ADAPTERS, SplitMode
 from .pipeline import (
     MODELS,
     REPRESENTATIONS,
@@ -36,18 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the detection pipeline")
     p_run.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     p_run.add_argument("--input", type=Path, help="log file (or directory for hadoop)")
-    p_run.add_argument(
-        "--adapter",
-        choices=["bgl", "thunderbird", "hdfs", "hadoop", "plain"],
-        help="dataset adapter (default plain)",
-    )
+    p_run.add_argument("--adapter", choices=list(ADAPTERS), help="dataset adapter (default plain)")
     p_run.add_argument("--labels", type=Path, help="label CSV for hdfs/hadoop adapters")
     p_run.add_argument("--rep", choices=REPRESENTATIONS, help="log representation")
     p_run.add_argument("--model", choices=MODELS, help="anomaly scorer")
     p_run.add_argument("--scenario", choices=SCENARIOS, help="training scenario")
     p_run.add_argument("--train-frac", type=float, help="train split fraction (default 0.05)")
     p_run.add_argument("--sample-frac", type=float, help="pre-split sample fraction")
-    p_run.add_argument("--split-mode", choices=["random", "chronological"])
+    p_run.add_argument("--split-mode", choices=[m.value for m in SplitMode])
     p_run.add_argument("--seed", type=int, help="seed for sampling, splitting and models")
     p_run.add_argument("--out", type=Path, help="output directory for reports")
     p_run.add_argument("--grid", action="store_true", help="run all reps x models")

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -110,17 +110,6 @@ def _iter_lines(path: Path) -> Iterator[str]:
             yield line.rstrip("\n").rstrip("\r")
 
 
-def _thin(lines: Iterable, fraction: float, seed: int) -> Iterator[tuple[int, object]]:
-    """Enumerate items, optionally Bernoulli-thinned while streaming."""
-    if fraction >= 1.0:
-        yield from enumerate(lines)
-        return
-    rng = np.random.default_rng(seed)
-    for i, line in enumerate(lines):
-        if rng.random() < fraction:
-            yield i, line
-
-
 def _read_label_csv(path: Path) -> dict[str, Label]:
     """Two-column CSV of (seq_key, label); label values are case-insensitive."""
     mapping: dict[str, Label] = {}
@@ -152,9 +141,9 @@ _BLOCK_ID = re.compile(r"blk_-?\d+")
 _HDFS_HEADER_FIELDS = 5
 
 
-def _load_tagged(lines, **_):
+def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
     records = []
-    for i, line in lines:
+    for i, line in enumerate(_iter_lines(path)):
         if not line.strip():
             continue
         parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
@@ -164,12 +153,12 @@ def _load_tagged(lines, **_):
     return RecordSet(records, Granularity.LINE)
 
 
-def _load_hdfs(lines, labels=None, path=None):
+def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
     if labels is None:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
     records = []
-    for i, line in lines:
+    for i, line in enumerate(_iter_lines(path)):
         if not line.strip():
             continue
         block_ids = _BLOCK_ID.findall(line)
@@ -189,29 +178,24 @@ def _load_hdfs(lines, labels=None, path=None):
     return RecordSet(records, Granularity.SEQUENCE)
 
 
-def _load_hadoop(lines, labels=None, path=None, sample_fraction=1.0, seed=0):
-    # ``lines`` is unused: the hadoop adapter walks a directory itself.
+def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
     if labels is None:
         raise LoadError("hadoop adapter requires a label file (seq_key,label CSV)")
-    if path is None or not path.is_dir():
+    if not path.is_dir():
         raise LoadError(f"hadoop adapter expects a directory of per-application logs: {path}")
     seq_labels = _read_label_csv(labels)
-    records = []
-
-    def all_lines():
-        for app_file in sorted(p for p in path.iterdir() if p.is_file()):
-            app = app_file.stem
-            label = seq_labels.get(app, Label.UNKNOWN)
-            for line in _iter_lines(app_file):
-                yield app, label, line
-
-    for line_no, (app, label, line) in _thin(all_lines(), sample_fraction, seed):
-        records.append(LogRecord(raw=line, line_no=line_no, label=label, seq_key=app))
+    app_files = sorted(p for p in path.iterdir() if p.is_file())
+    # Line numbers run on across the files, in file-name order.
+    lines = ((f.stem, line) for f in app_files for line in _iter_lines(f))
+    records = [
+        LogRecord(raw=line, line_no=i, label=seq_labels.get(app, Label.UNKNOWN), seq_key=app)
+        for i, (app, line) in enumerate(lines)
+    ]
     return RecordSet(records, Granularity.SEQUENCE)
 
 
-def _load_plain(lines, **_):
-    records = [LogRecord(raw=line, line_no=i) for i, line in lines]
+def _load_plain(path: Path, labels: Path | None) -> RecordSet:
+    records = [LogRecord(raw=line, line_no=i) for i, line in enumerate(_iter_lines(path))]
     return RecordSet(records, Granularity.LINE)
 
 
@@ -224,30 +208,14 @@ ADAPTERS = {
 }
 
 
-def load(
-    path: str | Path,
-    adapter: str,
-    labels: str | Path | None = None,
-    sample_fraction: float = 1.0,
-    seed: int = 0,
-) -> RecordSet:
+def load(path: str | Path, adapter: str, labels: str | Path | None = None) -> RecordSet:
     """Load a log file (or directory, for hadoop) into a RecordSet.
 
-    ``sample_fraction`` < 1 applies Bernoulli thinning per line while
-    streaming, so corpora never need to be fully resident; use ``sample``
-    afterwards when an exact record count is required.
+    Every line is kept; ``sample`` draws a subset afterwards.
     """
     if adapter not in ADAPTERS:
         raise LoadError(f"unknown adapter {adapter!r}; expected one of {sorted(ADAPTERS)}")
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
-    path = Path(path)
-    labels = None if labels is None else Path(labels)
-    if adapter == "hadoop":
-        return _load_hadoop((), labels=labels, path=path,
-                            sample_fraction=sample_fraction, seed=seed)
-    line_iter = _thin(_iter_lines(path), sample_fraction, seed)
-    return ADAPTERS[adapter](line_iter, labels=labels, path=path)
+    return ADAPTERS[adapter](Path(path), None if labels is None else Path(labels))
 
 
 def sample(rs: RecordSet, fraction: float, seed: int) -> RecordSet:
@@ -301,15 +269,20 @@ def split(rs: RecordSet, spec: SplitSpec) -> tuple[RecordSet, RecordSet]:
     return RecordSet(train, rs.granularity), RecordSet(test, rs.granularity)
 
 
-def sequence_label(records: Iterable[LogRecord]) -> Label:
-    """Label of a whole sequence: anomalous if any member line is."""
-    saw_unknown = False
-    for r in records:
-        if r.label is Label.ANOMALY:
-            return Label.ANOMALY
-        if r.label is Label.UNKNOWN:
-            saw_unknown = True
-    return Label.UNKNOWN if saw_unknown else Label.NORMAL
+def sequence_labels(rs: RecordSet) -> dict[str, Label]:
+    """Label of each sequence, keyed in first-appearance order of the keys.
+
+    Anomaly beats unknown and unknown beats normal: a sequence is anomalous
+    if any member record is, else unknown if any member is.
+    """
+    if rs.granularity is not Granularity.SEQUENCE:
+        raise ValueError("sequence labels require sequence granularity")
+    labels: dict[str, Label] = {}
+    for r in rs.records:
+        current = labels.setdefault(r.seq_key, r.label)
+        if current is not Label.ANOMALY and r.label is not Label.NORMAL:
+            labels[r.seq_key] = r.label
+    return labels
 
 
 def filter_normal(train: RecordSet) -> RecordSet:
@@ -323,10 +296,7 @@ def filter_normal(train: RecordSet) -> RecordSet:
             raise ValueError(f"record at line {r.line_no} has an unknown label")
     if train.granularity is Granularity.LINE:
         kept = [r for r in train.records if r.label is Label.NORMAL]
-        return RecordSet(kept, train.granularity)
-    by_seq: dict[str, list[LogRecord]] = {}
-    for r in train.records:
-        by_seq.setdefault(r.seq_key, []).append(r)
-    normal_keys = {k for k, recs in by_seq.items() if sequence_label(recs) is Label.NORMAL}
-    kept = [r for r in train.records if r.seq_key in normal_keys]
+    else:
+        labels = sequence_labels(train)
+        kept = [r for r in train.records if labels[r.seq_key] is Label.NORMAL]
     return RecordSet(kept, train.granularity)

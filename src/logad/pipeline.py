@@ -45,6 +45,7 @@ from .ingest import (
     filter_normal,
     load,
     sample,
+    sequence_labels,
     split,
 )
 from .normalize import normalize_records
@@ -58,12 +59,48 @@ from .represent import (
 from .vectorize import Vocabulary, count_transform, fit_vocabulary, tfidf_transform
 
 REPRESENTATIONS = ("words", "trigrams", "events")
-MODELS = ("oovd", "rm", "kmeans", "iforest")
 SCENARIOS = ("unfiltered", "normal_only")
+
+# Model -> (matrices it reads, fit, score).  ``fit(config, vocab, train_m)``
+# is None for oovd, which fits nothing; ``score(vocab, model, test_m)``.
+# The lambdas look the layer functions up in this module when they run, so
+# a name replaced after import (to trace a run, say) is the one called.
+_MODEL_TABLE = {
+    "oovd": ("test counts", None, lambda vocab, model, m: oovd_score(vocab, m)),
+    "rm": (
+        "test tfidf",
+        lambda config, vocab, train_m: rm_fit(vocab),
+        lambda vocab, model, m: rm_score(model, m),
+    ),
+    "kmeans": (
+        "train and test tfidf",
+        lambda config, vocab, train_m: kmeans_fit(train_m, config.k, config.seed),
+        lambda vocab, model, m: kmeans_score(model, m),
+    ),
+    "iforest": (
+        "train and test tfidf",
+        lambda config, vocab, train_m: iforest_fit(
+            train_m, config.n_trees, config.subsample, config.seed
+        ),
+        lambda vocab, model, m: iforest_score(model, m),
+    ),
+}
+MODELS = tuple(_MODEL_TABLE)
 
 
 class ConfigError(ValueError):
     """Invalid or contradictory run configuration."""
+
+
+def _cell_error(model: str, scenario: str) -> str | None:
+    """Why ``model`` cannot run under ``scenario``, or None if it can."""
+    if model == "oovd" and scenario == "unfiltered":
+        return (
+            "oovd counts terms missing from the training vocabulary, which is "
+            "meaningless when anomalies train the vocabulary; use scenario "
+            "normal_only"
+        )
+    return None
 
 
 @dataclass
@@ -95,14 +132,17 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODELS}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if self.split_mode not in ("random", "chronological"):
+        if self.split_mode not in [m.value for m in SplitMode]:
             raise ConfigError("split_mode must be 'random' or 'chronological'")
-        if self.model == "oovd" and self.scenario == "unfiltered":
-            raise ConfigError(
-                "oovd counts terms missing from the training vocabulary, which is "
-                "meaningless when anomalies train the vocabulary; use scenario "
-                "normal_only"
-            )
+        cell_error = _cell_error(self.model, self.scenario)
+        if cell_error is not None:
+            raise ConfigError(cell_error)
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
+        try:
+            SplitSpec(self.train_fraction)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def tag(self) -> str:
         return (
@@ -131,7 +171,16 @@ class FittedArtifacts:
 _TOKENIZERS = {"words": tokenize_words, "trigrams": tokenize_trigrams}
 
 
-def _labels_to_ints(labels: list[Label]) -> np.ndarray:
+def _test_labels(test_rs: RecordSet) -> np.ndarray:
+    """0/1 labels of the test units (lines or sequences, in document order).
+
+    Raises unless every unit is labeled and both classes occur, so a run
+    that cannot be evaluated stops before representation.
+    """
+    if test_rs.granularity is Granularity.SEQUENCE:
+        labels = list(sequence_labels(test_rs).values())
+    else:
+        labels = test_rs.labels()
     out = np.empty(len(labels), dtype=np.int64)
     for i, lbl in enumerate(labels):
         if lbl is Label.UNKNOWN:
@@ -140,12 +189,17 @@ def _labels_to_ints(labels: list[Label]) -> np.ndarray:
                 "got an unknown label (unlabeled input with metrics requested?)"
             )
         out[i] = 1 if lbl is Label.ANOMALY else 0
+    if out.min() == out.max():
+        raise ValueError(
+            "evaluation needs both Normal and Anomaly labels on the test side; "
+            f"every test unit is labeled {labels[0].value}"
+        )
     return out
 
 
 def _represent(
     config: RunConfig, train_rs: RecordSet, test_rs: RecordSet
-) -> tuple[list[TokenSeq], list[TokenSeq], list[Label], DrainParser | None]:
+) -> tuple[list[TokenSeq], list[TokenSeq], DrainParser | None]:
     """Tokenize both sides; template mining fits on the train side only."""
     drain = None
     if config.representation == "events":
@@ -158,10 +212,16 @@ def _represent(
         test_docs = [tokenize(r.normalized) for r in test_rs]
     if train_rs.granularity is Granularity.SEQUENCE:
         _, train_docs, _ = flatten_sequences(train_rs, train_docs)
-        _, test_docs, test_labels = flatten_sequences(test_rs, test_docs)
-    else:
-        test_labels = test_rs.labels()
-    return train_docs, test_docs, test_labels, drain
+        _, test_docs, _ = flatten_sequences(test_rs, test_docs)
+    return train_docs, test_docs, drain
+
+
+def _vectorize(reads: str, train_docs: list[TokenSeq], test_docs: list[TokenSeq]):
+    """Fit the vocabulary on train docs and build the matrices a model reads."""
+    vocab = fit_vocabulary(train_docs)
+    train_m = tfidf_transform(vocab, train_docs) if reads == "train and test tfidf" else None
+    transform = count_transform if reads == "test counts" else tfidf_transform
+    return vocab, train_m, transform(vocab, test_docs)
 
 
 def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
@@ -175,42 +235,27 @@ def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
     rs, _ = tl.timed("normalize", normalize_records, rs)
     spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
     (train_rs, test_rs), _ = tl.timed("split", split, rs, spec)
+    y = _test_labels(test_rs)
     if config.scenario == "normal_only":
         train_rs, _ = tl.timed("filter", filter_normal, train_rs)
+        if not train_rs.records:
+            raise ValueError(
+                "normal_only training needs Normal labels on the train side; "
+                "every train unit is labeled anomaly"
+            )
 
-    (train_docs, test_docs, test_labels, drain), _ = tl.timed(
+    (train_docs, test_docs, drain), _ = tl.timed(
         "represent", _represent, config, train_rs, test_rs
     )
+    reads, fit, score = _MODEL_TABLE[config.model]
+    (vocab, train_m, test_m), _ = tl.timed(
+        "vectorize", _vectorize, reads, train_docs, test_docs
+    )
+    model = None
+    if fit is not None:
+        model, _ = tl.timed("fit", fit, config, vocab, train_m)
+    scores, _ = tl.timed("score", score, vocab, model, test_m)
 
-    def vectorize():
-        vocab = fit_vocabulary(train_docs)
-        if config.model == "oovd":
-            return vocab, None, count_transform(vocab, test_docs)
-        train_m = (
-            tfidf_transform(vocab, train_docs)
-            if config.model in ("kmeans", "iforest")
-            else None
-        )
-        return vocab, train_m, tfidf_transform(vocab, test_docs)
-
-    (vocab, train_m, test_m), _ = tl.timed("vectorize", vectorize)
-
-    if config.model == "oovd":
-        model, _ = tl.timed("fit", lambda: None)
-        scores, _ = tl.timed("score", oovd_score, vocab, test_m)
-    elif config.model == "rm":
-        model, _ = tl.timed("fit", rm_fit, vocab)
-        scores, _ = tl.timed("score", rm_score, model, test_m)
-    elif config.model == "kmeans":
-        model, _ = tl.timed("fit", kmeans_fit, train_m, config.k, config.seed)
-        scores, _ = tl.timed("score", kmeans_score, model, test_m)
-    else:
-        model, _ = tl.timed(
-            "fit", iforest_fit, train_m, config.n_trees, config.subsample, config.seed
-        )
-        scores, _ = tl.timed("score", iforest_score, model, test_m)
-
-    y = _labels_to_ints(test_labels)
     auc = auc_roc(scores, y)
     threshold, f1 = best_f1(scores, y, budget=config.f1_budget)
     hist = score_histogram(scores, y, config.n_bins)
@@ -277,7 +322,7 @@ def grid_cells(scenario: str) -> list[tuple[str, str]]:
         (rep, model)
         for rep in REPRESENTATIONS
         for model in MODELS
-        if not (model == "oovd" and scenario == "unfiltered")
+        if _cell_error(model, scenario) is None
     ]
 
 

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ingest import Granularity, Label, RecordSet
+from .ingest import Label, RecordSet, sequence_labels
 
 WILDCARD = "<*>"
 UNSEEN_EVENT = "e_unseen"
@@ -58,10 +58,13 @@ class TemplateGroup:
 
 
 class _Node:
-    __slots__ = ("children",)
+    """Tree node; the template groups of a leaf live on the leaf itself."""
+
+    __slots__ = ("children", "groups")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
+        self.groups: list[TemplateGroup] = []
 
 
 class DrainParser:
@@ -86,16 +89,9 @@ class DrainParser:
         # (depth 4 routes by token count plus one leading token).
         self._route_len = depth - 3
         self._length_roots: dict[int, _Node] = {}
-        self._leaves: dict[int, list[TemplateGroup]] = {}  # node id -> groups
         self._groups: list[TemplateGroup] = []
 
     # -- tree walking ------------------------------------------------------
-
-    def _leaf_groups(self, node: _Node) -> list[TemplateGroup]:
-        key = id(node)
-        if key not in self._leaves:
-            self._leaves[key] = []
-        return self._leaves[key]
 
     def _descend(self, tokens: list[str]) -> list[TemplateGroup] | None:
         """Read-only walk to the leaf group list, or None on a missing path."""
@@ -109,7 +105,7 @@ class DrainParser:
             if child is None:
                 return None
             node = child
-        return self._leaves.get(id(node))
+        return node.groups
 
     def _descend_create(self, tokens: list[str]) -> list[TemplateGroup]:
         node = self._length_roots.setdefault(len(tokens), _Node())
@@ -134,7 +130,7 @@ class DrainParser:
                     else:
                         child = node.children[WILDCARD] = _Node()
             node = child
-        return self._leaf_groups(node)
+        return node.groups
 
     # -- leaf matching -----------------------------------------------------
 
@@ -210,29 +206,15 @@ def flatten_sequences(
     """Merge per-record token sequences into one document per sequence key.
 
     Member sequences are concatenated in line order, so the total token
-    count is preserved.  The sequence label is anomalous if any member
-    record is.  Returns (seq_keys, documents, labels) in first-appearance
-    order of the keys.
+    count is preserved.  Labels follow ``sequence_labels``.  Returns
+    (seq_keys, documents, labels) in first-appearance order of the keys.
     """
-    if rs.granularity is not Granularity.SEQUENCE:
-        raise ValueError("flatten_sequences requires sequence granularity")
+    labels = sequence_labels(rs)
     if len(rs.records) != len(token_seqs):
         raise ValueError(
             f"{len(rs.records)} records but {len(token_seqs)} token sequences"
         )
-    merged: dict[str, list[str]] = {}
-    labels: dict[str, Label] = {}
+    merged: dict[str, list[str]] = {key: [] for key in labels}
     for record, ts in zip(rs.records, token_seqs):
-        key = record.seq_key
-        if key is None:
-            raise ValueError(f"record at line {record.line_no} has no seq_key")
-        if key not in merged:
-            merged[key] = []
-            labels[key] = Label.NORMAL
-        merged[key].extend(ts.terms)
-        if record.label is Label.ANOMALY:
-            labels[key] = Label.ANOMALY
-        elif record.label is Label.UNKNOWN and labels[key] is Label.NORMAL:
-            labels[key] = Label.UNKNOWN
-    keys = list(merged)
-    return keys, [TokenSeq.of(merged[k]) for k in keys], [labels[k] for k in keys]
+        merged[record.seq_key].extend(ts.terms)
+    return list(labels), [TokenSeq.of(terms) for terms in merged.values()], list(labels.values())

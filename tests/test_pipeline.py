@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logad import pipeline
 from logad.cli import main
 from logad.ingest import SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message
@@ -112,6 +113,41 @@ class TestRun:
         p.write_text("".join(f"message {i}\n" for i in range(100)))
         with pytest.raises(ValueError, match="label"):
             run(RunConfig(input=p, adapter="plain", train_fraction=0.2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_fraction", 1.5),
+        ("sample_fraction", 0.0),
+        ("train_fraction", 1.0),
+        ("train_fraction", 0.0),
+    ])
+    def test_bad_fraction_is_config_error_before_load(self, tmp_path, field, value):
+        config = RunConfig(input=tmp_path / "missing.log", adapter="plain", **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            run(config)
+
+    @pytest.mark.parametrize("case", ["unknown", "single_class", "empty_train"])
+    def test_label_errors_come_before_represent(self, tmp_path, monkeypatch, case):
+        def represent_reached(*args):
+            raise AssertionError("_represent ran before the label check")
+
+        monkeypatch.setattr(pipeline, "_represent", represent_reached)
+        p = tmp_path / "in.log"
+        head = "1 2 3 4 5 6 7 8"
+        if case == "unknown":
+            p.write_text("".join(f"message {i}\n" for i in range(100)))
+            config = RunConfig(input=p, adapter="plain", train_fraction=0.2)
+        elif case == "single_class":
+            p.write_text("".join(f"- {head} message {i}\n" for i in range(100)))
+            config = RunConfig(input=p, adapter="bgl", train_fraction=0.2)
+        else:
+            # Chronological split: the anomalous first lines are the whole train side.
+            lines = [f"FATAL {head} crash {i}" for i in range(20)]
+            lines += [f"{'FATAL' if i % 10 == 0 else '-'} {head} message {i}" for i in range(80)]
+            p.write_text("\n".join(lines) + "\n")
+            config = RunConfig(input=p, adapter="bgl", train_fraction=0.2,
+                               split_mode="chronological", scenario="normal_only")
+        with pytest.raises(ValueError, match="label"):
+            run(config)
 
     def test_events_representation_runs(self, unseen_corpus):
         report = run(_config(unseen_corpus, representation="events", model="oovd"))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logad.ingest import Granularity, Label, LogRecord, RecordSet
+from logad.ingest import Granularity, Label, LogRecord, RecordSet, filter_normal
 from logad.represent import (
     UNSEEN_EVENT,
     WILDCARD,
@@ -193,6 +193,29 @@ class TestFlatten:
         )
         _, _, labels = flatten_sequences(rs, [TokenSeq.of(["x"])] * 3)
         assert labels == [Label.ANOMALY, Label.NORMAL]
+
+    @pytest.mark.parametrize("members,expected", [
+        ((Label.NORMAL, Label.NORMAL), Label.NORMAL),
+        ((Label.NORMAL, Label.UNKNOWN), Label.UNKNOWN),
+        ((Label.UNKNOWN, Label.NORMAL), Label.UNKNOWN),
+        ((Label.UNKNOWN, Label.ANOMALY), Label.ANOMALY),
+        ((Label.ANOMALY, Label.NORMAL), Label.ANOMALY),
+    ])
+    def test_one_label_rule_for_flatten_and_filter(self, members, expected):
+        # Anomaly beats unknown, unknown beats normal; filter_normal keeps
+        # the keys flatten_sequences labels normal.
+        spec = [("s1", members[0]), ("s2", Label.NORMAL), ("s1", members[1]),
+                ("s3", Label.ANOMALY)]
+        rs = _seq_records(spec)
+        keys, _, labels = flatten_sequences(rs, [TokenSeq.of(["x"])] * len(spec))
+        assert keys == ["s1", "s2", "s3"]
+        assert labels == [expected, Label.NORMAL, Label.ANOMALY]
+        if Label.UNKNOWN in members:
+            with pytest.raises(ValueError, match="unknown label"):
+                filter_normal(rs)
+        else:
+            kept = {r.seq_key for r in filter_normal(rs)}
+            assert kept == {k for k, lbl in zip(keys, labels) if lbl is Label.NORMAL}
 
     def test_token_count_conserved(self):
         spec = [("s1", Label.NORMAL), ("s2", Label.NORMAL), ("s1", Label.NORMAL)]
