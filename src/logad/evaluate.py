@@ -16,7 +16,24 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks.
+
+    Equals ``scipy.stats.rankdata(values)``: the ranks are exact halves of
+    integers, and any NaN makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    # Sorted positions start..end-1 hold ranks start+1..end.
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -34,7 +51,7 @@ def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC-ROC is undefined for single-class labels")
-    ranks = rankdata(s)  # average method = midranks
+    ranks = _midranks(s)
     return (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -5,6 +5,11 @@ filtering, representation, vectorization, model fit and scoring, and
 evaluation.  Everything fitted (vocabulary, templates, idf statistics,
 models) sees training data only; the template miner in particular is
 trained on the train side and applied read-only to the test side.
+
+One chain of stages serves a single run and a grid alike: load through
+filter run once, representation and the vocabulary once per
+representation, each document-term matrix once per representation when a
+cell first reads it, and fit, score and evaluation once per cell.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -56,29 +63,34 @@ from .represent import (
     tokenize_trigrams,
     tokenize_words,
 )
-from .vectorize import Vocabulary, count_transform, fit_vocabulary, tfidf_transform
+from .vectorize import DocTermMatrix, Vocabulary, count_transform, fit_vocabulary, tfidf_transform
 
 REPRESENTATIONS = ("words", "trigrams", "events")
 SCENARIOS = ("unfiltered", "normal_only")
 
-# Model -> (matrices it reads, fit, score).  ``fit(config, vocab, train_m)``
-# is None for oovd, which fits nothing; ``score(vocab, model, test_m)``.
-# The lambdas look the layer functions up in this module when they run, so
-# a name replaced after import (to trace a run, say) is the one called.
+# Model -> (train matrix, test matrix, fit, score).  A matrix is named by its
+# weighting, "counts" or "tfidf"; oovd and rm read no train matrix.
+# ``fit(config, vocab, train_m)`` is None for oovd, which fits nothing;
+# ``score(vocab, model, test_m)``.  The lambdas look the layer functions up
+# in this module when they run, so a name replaced after import (to trace a
+# run, say) is the one called.
 _MODEL_TABLE = {
-    "oovd": ("test counts", None, lambda vocab, model, m: oovd_score(vocab, m)),
+    "oovd": (None, "counts", None, lambda vocab, model, m: oovd_score(vocab, m)),
     "rm": (
-        "test tfidf",
+        None,
+        "tfidf",
         lambda config, vocab, train_m: rm_fit(vocab),
         lambda vocab, model, m: rm_score(model, m),
     ),
     "kmeans": (
-        "train and test tfidf",
+        "tfidf",
+        "tfidf",
         lambda config, vocab, train_m: kmeans_fit(train_m, config.k, config.seed),
         lambda vocab, model, m: kmeans_score(model, m),
     ),
     "iforest": (
-        "train and test tfidf",
+        "tfidf",
+        "tfidf",
         lambda config, vocab, train_m: iforest_fit(
             train_m, config.n_trees, config.subsample, config.seed
         ),
@@ -139,6 +151,8 @@ class RunConfig:
             raise ConfigError(cell_error)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         try:
             SplitSpec(self.train_fraction)
         except ValueError as exc:
@@ -216,19 +230,30 @@ def _represent(
     return train_docs, test_docs, drain
 
 
-def _vectorize(reads: str, train_docs: list[TokenSeq], test_docs: list[TokenSeq]):
-    """Fit the vocabulary on train docs and build the matrices a model reads."""
-    vocab = fit_vocabulary(train_docs)
-    train_m = tfidf_transform(vocab, train_docs) if reads == "train and test tfidf" else None
-    transform = count_transform if reads == "test counts" else tfidf_transform
-    return vocab, train_m, transform(vocab, test_docs)
+def _n_units(rs: RecordSet) -> int:
+    """Lines, or distinct sequence keys: the documents ``rs`` becomes."""
+    if rs.granularity is Granularity.SEQUENCE:
+        return len(sequence_labels(rs))
+    return len(rs)
 
 
-def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
-    """Run the full pipeline and return the report plus fitted artifacts."""
-    config.validate()
+@dataclass
+class _Split:
+    """The stages run once per scenario: the two sides, test labels, timings."""
+
+    train_rs: RecordSet
+    test_rs: RecordSet
+    y: np.ndarray
+    timings: dict[str, float]
+
+
+def _load_and_split(config: RunConfig, kmeans: bool) -> _Split:
+    """Load, sample, normalize, split and filter, then check the split.
+
+    Label and class errors, and a ``k`` above the train units when a
+    k-means cell will run, are raised here, before representation.
+    """
     tl = TimingLog()
-
     rs, _ = tl.timed("load", load, config.input, config.adapter, config.labels)
     if config.sample_fraction < 1.0:
         rs, _ = tl.timed("sample", sample, rs, config.sample_fraction, config.seed)
@@ -243,28 +268,78 @@ def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
                 "normal_only training needs Normal labels on the train side; "
                 "every train unit is labeled anomaly"
             )
+    if kmeans and config.k > (n_train := _n_units(train_rs)):
+        raise ValueError(
+            f"k={config.k} exceeds the {n_train} train units left by scenario "
+            f"{config.scenario}; lower k or raise train_fraction"
+        )
+    return _Split(train_rs, test_rs, y, tl.stages)
 
-    (train_docs, test_docs, drain), _ = tl.timed(
-        "represent", _represent, config, train_rs, test_rs
-    )
-    reads, fit, score = _MODEL_TABLE[config.model]
-    (vocab, train_m, test_m), _ = tl.timed(
-        "vectorize", _vectorize, reads, train_docs, test_docs
-    )
+
+class _Features:
+    """One representation: documents, train vocabulary and the matrices.
+
+    Each matrix is built the first time a cell reads it and then shared.
+    Every computation here runs once and keeps its duration.
+    """
+
+    def __init__(self, config: RunConfig, train_rs: RecordSet, test_rs: RecordSet):
+        self._log = TimingLog()
+        (self.train_docs, self.test_docs, self.drain), self.represent_s = self._log.timed(
+            "represent", _represent, config, train_rs, test_rs
+        )
+        # The vocabulary fit and the train transform get the same list
+        # object, by which a tracer tells the train side from the test side.
+        self.vocab, self.vocabulary_s = self._log.timed(
+            "vocabulary", fit_vocabulary, self.train_docs
+        )
+        self._built: dict[str, tuple[DocTermMatrix, float]] = {}
+
+    def matrix(self, side: str, weighting: str) -> tuple[DocTermMatrix, float]:
+        """The ``side`` ("train" or "test") matrix with ``weighting``, and
+        the seconds its one build took."""
+        name = f"{side} {weighting}"
+        if name not in self._built:
+            transform = count_transform if weighting == "counts" else tfidf_transform
+            docs = self.train_docs if side == "train" else self.test_docs
+            self._built[name] = self._log.timed(name, transform, self.vocab, docs)
+        return self._built[name]
+
+
+def _run_cell(
+    config: RunConfig, shared: _Split, features: _Features
+) -> tuple[EvalReport, FittedArtifacts]:
+    """Fit, score and evaluate one cell on the shared stages' results.
+
+    A shared stage's timing is the duration of its one computation, in every
+    cell that used it; ``vectorize`` is the vocabulary fit plus the matrices
+    this cell reads.
+    """
+    train_weighting, test_weighting, fit, score = _MODEL_TABLE[config.model]
+    train_m, train_s = None, 0.0
+    if train_weighting is not None:
+        train_m, train_s = features.matrix("train", train_weighting)
+    test_m, test_s = features.matrix("test", test_weighting)
+    tl = TimingLog()
     model = None
     if fit is not None:
-        model, _ = tl.timed("fit", fit, config, vocab, train_m)
-    scores, _ = tl.timed("score", score, vocab, model, test_m)
+        model, _ = tl.timed("fit", fit, config, features.vocab, train_m)
+    scores, _ = tl.timed("score", score, features.vocab, model, test_m)
 
-    auc = auc_roc(scores, y)
-    threshold, f1 = best_f1(scores, y, budget=config.f1_budget)
-    hist = score_histogram(scores, y, config.n_bins)
+    auc = auc_roc(scores, shared.y)
+    threshold, f1 = best_f1(scores, shared.y, budget=config.f1_budget)
+    hist = score_histogram(scores, shared.y, config.n_bins)
 
     report = EvalReport(
         auc=auc,
         best_f1=f1,
         best_threshold=threshold,
-        timings=dict(tl.stages),
+        timings={
+            **shared.timings,
+            "represent": features.represent_s,
+            "vectorize": features.vocabulary_s + train_s + test_s,
+            **tl.stages,
+        },
         histogram=hist,
         meta={
             "dataset": Path(config.input).stem,
@@ -272,17 +347,48 @@ def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
             "model": config.model,
             "scenario": config.scenario,
             "seed": config.seed,
-            "n_train_docs": len(train_docs),
-            "n_test_docs": len(test_docs),
-            "n_terms": vocab.n_terms,
+            "n_train_docs": len(features.train_docs),
+            "n_test_docs": len(features.test_docs),
+            "n_terms": features.vocab.n_terms,
             "f1_mode": "exact" if config.f1_budget is None else f"budgeted({config.f1_budget})",
             "f1_label_assisted": True,
             "params": config.params_snapshot(),
         },
     )
     artifacts = FittedArtifacts(
-        vocabulary=vocab, drain=drain, model_name=config.model, model=model
+        vocabulary=features.vocab, drain=features.drain, model_name=config.model, model=model
     )
+    return report, artifacts
+
+
+def _run_cells(
+    config: RunConfig, cells: list[tuple[str, str]]
+) -> Iterator[tuple[RunConfig, EvalReport, FittedArtifacts]]:
+    """The stage chain: yield each (representation, model) cell as it finishes.
+
+    Every cell config is validated before the input is opened.  ``cells``
+    must list each representation's cells together.
+    """
+    configs = [replace(config, representation=rep, model=model) for rep, model in cells]
+    for cell in configs:
+        cell.validate()
+    shared = _load_and_split(config, kmeans=any(c.model == "kmeans" for c in configs))
+    for _, group in groupby(configs, key=lambda c: c.representation):
+        group = list(group)
+        features = _Features(group[0], shared.train_rs, shared.test_rs)
+        for cell in group:
+            yield (cell, *_run_cell(cell, shared, features))
+        # Release this representation's documents and matrices before the
+        # next one is built.
+        del features
+
+
+def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
+    """Run the full pipeline and return the report plus fitted artifacts.
+
+    This is the one-cell case of the stage chain that ``run_grid`` runs.
+    """
+    [(_, report, artifacts)] = _run_cells(config, [(config.representation, config.model)])
     return report, artifacts
 
 
@@ -330,13 +436,12 @@ def run_grid(config: RunConfig) -> list[EvalReport]:
     """Run every representation x model cell for the configured scenario.
 
     Cells invalid under the scenario (oovd with unfiltered training) are
-    skipped.  Each cell writes its own report file; all rows land in one
-    grid.csv.
+    skipped.  Load to filter run once, and representation and vectorization
+    once per representation.  Each cell writes its own report file as soon
+    as it finishes; all rows land in one grid.csv.
     """
     reports = []
-    for rep, model in grid_cells(config.scenario):
-        cell = replace(config, representation=rep, model=model)
-        report, artifacts = execute(cell)
+    for cell, report, artifacts in _run_cells(config, grid_cells(config.scenario)):
         if cell.out_dir is not None:
             _write_outputs(cell, report, artifacts, f"report_{cell.tag()}.json")
         reports.append(report)

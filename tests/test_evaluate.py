@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from logad.evaluate import (
     GRID_COLUMNS,
     EvalReport,
     TimingLog,
+    _midranks,
     auc_roc,
     best_f1,
     score_histogram,
@@ -24,6 +26,22 @@ def pairwise_auc(scores, labels):
     neg = s[y == 0]
     wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
     return wins / (len(pos) * len(neg))
+
+
+class TestMidranks:
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]), max_size=80))
+    def test_many_ties_equal_scipy(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(_midranks(v), rankdata(v))
+
+    @given(st.lists(st.floats(allow_nan=False), unique=True, max_size=80))
+    def test_no_ties_equal_scipy(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(_midranks(v), rankdata(v))
+
+    def test_nan_makes_every_rank_nan(self):
+        v = np.array([1.0, np.nan, 0.0])
+        assert np.array_equal(_midranks(v), rankdata(v), equal_nan=True)
 
 
 class TestAucRoc:

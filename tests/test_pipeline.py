@@ -1,5 +1,7 @@
 import csv
 import json
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,49 @@ def unseen_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "unseen.log"
     return gen_synthetic(path, n_normal=600, n_anomalies=30, n_templates=10,
                          anomaly_kind="unseen_token", seed=5)
+
+
+@pytest.fixture(scope="module")
+def hdfs_corpus(tmp_path_factory):
+    """HDFS-style log and label CSV: synthetic lines dealt to 100 blocks.
+
+    A block is anomalous iff any of its lines is.
+    """
+    d = tmp_path_factory.mktemp("hdfs")
+    source = gen_synthetic(d / "source.log", n_normal=1985, n_anomalies=15, n_templates=10,
+                           anomaly_kind="unseen_token", seed=8)
+    rng = np.random.default_rng(8)
+    n_blocks = 100
+    lines = source.read_text().splitlines()
+    block_of_line = rng.permutation(np.arange(len(lines)) % n_blocks)
+    anomalous = np.zeros(n_blocks, dtype=bool)
+    with open(d / "hdfs.log", "w") as fh:
+        for line, block in zip(lines, block_of_line):
+            parts = line.split(maxsplit=9)
+            anomalous[block] |= parts[0] != "-"
+            fh.write(f"081109 203615 143 INFO dfs.DataNode: {parts[9]} for block blk_{block}\n")
+    with open(d / "labels.csv", "w") as fh:
+        fh.write("BlockId,Label\n")
+        for block in range(n_blocks):
+            fh.write(f"blk_{block},{'Anomaly' if anomalous[block] else 'Normal'}\n")
+    return d
+
+
+def _hdfs_config(corpus_dir, **overrides):
+    defaults = dict(
+        input=corpus_dir / "hdfs.log",
+        adapter="hdfs",
+        labels=corpus_dir / "labels.csv",
+        scenario="normal_only",
+        train_fraction=0.2,
+        seed=1,
+    )
+    defaults.update(overrides)
+    return RunConfig(**defaults)
+
+
+def _represent_reached(*args):
+    raise AssertionError("_represent ran before the check")
 
 
 def _config(corpus, **overrides):
@@ -125,12 +170,14 @@ class TestRun:
         with pytest.raises(ConfigError, match=field):
             run(config)
 
+    def test_k_below_one_is_config_error_before_load(self, tmp_path):
+        config = RunConfig(input=tmp_path / "missing.log", adapter="plain", model="kmeans", k=0)
+        with pytest.raises(ConfigError, match="k must"):
+            run(config)
+
     @pytest.mark.parametrize("case", ["unknown", "single_class", "empty_train"])
     def test_label_errors_come_before_represent(self, tmp_path, monkeypatch, case):
-        def represent_reached(*args):
-            raise AssertionError("_represent ran before the label check")
-
-        monkeypatch.setattr(pipeline, "_represent", represent_reached)
+        monkeypatch.setattr(pipeline, "_represent", _represent_reached)
         p = tmp_path / "in.log"
         head = "1 2 3 4 5 6 7 8"
         if case == "unknown":
@@ -148,6 +195,26 @@ class TestRun:
                                split_mode="chronological", scenario="normal_only")
         with pytest.raises(ValueError, match="label"):
             run(config)
+
+    @pytest.mark.parametrize("entry", [execute, run_grid])
+    @pytest.mark.parametrize("corpus", ["lines", "blocks"])
+    def test_k_above_train_units_fails_before_represent(
+        self, unseen_corpus, hdfs_corpus, tmp_path, monkeypatch, entry, corpus
+    ):
+        # 126 train lines (about 120 after the filter); 20 train blocks of
+        # about 20 lines each, so k=100 only fails when blocks are counted.
+        if corpus == "lines":
+            config = _config(unseen_corpus, model="kmeans", k=200)
+        else:
+            config = _hdfs_config(hdfs_corpus, model="kmeans", k=100)
+        out = tmp_path / "out"
+        monkeypatch.setattr(pipeline, "_represent", _represent_reached)
+        with pytest.raises(ValueError, match=f"k={config.k} exceeds"):
+            entry(replace(config, out_dir=out))
+        assert not out.exists()
+
+    def test_k_is_not_checked_without_kmeans(self, unseen_corpus):
+        assert 0.0 <= run(_config(unseen_corpus, model="rm", k=200)).auc <= 1.0
 
     def test_events_representation_runs(self, unseen_corpus):
         report = run(_config(unseen_corpus, representation="events", model="oovd"))
@@ -192,6 +259,85 @@ class TestGrid:
             rows = list(csv.reader(fh))
         assert len(rows) == 10  # header + 9 cells
         assert len(list(out.glob("report_*.json"))) == 9
+
+
+def _capture_scores(monkeypatch) -> list:
+    """Record every score vector the pipeline computes, in call order."""
+    scores = []
+    for name in ("oovd_score", "rm_score", "kmeans_score", "iforest_score"):
+        def captured(*args, _score=getattr(pipeline, name)):
+            out = _score(*args)
+            scores.append(out)
+            return out
+        monkeypatch.setattr(pipeline, name, captured)
+    return scores
+
+
+def _without_timings(report) -> dict:
+    d = report.to_dict()
+    del d["timings"], d["model_time"]
+    return d
+
+
+class TestSharedStages:
+    @pytest.mark.parametrize("corpus,scenario", [
+        ("lines", "unfiltered"),
+        ("lines", "normal_only"),
+        ("blocks", "normal_only"),
+    ])
+    def test_grid_cells_equal_standalone_runs(
+        self, unseen_corpus, hdfs_corpus, monkeypatch, corpus, scenario
+    ):
+        if corpus == "lines":
+            config = _config(unseen_corpus, scenario=scenario)
+        else:
+            config = _hdfs_config(hdfs_corpus, scenario=scenario)
+        scores = _capture_scores(monkeypatch)
+        reports = run_grid(config)
+        grid_scores = list(scores)
+        cells = grid_cells(scenario)
+        assert len(reports) == len(grid_scores) == len(cells)
+        for (rep, model), report, grid_s in zip(cells, reports, grid_scores):
+            scores.clear()
+            alone, _ = execute(replace(config, representation=rep, model=model))
+            [alone_s] = scores
+            assert alone_s.dtype == grid_s.dtype
+            assert alone_s.tobytes() == grid_s.tobytes(), (rep, model)
+            assert _without_timings(alone) == _without_timings(report), (rep, model)
+
+    @pytest.mark.parametrize("entry,expected", [
+        (run_grid, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 3,
+                    "fit_vocabulary": 3, "count_transform": 3, "tfidf_transform": 6}),
+        (run, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 1,
+               "fit_vocabulary": 1, "tfidf_transform": 1}),
+    ])
+    def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
+        calls = Counter()
+        for name in ("load", "normalize_records", "split", "_represent", "fit_vocabulary",
+                     "count_transform", "tfidf_transform"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        entry(_config(unseen_corpus, scenario="normal_only", model="rm"))
+        assert calls == expected
+
+    def test_grid_timings_report_each_shared_stage_once_computed(self, unseen_corpus):
+        reports = run_grid(_config(unseen_corpus, scenario="normal_only"))
+        for stage in ("load", "normalize", "split", "filter"):
+            assert len({r.timings[stage] for r in reports}) == 1
+        by_rep = {}
+        for r in reports:
+            expected = {"load", "normalize", "split", "filter", "represent", "vectorize", "score"}
+            if r.meta["model"] != "oovd":
+                expected.add("fit")
+            assert set(r.timings) == expected
+            by_rep.setdefault(r.meta["representation"], {})[r.meta["model"]] = r.timings
+        for cells in by_rep.values():
+            assert len({t["represent"] for t in cells.values()}) == 1
+            # kmeans reads the train tf-idf matrix on top of what rm reads.
+            assert cells["kmeans"]["vectorize"] >= cells["rm"]["vectorize"]
+            assert cells["kmeans"]["vectorize"] == cells["iforest"]["vectorize"]
 
 
 class TestRepeats:
