@@ -143,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         config = _config_from_args(args)
+        if args.repeats < 1:
+            raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
         if args.grid and args.repeats > 1:
             raise ConfigError("--grid and --repeats cannot be combined")
         if args.grid:

@@ -263,6 +263,9 @@ def iforest_fit(
         raise ValueError(f"isolation forest needs at least 2 documents, got {n}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if subsample < 2:
+        # c(1) = 0 would divide every path length by zero.
+        raise ValueError(f"subsample must be >= 2, got {subsample}")
     psi = min(subsample, n)
     depth_cap = max(1, math.ceil(math.log2(psi)))
     X = train.matrix.tocsr()

@@ -13,7 +13,8 @@ Adapters know the line layout of the supported benchmark formats:
 * ``plain``: one record per line, labels unknown.
 
 Files are read line by line with a lossy UTF-8 fallback (the public corpora
-contain invalid bytes).
+contain invalid bytes).  Records are stored by column in a ``RecordSet``;
+sampling, splitting and filtering are index and mask operations on it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,15 @@ class Label(Enum):
     NORMAL = "normal"
     ANOMALY = "anomaly"
     UNKNOWN = "unknown"
+
+
+# The int8 code of each label in a RecordSet's label column.  The codes
+# order the labels as the sequence-label rule does: a sequence takes the
+# highest code among its records, so anomaly beats unknown and unknown
+# beats normal.
+_NORMAL, _UNKNOWN, _ANOMALY = range(3)
+LABEL_CODE = {Label.NORMAL: _NORMAL, Label.UNKNOWN: _UNKNOWN, Label.ANOMALY: _ANOMALY}
+_LABEL_OF_CODE = tuple(LABEL_CODE)
 
 
 class Granularity(Enum):
@@ -51,6 +61,8 @@ class LoadError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
+    """One record as a row; ``RecordSet`` stores records by column."""
+
     raw: str
     line_no: int
     label: Label = Label.UNKNOWN
@@ -58,29 +70,132 @@ class LogRecord:
     normalized: str | None = None
 
 
-@dataclass
+class _Columns:
+    """Column lists that records are appended to, one at a time."""
+
+    def __init__(self):
+        self.raw: list[str] = []
+        self.codes: list[int] = []
+        self.seq_ids: list[int] = []
+        self.keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
+        self.line_nos: list[int] = []
+
+    def append(self, raw: str, line_no: int, code: int, seq_key: str | None = None) -> None:
+        self.raw.append(raw)
+        self.codes.append(code)
+        self.seq_ids.append(
+            -1 if seq_key is None else self.keys.setdefault(seq_key, len(self.keys))
+        )
+        self.line_nos.append(line_no)
+
+    def columns(self) -> tuple:
+        """(raw, label_codes, seq_ids, seq_keys, line_nos)"""
+        return (self.raw, np.array(self.codes, dtype=np.int8),
+                np.array(self.seq_ids, dtype=np.int32), list(self.keys),
+                np.array(self.line_nos, dtype=np.int64))
+
+
 class RecordSet:
-    """Ordered collection of log records flowing through the pipeline."""
+    """Ordered log records flowing through the pipeline, stored by column.
 
-    records: list[LogRecord]
-    granularity: Granularity = Granularity.LINE
+    ``raw`` and ``normalized`` are ``list[str]`` (``normalized`` is None
+    before normalization), ``label_codes`` is ``int8`` (see ``LABEL_CODE``),
+    ``seq_ids`` is ``int32`` and indexes ``seq_keys`` (-1 for no key), which
+    lists the keys in first-appearance order, and ``line_nos`` is ``int64``.
+    Columns are shared between sets and never modified in place.
+    ``RecordSet(records, granularity)``, or ``from_records``, stores
+    ``LogRecord`` rows; ``records`` builds them back.
+    """
 
-    def __post_init__(self):
-        if self.granularity is Granularity.SEQUENCE:
-            for r in self.records:
-                if r.seq_key is None:
-                    raise ValueError(
-                        f"sequence-granularity record at line {r.line_no} has no seq_key"
-                    )
+    def __init__(
+        self, records: Iterable[LogRecord] = (), granularity: Granularity = Granularity.LINE
+    ):
+        cols, normalized = _Columns(), []
+        for r in records:
+            cols.append(r.raw, r.line_no, LABEL_CODE[r.label], r.seq_key)
+            normalized.append(r.normalized)
+        if granularity is Granularity.SEQUENCE and -1 in cols.seq_ids:
+            line_no = cols.line_nos[cols.seq_ids.index(-1)]
+            raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
+        if normalized.count(None) == len(normalized):
+            normalized = None
+        self._assign(granularity, *cols.columns(), normalized)
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[LogRecord], granularity: Granularity = Granularity.LINE
+    ) -> RecordSet:
+        """The same as ``RecordSet(records, granularity)``."""
+        return cls(records, granularity)
+
+    @classmethod
+    def _of(cls, *columns) -> RecordSet:
+        rs = cls.__new__(cls)
+        rs._assign(*columns)
+        return rs
+
+    def _assign(self, granularity, raw, label_codes, seq_ids, seq_keys, line_nos, normalized=None):
+        self.granularity, self.raw, self.normalized = granularity, raw, normalized
+        self.label_codes, self.seq_ids, self.seq_keys = label_codes, seq_ids, seq_keys
+        self.line_nos = line_nos
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.raw)
 
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self.records)
 
-    def labels(self) -> list[Label]:
-        return [r.label for r in self.records]
+    @property
+    def records(self) -> list[LogRecord]:
+        """The records as ``LogRecord`` rows, built anew on every read."""
+        keys, normalized = self.seq_keys, self.normalized or [None] * len(self)
+        return [
+            LogRecord(raw, line_no, _LABEL_OF_CODE[code], None if sid < 0 else keys[sid], norm)
+            for raw, line_no, code, sid, norm in zip(self.raw, self.line_nos.tolist(),
+                self.label_codes.tolist(), self.seq_ids.tolist(), normalized)
+        ]
+
+    @property
+    def n_units(self) -> int:
+        """Split units: lines, or distinct sequence keys."""
+        return len(self) if self.granularity is Granularity.LINE else len(self.seq_keys)
+
+    def unit_codes(self) -> np.ndarray:
+        """Label code of each unit (lines, or sequences in key order)."""
+        if self.granularity is Granularity.LINE:
+            return self.label_codes
+        codes = np.zeros(len(self.seq_keys), dtype=np.int8)
+        np.maximum.at(codes, self.seq_ids, self.label_codes)
+        return codes
+
+    def with_normalized(self, normalized: list[str]) -> RecordSet:
+        """This set with ``normalized`` as its normalized messages."""
+        if len(normalized) != len(self):
+            raise ValueError(f"{len(self)} records but {len(normalized)} normalized messages")
+        return self._of(self.granularity, self.raw, self.label_codes, self.seq_ids,
+                        self.seq_keys, self.line_nos, normalized)
+
+    def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
+        """The records of the units where ``unit_mask`` is true."""
+        if self.granularity is Granularity.SEQUENCE:
+            unit_mask = unit_mask[self.seq_ids]
+        return self._take(np.flatnonzero(unit_mask))
+
+    def _take(self, index: np.ndarray) -> RecordSet:
+        """The records at the ascending positions ``index``; the keys left
+        are renumbered in their first appearance among them."""
+        rows = index.tolist()
+        normalized = None if self.normalized is None else [self.normalized[i] for i in rows]
+        seq_ids, seq_keys = self.seq_ids[index], self.seq_keys
+        if seq_keys:
+            present, first = np.unique(seq_ids[seq_ids >= 0], return_index=True)
+            kept = present[np.argsort(first)]
+            # The slot past the last id stays -1, so an id of -1 maps to -1.
+            new_id = np.full(len(seq_keys) + 1, -1, dtype=np.int32)
+            new_id[kept] = np.arange(len(kept))
+            seq_ids, seq_keys = new_id[seq_ids], [seq_keys[k] for k in kept.tolist()]
+        return self._of(self.granularity, [self.raw[i] for i in rows], self.label_codes[index],
+                        seq_ids, seq_keys, self.line_nos[index], normalized)
 
 
 @dataclass(frozen=True)
@@ -110,9 +225,10 @@ def _iter_lines(path: Path) -> Iterator[str]:
             yield line.rstrip("\n").rstrip("\r")
 
 
-def _read_label_csv(path: Path) -> dict[str, Label]:
-    """Two-column CSV of (seq_key, label); label values are case-insensitive."""
-    mapping: dict[str, Label] = {}
+def _read_label_csv(path: Path) -> dict[str, int]:
+    """Two-column CSV of (seq_key, label) to label codes; label values are
+    case-insensitive."""
+    mapping: dict[str, int] = {}
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -125,9 +241,9 @@ def _read_label_csv(path: Path) -> dict[str, Label]:
                 raise LoadError(f"{path}: row {row_no + 1} has fewer than 2 columns")
             key, value = row[0].strip(), row[1].strip().lower()
             if value == "normal":
-                mapping[key] = Label.NORMAL
+                mapping[key] = _NORMAL
             elif value == "anomaly":
-                mapping[key] = Label.ANOMALY
+                mapping[key] = _ANOMALY
             elif row_no == 0:
                 continue  # header row
             else:
@@ -142,40 +258,30 @@ _HDFS_HEADER_FIELDS = 5
 
 
 def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
-    records = []
+    cols = _Columns()
     for i, line in enumerate(_iter_lines(path)):
-        if not line.strip():
-            continue
         parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
-        label = Label.NORMAL if parts[0] == "-" else Label.ANOMALY
+        if not parts:
+            continue  # blank line
         msg = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
-        records.append(LogRecord(raw=msg, line_no=i, label=label))
-    return RecordSet(records, Granularity.LINE)
+        cols.append(msg, i, _NORMAL if parts[0] == "-" else _ANOMALY)
+    return RecordSet._of(Granularity.LINE, *cols.columns())
 
 
 def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
     if labels is None:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
-    records = []
+    cols = _Columns()
     for i, line in enumerate(_iter_lines(path)):
-        if not line.strip():
-            continue
         block_ids = _BLOCK_ID.findall(line)
         if not block_ids:
             continue  # no block reference, nothing to attribute the line to
         parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
         msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
         for bid in dict.fromkeys(block_ids):
-            records.append(
-                LogRecord(
-                    raw=msg,
-                    line_no=i,
-                    label=seq_labels.get(bid, Label.UNKNOWN),
-                    seq_key=bid,
-                )
-            )
-    return RecordSet(records, Granularity.SEQUENCE)
+            cols.append(msg, i, seq_labels.get(bid, _UNKNOWN), bid)
+    return RecordSet._of(Granularity.SEQUENCE, *cols.columns())
 
 
 def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
@@ -187,16 +293,17 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
     app_files = sorted(p for p in path.iterdir() if p.is_file())
     # Line numbers run on across the files, in file-name order.
     lines = ((f.stem, line) for f in app_files for line in _iter_lines(f))
-    records = [
-        LogRecord(raw=line, line_no=i, label=seq_labels.get(app, Label.UNKNOWN), seq_key=app)
-        for i, (app, line) in enumerate(lines)
-    ]
-    return RecordSet(records, Granularity.SEQUENCE)
+    cols = _Columns()
+    for i, (app, line) in enumerate(lines):
+        cols.append(line, i, seq_labels.get(app, _UNKNOWN), app)
+    return RecordSet._of(Granularity.SEQUENCE, *cols.columns())
 
 
 def _load_plain(path: Path, labels: Path | None) -> RecordSet:
-    records = [LogRecord(raw=line, line_no=i) for i, line in enumerate(_iter_lines(path))]
-    return RecordSet(records, Granularity.LINE)
+    cols = _Columns()
+    for i, line in enumerate(_iter_lines(path)):
+        cols.append(line, i, _UNKNOWN)
+    return RecordSet._of(Granularity.LINE, *cols.columns())
 
 
 ADAPTERS = {
@@ -226,47 +333,35 @@ def sample(rs: RecordSet, fraction: float, seed: int) -> RecordSet:
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    n = len(rs.records)
+    n = len(rs)
     count = _round_half_up(fraction * n)
     if count >= n:
-        return RecordSet(list(rs.records), rs.granularity)
+        return rs
     rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(n, size=count, replace=False))
-    return RecordSet([rs.records[i] for i in keep], rs.granularity)
-
-
-def _units(rs: RecordSet) -> list:
-    """Split units: record indices at line granularity, seq keys otherwise."""
-    if rs.granularity is Granularity.LINE:
-        return list(range(len(rs.records)))
-    return list(dict.fromkeys(r.seq_key for r in rs.records))
+    return rs._take(np.sort(rng.choice(n, size=count, replace=False)))
 
 
 def split(rs: RecordSet, spec: SplitSpec) -> tuple[RecordSet, RecordSet]:
-    """Partition into train/test along whole units (lines or sequences)."""
-    if not rs.records:
+    """Partition into train/test along whole units (lines or sequences).
+
+    Units are numbered in order of first appearance; a random split draws a
+    seeded permutation of them, a chronological one takes a prefix.
+    """
+    if not len(rs):
         raise ValueError("cannot split an empty RecordSet")
-    units = _units(rs)
-    n_units = len(units)
+    n_units = rs.n_units
     train_count = _round_half_up(spec.train_fraction * n_units)
     if train_count == 0 or train_count == n_units:
         raise ValueError(
             f"train_fraction {spec.train_fraction} leaves an empty side "
             f"({train_count} of {n_units} units in train)"
         )
+    in_train = np.zeros(n_units, dtype=bool)
     if spec.mode is SplitMode.RANDOM:
-        order = np.random.default_rng(spec.seed).permutation(n_units)
-        chosen = {units[i] for i in order[:train_count]}
+        in_train[np.random.default_rng(spec.seed).permutation(n_units)[:train_count]] = True
     else:
-        chosen = set(units[:train_count])
-
-    if rs.granularity is Granularity.LINE:
-        in_train = [i in chosen for i in range(len(rs.records))]
-    else:
-        in_train = [r.seq_key in chosen for r in rs.records]
-    train = [r for r, t in zip(rs.records, in_train) if t]
-    test = [r for r, t in zip(rs.records, in_train) if not t]
-    return RecordSet(train, rs.granularity), RecordSet(test, rs.granularity)
+        in_train[:train_count] = True
+    return rs._take_units(in_train), rs._take_units(~in_train)
 
 
 def sequence_labels(rs: RecordSet) -> dict[str, Label]:
@@ -277,12 +372,7 @@ def sequence_labels(rs: RecordSet) -> dict[str, Label]:
     """
     if rs.granularity is not Granularity.SEQUENCE:
         raise ValueError("sequence labels require sequence granularity")
-    labels: dict[str, Label] = {}
-    for r in rs.records:
-        current = labels.setdefault(r.seq_key, r.label)
-        if current is not Label.ANOMALY and r.label is not Label.NORMAL:
-            labels[r.seq_key] = r.label
-    return labels
+    return dict(zip(rs.seq_keys, (_LABEL_OF_CODE[c] for c in rs.unit_codes().tolist())))
 
 
 def filter_normal(train: RecordSet) -> RecordSet:
@@ -291,12 +381,8 @@ def filter_normal(train: RecordSet) -> RecordSet:
     Requires every label to be known: the normal-only scenario models
     curated data, so unknown labels are an error rather than a guess.
     """
-    for r in train.records:
-        if r.label is Label.UNKNOWN:
-            raise ValueError(f"record at line {r.line_no} has an unknown label")
-    if train.granularity is Granularity.LINE:
-        kept = [r for r in train.records if r.label is Label.NORMAL]
-    else:
-        labels = sequence_labels(train)
-        kept = [r for r in train.records if labels[r.seq_key] is Label.NORMAL]
-    return RecordSet(kept, train.granularity)
+    unknown = train.label_codes == _UNKNOWN
+    if unknown.any():
+        line_no = train.line_nos[np.argmax(unknown)]
+        raise ValueError(f"record at line {line_no} has an unknown label")
+    return train._take_units(train.unit_codes() == _NORMAL)

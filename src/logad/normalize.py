@@ -12,7 +12,7 @@ operations are applied, in this order:
 """
 
 import re
-from dataclasses import replace
+from itertools import islice
 
 from .ingest import RecordSet
 
@@ -30,6 +30,16 @@ def normalize_message(raw: str) -> str:
 
 
 def normalize_records(rs: RecordSet) -> RecordSet:
-    """Normalize every record's raw message into its ``normalized`` field."""
-    records = [replace(r, normalized=normalize_message(r.raw)) for r in rs.records]
-    return RecordSet(records, rs.granularity)
+    r"""Normalize every raw message into the ``normalized`` column.
+
+    The messages are normalized as one string, joined with "\n".  That
+    equals normalizing each one: no step rewrites "\n", a zero run cannot
+    span it, and the one context-dependent case mapping, a final sigma,
+    does not look past it.  A message that contains "\n" itself comes back
+    in as many pieces, which are joined again.
+    """
+    normalized = normalize_message("\n".join(rs.raw)).split("\n")
+    if len(normalized) != len(rs):
+        pieces = iter(normalized)
+        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in rs.raw]
+    return rs.with_normalized(normalized)

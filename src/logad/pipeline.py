@@ -44,6 +44,7 @@ from .evaluate import (
     score_histogram,
 )
 from .ingest import (
+    LABEL_CODE,
     Granularity,
     Label,
     RecordSet,
@@ -52,7 +53,6 @@ from .ingest import (
     filter_normal,
     load,
     sample,
-    sequence_labels,
     split,
 )
 from .normalize import normalize_records
@@ -115,6 +115,11 @@ def _cell_error(model: str, scenario: str) -> str | None:
     return None
 
 
+# Smallest valid value of each integer run parameter.  A subsample of one
+# document gives the isolation forest a zero path-length normalizer.
+_LOWER_BOUNDS = {"k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "depth": 3}
+
+
 @dataclass
 class RunConfig:
     input: Path
@@ -151,8 +156,13 @@ class RunConfig:
             raise ConfigError(cell_error)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        for name, low in _LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.f1_budget is not None and self.f1_budget < 1:
+            raise ConfigError(f"f1_budget must be >= 1, got {self.f1_budget}")
+        if not 0.0 < self.sim_threshold < 1.0:
+            raise ConfigError(f"sim_threshold must be in (0, 1), got {self.sim_threshold}")
         try:
             SplitSpec(self.train_fraction)
         except ValueError as exc:
@@ -191,24 +201,19 @@ def _test_labels(test_rs: RecordSet) -> np.ndarray:
     Raises unless every unit is labeled and both classes occur, so a run
     that cannot be evaluated stops before representation.
     """
-    if test_rs.granularity is Granularity.SEQUENCE:
-        labels = list(sequence_labels(test_rs).values())
-    else:
-        labels = test_rs.labels()
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lbl in enumerate(labels):
-        if lbl is Label.UNKNOWN:
-            raise ValueError(
-                "evaluation needs Normal/Anomaly labels on every test unit; "
-                "got an unknown label (unlabeled input with metrics requested?)"
-            )
-        out[i] = 1 if lbl is Label.ANOMALY else 0
-    if out.min() == out.max():
+    codes = test_rs.unit_codes()
+    if (codes == LABEL_CODE[Label.UNKNOWN]).any():
+        raise ValueError(
+            "evaluation needs Normal/Anomaly labels on every test unit; "
+            "got an unknown label (unlabeled input with metrics requested?)"
+        )
+    y = (codes == LABEL_CODE[Label.ANOMALY]).astype(np.int64)
+    if y.min() == y.max():
         raise ValueError(
             "evaluation needs both Normal and Anomaly labels on the test side; "
-            f"every test unit is labeled {labels[0].value}"
+            f"every test unit is labeled {'anomaly' if y[0] else 'normal'}"
         )
-    return out
+    return y
 
 
 def _represent(
@@ -218,23 +223,16 @@ def _represent(
     drain = None
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
-        train_docs = [TokenSeq.of([drain.fit_line(r.normalized)]) for r in train_rs]
-        test_docs = [TokenSeq.of([drain.parse_line(r.normalized)]) for r in test_rs]
+        train_docs = [TokenSeq.of([drain.fit_line(msg)]) for msg in train_rs.normalized]
+        test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_rs.normalized]
     else:
         tokenize = _TOKENIZERS[config.representation]
-        train_docs = [tokenize(r.normalized) for r in train_rs]
-        test_docs = [tokenize(r.normalized) for r in test_rs]
+        train_docs = [tokenize(msg) for msg in train_rs.normalized]
+        test_docs = [tokenize(msg) for msg in test_rs.normalized]
     if train_rs.granularity is Granularity.SEQUENCE:
         _, train_docs, _ = flatten_sequences(train_rs, train_docs)
         _, test_docs, _ = flatten_sequences(test_rs, test_docs)
     return train_docs, test_docs, drain
-
-
-def _n_units(rs: RecordSet) -> int:
-    """Lines, or distinct sequence keys: the documents ``rs`` becomes."""
-    if rs.granularity is Granularity.SEQUENCE:
-        return len(sequence_labels(rs))
-    return len(rs)
 
 
 @dataclass
@@ -263,12 +261,12 @@ def _load_and_split(config: RunConfig, kmeans: bool) -> _Split:
     y = _test_labels(test_rs)
     if config.scenario == "normal_only":
         train_rs, _ = tl.timed("filter", filter_normal, train_rs)
-        if not train_rs.records:
+        if not len(train_rs):
             raise ValueError(
                 "normal_only training needs Normal labels on the train side; "
                 "every train unit is labeled anomaly"
             )
-    if kmeans and config.k > (n_train := _n_units(train_rs)):
+    if kmeans and config.k > (n_train := train_rs.n_units):
         raise ValueError(
             f"k={config.k} exceeds the {n_train} train units left by scenario "
             f"{config.scenario}; lower k or raise train_fraction"

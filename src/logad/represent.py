@@ -210,11 +210,9 @@ def flatten_sequences(
     (seq_keys, documents, labels) in first-appearance order of the keys.
     """
     labels = sequence_labels(rs)
-    if len(rs.records) != len(token_seqs):
-        raise ValueError(
-            f"{len(rs.records)} records but {len(token_seqs)} token sequences"
-        )
-    merged: dict[str, list[str]] = {key: [] for key in labels}
-    for record, ts in zip(rs.records, token_seqs):
-        merged[record.seq_key].extend(ts.terms)
-    return list(labels), [TokenSeq.of(terms) for terms in merged.values()], list(labels.values())
+    if len(rs) != len(token_seqs):
+        raise ValueError(f"{len(rs)} records but {len(token_seqs)} token sequences")
+    merged: list[list[str]] = [[] for _ in labels]
+    for seq_id, ts in zip(rs.seq_ids.tolist(), token_seqs):
+        merged[seq_id].extend(ts.terms)
+    return list(labels), [TokenSeq.of(terms) for terms in merged], list(labels.values())

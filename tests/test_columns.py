@@ -1,0 +1,215 @@
+"""The column operations of RecordSet against per-record references.
+
+The references below apply the sampling, split, label and filter rules one
+``LogRecord`` at a time, as a list of rows; the column operations must give
+the same records in the same order, and number sequence keys in their first
+appearance among the records they keep.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from logad.ingest import (
+    Granularity,
+    Label,
+    LogRecord,
+    RecordSet,
+    SplitMode,
+    SplitSpec,
+    filter_normal,
+    sample,
+    sequence_labels,
+    split,
+)
+from logad.represent import TokenSeq, flatten_sequences
+
+KEYS = [f"s{i}" for i in range(6)]
+
+
+def _ref_sample(records, fraction, seed):
+    n = len(records)
+    count = math.floor(fraction * n + 0.5)
+    if count >= n:
+        return list(records)
+    keep = np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
+    return [records[i] for i in keep]
+
+
+def _ref_unit(granularity):
+    if granularity is Granularity.LINE:
+        return lambda i, r: i
+    return lambda i, r: r.seq_key
+
+
+def _ref_split(records, granularity, spec):
+    """(train, test) rows, or None where a side would be empty."""
+    unit = _ref_unit(granularity)
+    units = list(dict.fromkeys(unit(i, r) for i, r in enumerate(records)))
+    train_count = math.floor(spec.train_fraction * len(units) + 0.5)
+    if train_count in (0, len(units)):
+        return None
+    if spec.mode is SplitMode.RANDOM:
+        order = np.random.default_rng(spec.seed).permutation(len(units))
+        chosen = {units[i] for i in order[:train_count]}
+    else:
+        chosen = set(units[:train_count])
+    train = [r for i, r in enumerate(records) if unit(i, r) in chosen]
+    test = [r for i, r in enumerate(records) if unit(i, r) not in chosen]
+    return train, test
+
+
+def _ref_sequence_labels(records):
+    labels = {}
+    for r in records:
+        current = labels.setdefault(r.seq_key, r.label)
+        if current is not Label.ANOMALY and r.label is not Label.NORMAL:
+            labels[r.seq_key] = r.label
+    return labels
+
+
+def _ref_filter_normal(records, granularity):
+    """The kept rows, or None where an unknown label makes it an error."""
+    if any(r.label is Label.UNKNOWN for r in records):
+        return None
+    if granularity is Granularity.LINE:
+        return [r for r in records if r.label is Label.NORMAL]
+    labels = _ref_sequence_labels(records)
+    return [r for r in records if labels[r.seq_key] is Label.NORMAL]
+
+
+def _ref_flatten(records, token_seqs):
+    labels = _ref_sequence_labels(records)
+    merged = {key: [] for key in labels}
+    for r, ts in zip(records, token_seqs):
+        merged[r.seq_key].extend(ts.terms)
+    return list(labels), list(merged.values()), list(labels.values())
+
+
+def _keys_in_order(records):
+    return list(dict.fromkeys(r.seq_key for r in records if r.seq_key is not None))
+
+
+@st.composite
+def record_lists(draw, granularity=None):
+    """(rows, granularity): labels include unknown; line-granularity rows may
+    carry a key or not; every row, no row or some rows are normalized."""
+    if granularity is None:
+        granularity = draw(st.sampled_from(Granularity))
+    n = draw(st.integers(1, 30))
+    key = st.sampled_from(KEYS)
+    if granularity is Granularity.LINE:
+        key = st.none() | key
+    normalized = draw(st.sampled_from([st.just(True), st.just(False), st.booleans()]))
+    records = []
+    line_no = 0
+    for i in range(n):
+        line_no += draw(st.integers(0, 2))
+        records.append(LogRecord(
+            raw=f"m{i}",
+            line_no=line_no,
+            label=draw(st.sampled_from(Label)),
+            seq_key=draw(key),
+            normalized=f"n{i}" if draw(normalized) else None,
+        ))
+    return records, granularity
+
+
+def _assert_rows(rs, rows):
+    assert rs.records == rows
+    assert rs.seq_keys == _keys_in_order(rows)
+
+
+@given(record_lists())
+def test_rows_round_trip(case):
+    records, granularity = case
+    rs = RecordSet.from_records(records, granularity)
+    assert len(rs) == len(records)
+    assert rs.granularity is granularity
+    _assert_rows(rs, records)
+    assert list(rs) == RecordSet(records, granularity).records
+
+
+@given(record_lists(), st.floats(0.01, 1.0), st.integers(0, 2**16))
+def test_sample_matches_reference(case, fraction, seed):
+    records, granularity = case
+    out = sample(RecordSet.from_records(records, granularity), fraction, seed)
+    _assert_rows(out, _ref_sample(records, fraction, seed))
+
+
+@given(record_lists(), st.floats(0.01, 0.99), st.integers(0, 2**16),
+       st.sampled_from(SplitMode), st.floats(0.3, 1.0))
+def test_split_matches_reference(case, train_fraction, seed, mode, sample_fraction):
+    # Splitting a sample also checks that the sample numbered its keys in
+    # their first appearance: the random split permutes keys in that order.
+    records, granularity = case
+    rs = sample(RecordSet.from_records(records, granularity), sample_fraction, seed)
+    rows = _ref_sample(records, sample_fraction, seed)
+    spec = SplitSpec(train_fraction, seed, mode)
+    expected = _ref_split(rows, granularity, spec)
+    if expected is None:
+        with pytest.raises(ValueError, match="empty"):
+            split(rs, spec)
+        return
+    train, test = split(rs, spec)
+    _assert_rows(train, expected[0])
+    _assert_rows(test, expected[1])
+    assert train.n_units + test.n_units == rs.n_units
+
+
+@given(record_lists())
+def test_filter_normal_matches_reference(case):
+    records, granularity = case
+    rs = RecordSet.from_records(records, granularity)
+    expected = _ref_filter_normal(records, granularity)
+    if expected is None:
+        with pytest.raises(ValueError, match="unknown label"):
+            filter_normal(rs)
+    else:
+        _assert_rows(filter_normal(rs), expected)
+
+
+@given(record_lists(Granularity.SEQUENCE), st.floats(0.3, 1.0), st.integers(0, 2**16))
+def test_sequence_labels_match_reference(case, fraction, seed):
+    records, _ = case
+    rs = sample(RecordSet.from_records(records, Granularity.SEQUENCE), fraction, seed)
+    rows = _ref_sample(records, fraction, seed)
+    assert list(sequence_labels(rs).items()) == list(_ref_sequence_labels(rows).items())
+
+
+@given(record_lists(Granularity.SEQUENCE), st.data())
+def test_flatten_matches_reference(case, data):
+    records, _ = case
+    token_seqs = [
+        TokenSeq.of(data.draw(st.lists(st.sampled_from("abc"), max_size=4)))
+        for _ in records
+    ]
+    keys, docs, labels = flatten_sequences(
+        RecordSet.from_records(records, Granularity.SEQUENCE), token_seqs
+    )
+    ref_keys, ref_terms, ref_labels = _ref_flatten(records, token_seqs)
+    assert keys == ref_keys
+    assert [d.terms for d in docs] == ref_terms
+    assert labels == ref_labels
+
+
+def test_sample_without_a_sequences_first_record_reorders_keys():
+    # s0 appears first in the input, but once its first record is dropped
+    # s1 appears first in the sample, and so takes id 0.
+    spec = ["s0", "s1", "s0", "s1", "s2", "s0"]
+    records = [
+        LogRecord(raw=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=key)
+        for i, key in enumerate(spec)
+    ]
+    rs = RecordSet.from_records(records, Granularity.SEQUENCE)
+    seed = next(
+        s for s in range(1000)
+        if [r.line_no for r in _ref_sample(records, 0.5, s)][:2] == [1, 2]
+    )
+    out = sample(rs, 0.5, seed)
+    assert out.seq_keys[:2] == ["s1", "s0"]
+    assert out.seq_ids.tolist()[:2] == [0, 1]
+    _assert_rows(out, _ref_sample(records, 0.5, seed))

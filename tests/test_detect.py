@@ -320,6 +320,12 @@ class TestIForest:
         with pytest.raises(ValueError):
             iforest_fit(dtm([[1.0]]), n_trees=5, subsample=2, seed=0)
 
+    @pytest.mark.parametrize("subsample", [1, 0, -3])
+    def test_subsample_below_two_rejected(self, subsample):
+        # c(1) = 0: a one-document subsample would score every document NaN.
+        with pytest.raises(ValueError, match="subsample must be >= 2"):
+            iforest_fit(dtm([[0.0], [1.0], [2.0]]), n_trees=5, subsample=subsample, seed=0)
+
     def test_dimension_mismatch_errors(self):
         model = iforest_fit(dtm([[0.0, 1.0], [1.0, 0.0]]), n_trees=5, subsample=2, seed=0)
         with pytest.raises(ValueError):

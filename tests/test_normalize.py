@@ -1,6 +1,6 @@
 import re
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logad.ingest import Granularity, LogRecord, RecordSet
@@ -62,3 +62,24 @@ def test_normalize_records_keeps_order_and_fields():
     assert [r.normalized for r in out] == ["send 0", "ok"]
     assert [r.raw for r in out] == ["Send 42", "OK"]
     assert [r.line_no for r in out] == [0, 1]
+
+
+# Characters whose lowercase changes length or depends on context (final
+# sigma, with case-ignorable marks around it), digits, and the "\n" the
+# batched pass joins messages with.
+_TRICKY = st.sampled_from(["İ", "Σ", "σ", "ς", "A", "b", "'", "\u0301", "ﬁ", "0", "7", "9",
+                           " ", "\n"])
+
+
+@given(st.lists(st.text(alphabet=_TRICKY, max_size=8) | st.text(max_size=8), max_size=10))
+@example(["AΣ", "B"])
+@example(["Σ", "aΣ'", "'Σb"])
+@example(["12", "34", "0"])
+@example(["", "", ""])
+@example(["a\nΣ", "İ\n", "\n"])
+@example([])
+def test_batched_normalize_equals_per_message(messages):
+    rs = RecordSet.from_records([LogRecord(raw=m, line_no=i) for i, m in enumerate(messages)])
+    out = normalize_records(rs)
+    assert out.normalized == [normalize_message(m) for m in messages]
+    assert out.raw == messages

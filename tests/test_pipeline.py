@@ -9,7 +9,7 @@ import pytest
 
 from logad import pipeline
 from logad.cli import main
-from logad.ingest import SplitMode, SplitSpec, load, split
+from logad.ingest import LogRecord, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message
 from logad.pipeline import ConfigError, RunConfig, execute, grid_cells, run, run_grid, run_repeats
 from logad.synth import gen_synthetic
@@ -175,6 +175,22 @@ class TestRun:
         with pytest.raises(ConfigError, match="k must"):
             run(config)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_trees", 0),
+        ("subsample", 1),
+        ("subsample", 0),
+        ("n_bins", 0),
+        ("f1_budget", 0),
+        ("depth", 2),
+        ("sim_threshold", 0.0),
+        ("sim_threshold", 1.0),
+    ])
+    def test_bad_parameter_is_config_error_before_load(self, tmp_path, field, value):
+        config = RunConfig(input=tmp_path / "missing.log", adapter="plain", model="iforest",
+                           **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must"):
+            run(config)
+
     @pytest.mark.parametrize("case", ["unknown", "single_class", "empty_train"])
     def test_label_errors_come_before_represent(self, tmp_path, monkeypatch, case):
         monkeypatch.setattr(pipeline, "_represent", _represent_reached)
@@ -243,6 +259,21 @@ class TestRun:
         run(_config(unseen_corpus, representation="events", model="oovd",
                     out_dir=out, dump_templates=True))
         assert any(out.glob("templates_*.csv"))
+
+
+    @pytest.mark.parametrize("corpus", ["lines", "blocks"])
+    def test_builds_no_row_records(self, unseen_corpus, hdfs_corpus, monkeypatch, corpus):
+        # Records flow by column from load to represent.
+        def no_rows(self, *args, **kwargs):
+            raise AssertionError("a LogRecord was built")
+
+        monkeypatch.setattr(LogRecord, "__init__", no_rows)
+        if corpus == "lines":
+            config = _config(unseen_corpus, sample_fraction=0.8)
+        else:
+            config = _hdfs_config(hdfs_corpus, representation="events", sample_fraction=0.8)
+        report, _ = execute(config)
+        assert 0.0 <= report.auc <= 1.0
 
 
 class TestGrid:
@@ -452,3 +483,13 @@ class TestCli:
 
     def test_missing_input(self):
         assert main(["run", "--model", "rm"]) == 2
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_rejected(self, tmp_path, capsys, repeats):
+        log = gen_synthetic(tmp_path / "f.log", 200, 10, 8, "unseen_token", seed=4)
+        code = main(["run", "--input", str(log), "--adapter", "bgl", "--scenario",
+                     "normal_only", "--train-frac", "0.2", "--repeats", repeats])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--repeats must be >= 1" in captured.err
+        assert "auc=" not in captured.out
