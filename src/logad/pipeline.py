@@ -10,6 +10,8 @@ One chain of stages serves a single run and a grid alike: load through
 filter run once, representation and the vocabulary once per
 representation, each document-term matrix once per representation when a
 cell first reads it, and fit, score and evaluation once per cell.
+Each distinct normalized message is tokenized once, and on the test side
+counted once: a unit's count row is the exact sum of its messages' rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .detect import (
     IForestModel,
@@ -63,7 +66,9 @@ from .represent import (
     tokenize_trigrams,
     tokenize_words,
 )
-from .vectorize import DocTermMatrix, Vocabulary, count_transform, fit_vocabulary, tfidf_transform
+from .vectorize import (
+    DocTermMatrix, Vocabulary, count_transform, fit_vocabulary, tfidf_transform, tfidf_weighting
+)
 
 REPRESENTATIONS = ("words", "trigrams", "events")
 SCENARIOS = ("unfiltered", "normal_only")
@@ -117,7 +122,7 @@ def _cell_error(model: str, scenario: str) -> str | None:
 
 # Smallest valid value of each integer run parameter.  A subsample of one
 # document gives the isolation forest a zero path-length normalizer.
-_LOWER_BOUNDS = {"k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "depth": 3}
+_LOWER_BOUNDS = {"seed": 0, "k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "depth": 3}
 
 
 @dataclass
@@ -216,23 +221,49 @@ def _test_labels(test_rs: RecordSet) -> np.ndarray:
     return y
 
 
+def _distinct(messages: list[str]) -> tuple[list[str], list[int]]:
+    """The distinct messages in first-appearance order, and the index of
+    each message among them."""
+    ids: dict[str, int] = {}
+    message_ids = [ids.setdefault(msg, len(ids)) for msg in messages]
+    return list(ids), message_ids
+
+
 def _represent(
     config: RunConfig, train_rs: RecordSet, test_rs: RecordSet
-) -> tuple[list[TokenSeq], list[TokenSeq], DrainParser | None]:
-    """Tokenize both sides; template mining fits on the train side only."""
+) -> tuple[list[TokenSeq], tuple[list[TokenSeq], sp.csr_matrix], DrainParser | None]:
+    """Tokenize each distinct message once; template mining fits on every
+    train line and parses the test side read-only.
+
+    Returns the train documents (one per train unit); the distinct test
+    documents with the (units x documents) count of each in each unit; and
+    the parser.
+    """
     drain = None
+    test_msgs, test_ids = _distinct(test_rs.normalized)
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
+        # Drain's similarity counts exact matches only, so a repeated message
+        # can miss a template it helped to wildcard: the fit sees every line.
         train_docs = [TokenSeq.of([drain.fit_line(msg)]) for msg in train_rs.normalized]
-        test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_rs.normalized]
+        test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_msgs]
     else:
         tokenize = _TOKENIZERS[config.representation]
-        train_docs = [tokenize(msg) for msg in train_rs.normalized]
-        test_docs = [tokenize(msg) for msg in test_rs.normalized]
+        train_msgs, train_ids = _distinct(train_rs.normalized)
+        distinct_docs = [tokenize(msg) for msg in train_msgs]
+        train_docs = [distinct_docs[i] for i in train_ids]
+        test_docs = [tokenize(msg) for msg in test_msgs]
     if train_rs.granularity is Granularity.SEQUENCE:
         _, train_docs, _ = flatten_sequences(train_rs, train_docs)
-        _, test_docs, _ = flatten_sequences(test_rs, test_docs)
-    return train_docs, test_docs, drain
+        test_units = test_rs.seq_ids
+    else:
+        test_units = np.arange(len(test_rs))
+    # Converting to CSR sums the repeats of a message in a unit.
+    multiplicity = sp.csr_matrix(
+        (np.ones(len(test_ids), dtype=np.int64), (test_units, test_ids)),
+        shape=(test_rs.n_units, len(test_docs)),
+    )
+    return train_docs, (test_docs, multiplicity), drain
 
 
 @dataclass
@@ -283,9 +314,10 @@ class _Features:
 
     def __init__(self, config: RunConfig, train_rs: RecordSet, test_rs: RecordSet):
         self._log = TimingLog()
-        (self.train_docs, self.test_docs, self.drain), self.represent_s = self._log.timed(
+        (self.train_docs, test_side, self.drain), self.represent_s = self._log.timed(
             "represent", _represent, config, train_rs, test_rs
         )
+        self.test_docs, self.test_multiplicity = test_side
         # The vocabulary fit and the train transform get the same list
         # object, by which a tracer tells the train side from the test side.
         self.vocab, self.vocabulary_s = self._log.timed(
@@ -295,13 +327,30 @@ class _Features:
 
     def matrix(self, side: str, weighting: str) -> tuple[DocTermMatrix, float]:
         """The ``side`` ("train" or "test") matrix with ``weighting``, and
-        the seconds its one build took."""
+        the seconds its build took; the test tf-idf is weighted from the
+        test counts, and its seconds include theirs."""
         name = f"{side} {weighting}"
         if name not in self._built:
-            transform = count_transform if weighting == "counts" else tfidf_transform
-            docs = self.train_docs if side == "train" else self.test_docs
-            self._built[name] = self._log.timed(name, transform, self.vocab, docs)
+            if side == "train":
+                transform = count_transform if weighting == "counts" else tfidf_transform
+                self._built[name] = self._log.timed(name, transform, self.vocab, self.train_docs)
+            elif weighting == "counts":
+                self._built[name] = self._log.timed(name, self._test_counts)
+            else:
+                counts, counts_s = self.matrix("test", "counts")
+                tfidf, tfidf_s = self._log.timed(name, tfidf_weighting, self.vocab, counts)
+                self._built[name] = tfidf, counts_s + tfidf_s
         return self._built[name]
+
+    def _test_counts(self) -> DocTermMatrix:
+        """Each distinct test document counted once and summed into its
+        units; the counts are integers, so the sums are exact."""
+        distinct = count_transform(self.vocab, self.test_docs)
+        counts = self.test_multiplicity @ distinct.matrix
+        # As count_transform does, so the weighting sums each row in order.
+        counts.sort_indices()
+        totals = self.test_multiplicity @ distinct.doc_token_totals
+        return replace(distinct, matrix=counts, doc_token_totals=totals)
 
 
 def _run_cell(
@@ -346,7 +395,7 @@ def _run_cell(
             "scenario": config.scenario,
             "seed": config.seed,
             "n_train_docs": len(features.train_docs),
-            "n_test_docs": len(features.test_docs),
+            "n_test_docs": features.test_multiplicity.shape[0],
             "n_terms": features.vocab.n_terms,
             "f1_mode": "exact" if config.f1_budget is None else f"budgeted({config.f1_budget})",
             "f1_label_assisted": True,

@@ -139,10 +139,10 @@ def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
     return DocTermMatrix(matrix, Weighting.COUNT, np.asarray(totals, dtype=np.int64))
 
 
-def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
-    """Tf-idf weighted matrix; idf comes from training statistics only."""
-    counted = count_transform(v, docs)
-    matrix = counted.matrix
+def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
+    """Tf-idf weighted copy of a count matrix; idf comes from training
+    statistics only."""
+    matrix = counts.matrix.copy()
     if matrix.nnz:
         matrix.data *= v.idf()[matrix.indices]
         # L2-normalize nonzero rows in place.
@@ -152,4 +152,9 @@ def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
         row_lengths = np.diff(matrix.indptr)
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         matrix.data *= np.repeat(scale, row_lengths)
-    return DocTermMatrix(matrix, Weighting.TFIDF, counted.doc_token_totals)
+    return DocTermMatrix(matrix, Weighting.TFIDF, counts.doc_token_totals)
+
+
+def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
+    """Tf-idf weighted matrix: the weighting of ``count_transform``."""
+    return tfidf_weighting(v, count_transform(v, docs))

@@ -1,0 +1,159 @@
+"""Each distinct normalized message is represented and counted once.
+
+``pipeline._Features`` tokenizes (or parses) every distinct message once and
+sums the distinct count rows into units.  These tests build the per-unit
+documents the long way, from the public tokenizers, ``DrainParser`` and
+``flatten_sequences``, and require the unit matrices to be bit-identical to
+transforming those documents.
+"""
+
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logad import pipeline
+from logad.ingest import Granularity, Label, LogRecord, RecordSet
+from logad.pipeline import RunConfig, _Features, execute
+from logad.represent import (
+    DrainParser,
+    TokenSeq,
+    flatten_sequences,
+    tokenize_trigrams,
+    tokenize_words,
+)
+from logad.synth import gen_synthetic
+from logad.vectorize import count_transform, fit_vocabulary, tfidf_transform
+
+# Empty messages, messages shorter than three characters, non-ASCII text and
+# messages containing "\n", next to word messages that Drain can merge.
+MESSAGES = st.one_of(
+    st.text(alphabet=st.sampled_from(list("ab0 \néİ")), max_size=6),
+    st.lists(st.sampled_from(["unit", "state", "0", "up", "é", "x\ny"]), max_size=5).map(" ".join),
+)
+# Every train side holds this message, so the vocabulary is never empty.
+ANCHOR = "unit state 0 up"
+
+
+@st.composite
+def corpora(draw, granularity, all_distinct=False):
+    """(train, test) record sets drawn from one small message pool, so that
+    messages repeat heavily, or with every message of a side distinct."""
+    n_train, n_test = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+    if all_distinct:
+        pool = draw(st.lists(MESSAGES, min_size=n_train + n_test, max_size=n_train + n_test,
+                             unique=True))
+        picks = list(range(n_train + n_test))
+    else:
+        pool = draw(st.lists(MESSAGES, min_size=1, max_size=6, unique=True))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_train + n_test,
+                              max_size=n_train + n_test))
+    messages = [ANCHOR] + [pool[i] for i in picks]
+    n_train += 1
+    if granularity is Granularity.SEQUENCE:
+        keys = [f"blk_{k}" for k in draw(st.lists(st.integers(0, 4), min_size=len(messages),
+                                                  max_size=len(messages)))]
+    else:
+        keys = [None] * len(messages)
+    records = [LogRecord(f"raw {i}", i, Label.NORMAL, key, msg)
+               for i, (key, msg) in enumerate(zip(keys, messages))]
+    return (RecordSet(records[:n_train], granularity),
+            RecordSet(records[n_train:], granularity))
+
+
+def _reference_docs(config, train_rs, test_rs):
+    """Per-unit documents, one tokenizer or parser call per record."""
+    if config.representation == "events":
+        drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
+        train_docs = [TokenSeq.of([drain.fit_line(m)]) for m in train_rs.normalized]
+        test_docs = [TokenSeq.of([drain.parse_line(m)]) for m in test_rs.normalized]
+    else:
+        tokenize = {"words": tokenize_words, "trigrams": tokenize_trigrams}[config.representation]
+        train_docs = [tokenize(m) for m in train_rs.normalized]
+        test_docs = [tokenize(m) for m in test_rs.normalized]
+    if train_rs.granularity is Granularity.SEQUENCE:
+        train_docs = flatten_sequences(train_rs, train_docs)[1]
+        test_docs = flatten_sequences(test_rs, test_docs)[1]
+    return train_docs, test_docs
+
+
+def _assert_identical(got, want):
+    assert got.weighting is want.weighting
+    assert got.matrix.shape == want.matrix.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.doc_token_totals.dtype == want.doc_token_totals.dtype
+    assert got.doc_token_totals.tobytes() == want.doc_token_totals.tobytes()
+
+
+def _check_features(representation, train_rs, test_rs):
+    config = RunConfig(input=Path("unused.log"), representation=representation)
+    features = _Features(config, train_rs, test_rs)
+    ref_train, ref_test = _reference_docs(config, train_rs, test_rs)
+    vocab = fit_vocabulary(ref_train)
+    assert features.vocab.term_to_col == vocab.term_to_col
+    assert features.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
+    assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
+    assert features.test_multiplicity.shape == (len(ref_test), len(set(test_rs.normalized)))
+    # The test tf-idf is read first: it builds the counts it is weighted from.
+    _assert_identical(features.matrix("test", "tfidf")[0], tfidf_transform(vocab, ref_test))
+    _assert_identical(features.matrix("test", "counts")[0], count_transform(vocab, ref_test))
+    _assert_identical(features.matrix("train", "tfidf")[0], tfidf_transform(vocab, ref_train))
+
+
+@pytest.mark.parametrize("representation", pipeline.REPRESENTATIONS)
+@pytest.mark.parametrize("granularity", list(Granularity))
+class TestDistinctMessages:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_repeated_messages(self, representation, granularity, data):
+        _check_features(representation, *data.draw(corpora(granularity)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_all_distinct(self, representation, granularity, data):
+        _check_features(representation, *data.draw(corpora(granularity, all_distinct=True)))
+
+
+class TestDrainCalls:
+    def test_parse_once_per_distinct_message_and_fit_every_line(self, tmp_path, monkeypatch):
+        corpus = gen_synthetic(tmp_path / "d.log", n_normal=600, n_anomalies=30, n_templates=10,
+                               anomaly_kind="unseen_token", seed=5)
+        calls = Counter()
+        sides = []
+
+        class CountingParser(DrainParser):
+            def fit_line(self, msg):
+                calls["fit_line"] += 1
+                return super().fit_line(msg)
+
+            def parse_line(self, msg):
+                calls["parse_line"] += 1
+                return super().parse_line(msg)
+
+        def represent(config, train_rs, test_rs, _represent=pipeline._represent):
+            sides.append((train_rs, test_rs))
+            return _represent(config, train_rs, test_rs)
+
+        monkeypatch.setattr(pipeline, "DrainParser", CountingParser)
+        monkeypatch.setattr(pipeline, "_represent", represent)
+        config = RunConfig(input=corpus, adapter="bgl", representation="events", model="oovd",
+                           scenario="normal_only", train_fraction=0.2, seed=1)
+        _, artifacts = execute(config)
+        [(train_rs, test_rs)] = sides
+        n_distinct = len(set(test_rs.normalized))
+        assert n_distinct < len(test_rs)  # the corpus repeats its messages
+        assert calls == {"fit_line": len(train_rs), "parse_line": n_distinct}
+
+        # Drain's similarity counts exact matches only, so fitting the
+        # distinct messages would mine other groups: the fit sees every line.
+        line_by_line = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
+        for msg in train_rs.normalized:
+            line_by_line.fit_line(msg)
+        assert [(g.event_id, g.template, g.count) for g in artifacts.drain.groups()] == [
+            (g.event_id, g.template, g.count) for g in line_by_line.groups()
+        ]

@@ -184,6 +184,7 @@ class TestRun:
         ("depth", 2),
         ("sim_threshold", 0.0),
         ("sim_threshold", 1.0),
+        ("seed", -1),
     ])
     def test_bad_parameter_is_config_error_before_load(self, tmp_path, field, value):
         config = RunConfig(input=tmp_path / "missing.log", adapter="plain", model="iforest",
@@ -336,11 +337,14 @@ class TestSharedStages:
             assert alone_s.tobytes() == grid_s.tobytes(), (rep, model)
             assert _without_timings(alone) == _without_timings(report), (rep, model)
 
+    # Per representation: the test counts once, and the train tf-idf matrix
+    # that kmeans and iforest read; the test tf-idf is weighted from the
+    # test counts without another transform.
     @pytest.mark.parametrize("entry,expected", [
         (run_grid, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 3,
-                    "fit_vocabulary": 3, "count_transform": 3, "tfidf_transform": 6}),
+                    "fit_vocabulary": 3, "count_transform": 3, "tfidf_transform": 3}),
         (run, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 1,
-               "fit_vocabulary": 1, "tfidf_transform": 1}),
+               "fit_vocabulary": 1, "count_transform": 1}),
     ])
     def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
         calls = Counter()
@@ -492,4 +496,13 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert "--repeats must be >= 1" in captured.err
+        assert "auc=" not in captured.out
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        log = gen_synthetic(tmp_path / "s.log", 200, 10, 8, "unseen_token", seed=4)
+        code = main(["run", "--input", str(log), "--adapter", "bgl", "--scenario",
+                     "normal_only", "--train-frac", "0.2", "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
         assert "auc=" not in captured.out
