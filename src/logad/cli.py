@@ -34,19 +34,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every flag but --config, --grid and --repeats sets the RunConfig field
+    # named by its dest; a flag left out is None and keeps the file's value.
     p_run = sub.add_parser("run", help="run the detection pipeline")
     p_run.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     p_run.add_argument("--input", type=Path, help="log file (or directory for hadoop)")
     p_run.add_argument("--adapter", choices=list(ADAPTERS), help="dataset adapter (default plain)")
     p_run.add_argument("--labels", type=Path, help="label CSV for hdfs/hadoop adapters")
-    p_run.add_argument("--rep", choices=REPRESENTATIONS, help="log representation")
+    p_run.add_argument("--rep", dest="representation", choices=REPRESENTATIONS,
+                       help="log representation")
     p_run.add_argument("--model", choices=MODELS, help="anomaly scorer")
     p_run.add_argument("--scenario", choices=SCENARIOS, help="training scenario")
-    p_run.add_argument("--train-frac", type=float, help="train split fraction (default 0.05)")
-    p_run.add_argument("--sample-frac", type=float, help="pre-split sample fraction")
+    p_run.add_argument("--train-frac", dest="train_fraction", type=float,
+                       help="train split fraction (default 0.05)")
+    p_run.add_argument("--sample-frac", dest="sample_fraction", type=float,
+                       help="pre-split sample fraction")
     p_run.add_argument("--split-mode", choices=[m.value for m in SplitMode])
     p_run.add_argument("--seed", type=int, help="seed for sampling, splitting and models")
-    p_run.add_argument("--out", type=Path, help="output directory for reports")
+    p_run.add_argument("--out", dest="out_dir", type=Path, help="output directory for reports")
     p_run.add_argument("--grid", action="store_true", help="run all reps x models")
     p_run.add_argument("--repeats", type=int, default=1, help="re-run with derived seeds")
     p_run.add_argument("--k", type=int, help="kmeans cluster count (default 8)")
@@ -55,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sim-threshold", type=float, help="template similarity (default 0.4)")
     p_run.add_argument("--depth", type=int, help="template tree depth (default 4)")
     p_run.add_argument("--f1-budget", type=int, help="bounded threshold search budget")
-    p_run.add_argument("--bins", type=int, help="histogram bin count (default 50)")
+    p_run.add_argument("--bins", dest="n_bins", type=int, help="histogram bin count (default 50)")
     p_run.add_argument(
-        "--dump-templates", action="store_true", help="write mined templates CSV"
+        "--dump-templates", action="store_true", default=None, help="write mined templates CSV"
     )
 
     p_gen = sub.add_parser("gen", help="generate a synthetic labeled corpus")
@@ -70,46 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# CLI flag name -> RunConfig field.
-_FLAG_FIELDS = {
-    "input": "input",
-    "adapter": "adapter",
-    "labels": "labels",
-    "rep": "representation",
-    "model": "model",
-    "scenario": "scenario",
-    "train_frac": "train_fraction",
-    "sample_frac": "sample_fraction",
-    "split_mode": "split_mode",
-    "seed": "seed",
-    "out": "out_dir",
-    "k": "k",
-    "n_trees": "n_trees",
-    "subsample": "subsample",
-    "sim_threshold": "sim_threshold",
-    "depth": "depth",
-    "f1_budget": "f1_budget",
-    "bins": "n_bins",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
+    fields = RunConfig.__dataclass_fields__
     if args.config is not None:
         try:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        unknown = set(file_values) - {f for f in RunConfig.__dataclass_fields__}
+        unknown = set(file_values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
-    for flag, fld in _FLAG_FIELDS.items():
-        flag_value = getattr(args, flag, None)
-        if flag_value is not None:
-            values[fld] = flag_value
-    if args.dump_templates:
-        values["dump_templates"] = True
+    values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if "input" not in values or values["input"] is None:
         raise ConfigError("an input log file is required (--input or config file)")
     for key in ("input", "labels", "out_dir"):

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -70,6 +70,86 @@ class LogRecord:
     normalized: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """Ordered log records flowing through the pipeline, stored by column.
+
+    ``raw`` and ``normalized`` are ``list[str]`` (``normalized`` is None
+    before normalization), ``label_codes`` is ``int8`` (see ``LABEL_CODE``),
+    ``seq_ids`` is ``int32`` and indexes ``seq_keys`` (-1 for no key), which
+    lists the keys in first-appearance order, and ``line_nos`` is ``int64``.
+    Columns are shared between sets and never modified in place.
+    Iterating yields the records as ``LogRecord`` rows, built on every pass.
+    """
+
+    granularity: Granularity
+    raw: list[str]
+    label_codes: np.ndarray
+    seq_ids: np.ndarray
+    seq_keys: list[str]
+    line_nos: np.ndarray
+    normalized: list[str] | None = None
+
+    def __post_init__(self):
+        n = len(self.raw)
+        if not len(self.label_codes) == len(self.seq_ids) == len(self.line_nos) == n:
+            raise ValueError(
+                f"column lengths differ: {n} raw, {len(self.label_codes)} label codes, "
+                f"{len(self.seq_ids)} seq ids, {len(self.line_nos)} line numbers"
+            )
+        if self.normalized is not None and len(self.normalized) != n:
+            raise ValueError(f"{n} records but {len(self.normalized)} normalized messages")
+        if self.granularity is Granularity.SEQUENCE and (keyless := self.seq_ids < 0).any():
+            line_no = self.line_nos[np.argmax(keyless)]
+            raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        keys, normalized = self.seq_keys, self.normalized or [None] * len(self)
+        for raw, line_no, code, sid, norm in zip(self.raw, self.line_nos.tolist(),
+                self.label_codes.tolist(), self.seq_ids.tolist(), normalized):
+            key = None if sid < 0 else keys[sid]
+            yield LogRecord(raw, line_no, _LABEL_OF_CODE[code], key, norm)
+
+    @property
+    def n_units(self) -> int:
+        """Split units: lines, or distinct sequence keys."""
+        return len(self) if self.granularity is Granularity.LINE else len(self.seq_keys)
+
+    @property
+    def unit_ids(self) -> np.ndarray:
+        """The unit of each record: its position, or its sequence id."""
+        return np.arange(len(self)) if self.granularity is Granularity.LINE else self.seq_ids
+
+    def unit_codes(self) -> np.ndarray:
+        """Label code of each unit: the largest code among its records."""
+        codes = np.zeros(self.n_units, dtype=np.int8)
+        np.maximum.at(codes, self.unit_ids, self.label_codes)
+        return codes
+
+    def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
+        """The records of the units where ``unit_mask`` is true."""
+        return self._take(np.flatnonzero(unit_mask[self.unit_ids]))
+
+    def _take(self, index: np.ndarray) -> RecordSet:
+        """The records at the ascending positions ``index``; the keys left
+        are renumbered in their first appearance among them."""
+        rows = index.tolist()
+        normalized = None if self.normalized is None else [self.normalized[i] for i in rows]
+        seq_ids, seq_keys = self.seq_ids[index], self.seq_keys
+        if seq_keys:
+            present, first = np.unique(seq_ids[seq_ids >= 0], return_index=True)
+            kept = present[np.argsort(first)]
+            # The slot past the last id stays -1, so an id of -1 maps to -1.
+            new_id = np.full(len(seq_keys) + 1, -1, dtype=np.int32)
+            new_id[kept] = np.arange(len(kept))
+            seq_ids, seq_keys = new_id[seq_ids], [seq_keys[k] for k in kept.tolist()]
+        return RecordSet(self.granularity, [self.raw[i] for i in rows], self.label_codes[index],
+                         seq_ids, seq_keys, self.line_nos[index], normalized)
+
+
 class _Columns:
     """Column lists that records are appended to, one at a time."""
 
@@ -88,114 +168,10 @@ class _Columns:
         )
         self.line_nos.append(line_no)
 
-    def columns(self) -> tuple:
-        """(raw, label_codes, seq_ids, seq_keys, line_nos)"""
-        return (self.raw, np.array(self.codes, dtype=np.int8),
-                np.array(self.seq_ids, dtype=np.int32), list(self.keys),
-                np.array(self.line_nos, dtype=np.int64))
-
-
-class RecordSet:
-    """Ordered log records flowing through the pipeline, stored by column.
-
-    ``raw`` and ``normalized`` are ``list[str]`` (``normalized`` is None
-    before normalization), ``label_codes`` is ``int8`` (see ``LABEL_CODE``),
-    ``seq_ids`` is ``int32`` and indexes ``seq_keys`` (-1 for no key), which
-    lists the keys in first-appearance order, and ``line_nos`` is ``int64``.
-    Columns are shared between sets and never modified in place.
-    ``RecordSet(records, granularity)``, or ``from_records``, stores
-    ``LogRecord`` rows; ``records`` builds them back.
-    """
-
-    def __init__(
-        self, records: Iterable[LogRecord] = (), granularity: Granularity = Granularity.LINE
-    ):
-        cols, normalized = _Columns(), []
-        for r in records:
-            cols.append(r.raw, r.line_no, LABEL_CODE[r.label], r.seq_key)
-            normalized.append(r.normalized)
-        if granularity is Granularity.SEQUENCE and -1 in cols.seq_ids:
-            line_no = cols.line_nos[cols.seq_ids.index(-1)]
-            raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
-        if normalized.count(None) == len(normalized):
-            normalized = None
-        self._assign(granularity, *cols.columns(), normalized)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[LogRecord], granularity: Granularity = Granularity.LINE
-    ) -> RecordSet:
-        """The same as ``RecordSet(records, granularity)``."""
-        return cls(records, granularity)
-
-    @classmethod
-    def _of(cls, *columns) -> RecordSet:
-        rs = cls.__new__(cls)
-        rs._assign(*columns)
-        return rs
-
-    def _assign(self, granularity, raw, label_codes, seq_ids, seq_keys, line_nos, normalized=None):
-        self.granularity, self.raw, self.normalized = granularity, raw, normalized
-        self.label_codes, self.seq_ids, self.seq_keys = label_codes, seq_ids, seq_keys
-        self.line_nos = line_nos
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self.records)
-
-    @property
-    def records(self) -> list[LogRecord]:
-        """The records as ``LogRecord`` rows, built anew on every read."""
-        keys, normalized = self.seq_keys, self.normalized or [None] * len(self)
-        return [
-            LogRecord(raw, line_no, _LABEL_OF_CODE[code], None if sid < 0 else keys[sid], norm)
-            for raw, line_no, code, sid, norm in zip(self.raw, self.line_nos.tolist(),
-                self.label_codes.tolist(), self.seq_ids.tolist(), normalized)
-        ]
-
-    @property
-    def n_units(self) -> int:
-        """Split units: lines, or distinct sequence keys."""
-        return len(self) if self.granularity is Granularity.LINE else len(self.seq_keys)
-
-    def unit_codes(self) -> np.ndarray:
-        """Label code of each unit (lines, or sequences in key order)."""
-        if self.granularity is Granularity.LINE:
-            return self.label_codes
-        codes = np.zeros(len(self.seq_keys), dtype=np.int8)
-        np.maximum.at(codes, self.seq_ids, self.label_codes)
-        return codes
-
-    def with_normalized(self, normalized: list[str]) -> RecordSet:
-        """This set with ``normalized`` as its normalized messages."""
-        if len(normalized) != len(self):
-            raise ValueError(f"{len(self)} records but {len(normalized)} normalized messages")
-        return self._of(self.granularity, self.raw, self.label_codes, self.seq_ids,
-                        self.seq_keys, self.line_nos, normalized)
-
-    def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
-        """The records of the units where ``unit_mask`` is true."""
-        if self.granularity is Granularity.SEQUENCE:
-            unit_mask = unit_mask[self.seq_ids]
-        return self._take(np.flatnonzero(unit_mask))
-
-    def _take(self, index: np.ndarray) -> RecordSet:
-        """The records at the ascending positions ``index``; the keys left
-        are renumbered in their first appearance among them."""
-        rows = index.tolist()
-        normalized = None if self.normalized is None else [self.normalized[i] for i in rows]
-        seq_ids, seq_keys = self.seq_ids[index], self.seq_keys
-        if seq_keys:
-            present, first = np.unique(seq_ids[seq_ids >= 0], return_index=True)
-            kept = present[np.argsort(first)]
-            # The slot past the last id stays -1, so an id of -1 maps to -1.
-            new_id = np.full(len(seq_keys) + 1, -1, dtype=np.int32)
-            new_id[kept] = np.arange(len(kept))
-            seq_ids, seq_keys = new_id[seq_ids], [seq_keys[k] for k in kept.tolist()]
-        return self._of(self.granularity, [self.raw[i] for i in rows], self.label_codes[index],
-                        seq_ids, seq_keys, self.line_nos[index], normalized)
+    def record_set(self, granularity: Granularity) -> RecordSet:
+        return RecordSet(granularity, self.raw, np.array(self.codes, dtype=np.int8),
+                         np.array(self.seq_ids, dtype=np.int32), list(self.keys),
+                         np.array(self.line_nos, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -265,7 +241,7 @@ def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
             continue  # blank line
         msg = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
         cols.append(msg, i, _NORMAL if parts[0] == "-" else _ANOMALY)
-    return RecordSet._of(Granularity.LINE, *cols.columns())
+    return cols.record_set(Granularity.LINE)
 
 
 def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
@@ -281,7 +257,7 @@ def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
         msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
         for bid in dict.fromkeys(block_ids):
             cols.append(msg, i, seq_labels.get(bid, _UNKNOWN), bid)
-    return RecordSet._of(Granularity.SEQUENCE, *cols.columns())
+    return cols.record_set(Granularity.SEQUENCE)
 
 
 def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
@@ -296,14 +272,14 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
     cols = _Columns()
     for i, (app, line) in enumerate(lines):
         cols.append(line, i, seq_labels.get(app, _UNKNOWN), app)
-    return RecordSet._of(Granularity.SEQUENCE, *cols.columns())
+    return cols.record_set(Granularity.SEQUENCE)
 
 
 def _load_plain(path: Path, labels: Path | None) -> RecordSet:
     cols = _Columns()
     for i, line in enumerate(_iter_lines(path)):
         cols.append(line, i, _UNKNOWN)
-    return RecordSet._of(Granularity.LINE, *cols.columns())
+    return cols.record_set(Granularity.LINE)
 
 
 ADAPTERS = {
@@ -362,17 +338,6 @@ def split(rs: RecordSet, spec: SplitSpec) -> tuple[RecordSet, RecordSet]:
     else:
         in_train[:train_count] = True
     return rs._take_units(in_train), rs._take_units(~in_train)
-
-
-def sequence_labels(rs: RecordSet) -> dict[str, Label]:
-    """Label of each sequence, keyed in first-appearance order of the keys.
-
-    Anomaly beats unknown and unknown beats normal: a sequence is anomalous
-    if any member record is, else unknown if any member is.
-    """
-    if rs.granularity is not Granularity.SEQUENCE:
-        raise ValueError("sequence labels require sequence granularity")
-    return dict(zip(rs.seq_keys, (_LABEL_OF_CODE[c] for c in rs.unit_codes().tolist())))
 
 
 def filter_normal(train: RecordSet) -> RecordSet:

@@ -12,6 +12,7 @@ operations are applied, in this order:
 """
 
 import re
+from dataclasses import replace
 from itertools import islice
 
 from .ingest import RecordSet
@@ -42,4 +43,4 @@ def normalize_records(rs: RecordSet) -> RecordSet:
     if len(normalized) != len(rs):
         pieces = iter(normalized)
         normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in rs.raw]
-    return rs.with_normalized(normalized)
+    return replace(rs, normalized=normalized)

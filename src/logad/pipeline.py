@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
@@ -120,9 +121,12 @@ def _cell_error(model: str, scenario: str) -> str | None:
     return None
 
 
-# Smallest valid value of each integer run parameter.  A subsample of one
-# document gives the isolation forest a zero path-length normalizer.
-_LOWER_BOUNDS = {"seed": 0, "k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "depth": 3}
+# Smallest valid value of each integer run parameter (``f1_budget`` may
+# also be None).  A subsample of one document gives the isolation forest a
+# zero path-length normalizer.
+_LOWER_BOUNDS = {
+    "seed": 0, "k": 1, "n_trees": 1, "subsample": 2, "n_bins": 1, "depth": 3, "f1_budget": 1
+}
 
 
 @dataclass
@@ -159,13 +163,20 @@ class RunConfig:
         cell_error = _cell_error(self.model, self.scenario)
         if cell_error is not None:
             raise ConfigError(cell_error)
+        for name, low in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is None and name == "f1_budget":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("sample_fraction", "train_fraction", "sim_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        for name, low in _LOWER_BOUNDS.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.f1_budget is not None and self.f1_budget < 1:
-            raise ConfigError(f"f1_budget must be >= 1, got {self.f1_budget}")
         if not 0.0 < self.sim_threshold < 1.0:
             raise ConfigError(f"sim_threshold must be in (0, 1), got {self.sim_threshold}")
         try:
@@ -254,13 +265,10 @@ def _represent(
         train_docs = [distinct_docs[i] for i in train_ids]
         test_docs = [tokenize(msg) for msg in test_msgs]
     if train_rs.granularity is Granularity.SEQUENCE:
-        _, train_docs, _ = flatten_sequences(train_rs, train_docs)
-        test_units = test_rs.seq_ids
-    else:
-        test_units = np.arange(len(test_rs))
+        train_docs = flatten_sequences(train_rs, train_docs)
     # Converting to CSR sums the repeats of a message in a unit.
     multiplicity = sp.csr_matrix(
-        (np.ones(len(test_ids), dtype=np.int64), (test_units, test_ids)),
+        (np.ones(len(test_ids), dtype=np.int64), (test_rs.unit_ids, test_ids)),
         shape=(test_rs.n_units, len(test_docs)),
     )
     return train_docs, (test_docs, multiplicity), drain
@@ -276,11 +284,20 @@ class _Split:
     timings: dict[str, float]
 
 
-def _load_and_split(config: RunConfig, kmeans: bool) -> _Split:
+def _train_units_needed(config: RunConfig) -> tuple[int, str]:
+    """The fewest train units the cell's model fits on, and their name in
+    an error."""
+    if config.model == "kmeans":
+        return config.k, f"k={config.k}"
+    return (2, "iforest's minimum of 2") if config.model == "iforest" else (1, config.model)
+
+
+def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
     """Load, sample, normalize, split and filter, then check the split.
 
-    Label and class errors, and a ``k`` above the train units when a
-    k-means cell will run, are raised here, before representation.
+    Label and class errors, and fewer train units than ``train_units``
+    (from ``_train_units_needed``) asks for, are raised here, before
+    representation.
     """
     tl = TimingLog()
     rs, _ = tl.timed("load", load, config.input, config.adapter, config.labels)
@@ -297,10 +314,11 @@ def _load_and_split(config: RunConfig, kmeans: bool) -> _Split:
                 "normal_only training needs Normal labels on the train side; "
                 "every train unit is labeled anomaly"
             )
-    if kmeans and config.k > (n_train := train_rs.n_units):
+    needed, name = train_units
+    if needed > (n_train := train_rs.n_units):
         raise ValueError(
-            f"k={config.k} exceeds the {n_train} train units left by scenario "
-            f"{config.scenario}; lower k or raise train_fraction"
+            f"{name} exceeds the {n_train} train units left by scenario "
+            f"{config.scenario}; raise train_fraction"
         )
     return _Split(train_rs, test_rs, y, tl.stages)
 
@@ -419,7 +437,7 @@ def _run_cells(
     configs = [replace(config, representation=rep, model=model) for rep, model in cells]
     for cell in configs:
         cell.validate()
-    shared = _load_and_split(config, kmeans=any(c.model == "kmeans" for c in configs))
+    shared = _load_and_split(config, max(_train_units_needed(c) for c in configs))
     for _, group in groupby(configs, key=lambda c: c.representation):
         group = list(group)
         features = _Features(group[0], shared.train_rs, shared.test_rs)

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ingest import Label, RecordSet, sequence_labels
+from .ingest import Granularity, RecordSet
 
 WILDCARD = "<*>"
 UNSEEN_EVENT = "e_unseen"
@@ -200,19 +200,17 @@ class DrainParser:
                 writer.writerow([g.event_id, " ".join(g.template), g.count])
 
 
-def flatten_sequences(
-    rs: RecordSet, token_seqs: list[TokenSeq]
-) -> tuple[list[str], list[TokenSeq], list[Label]]:
+def flatten_sequences(rs: RecordSet, token_seqs: list[TokenSeq]) -> list[TokenSeq]:
     """Merge per-record token sequences into one document per sequence key.
 
     Member sequences are concatenated in line order, so the total token
-    count is preserved.  Labels follow ``sequence_labels``.  Returns
-    (seq_keys, documents, labels) in first-appearance order of the keys.
+    count is preserved.  The documents are in the order of ``rs.seq_keys``.
     """
-    labels = sequence_labels(rs)
+    if rs.granularity is not Granularity.SEQUENCE:
+        raise ValueError("flattening requires sequence granularity")
     if len(rs) != len(token_seqs):
         raise ValueError(f"{len(rs)} records but {len(token_seqs)} token sequences")
-    merged: list[list[str]] = [[] for _ in labels]
+    merged: list[list[str]] = [[] for _ in rs.seq_keys]
     for seq_id, ts in zip(rs.seq_ids.tolist(), token_seqs):
         merged[seq_id].extend(ts.terms)
-    return list(labels), [TokenSeq.of(terms) for terms in merged], list(labels.values())
+    return [TokenSeq.of(terms) for terms in merged]

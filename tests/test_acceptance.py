@@ -26,12 +26,13 @@ from logad.detect import (
     rm_score,
 )
 from logad.evaluate import auc_roc, best_f1
-from logad.ingest import Label, LogRecord, RecordSet, Granularity, SplitMode, SplitSpec, load, split
+from logad.ingest import Label, LogRecord, Granularity, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message, normalize_records
 from logad.pipeline import ConfigError, RunConfig, execute, run
 from logad.represent import DrainParser, TokenSeq, WILDCARD, flatten_sequences, tokenize_trigrams
 from logad.synth import gen_synthetic
 from logad.vectorize import DocTermMatrix, Weighting, count_transform, fit_vocabulary, tfidf_transform
+from rows import record_set
 
 
 def verdict(cid: str, ok: bool, detail: str = "") -> None:
@@ -223,10 +224,10 @@ def test_c4_speed_ordering(tmp_path):
                            "rare_token", seed=11)
     rs = normalize_records(load(corpus, "bgl"))
     train_rs, test_rs = split(rs, SplitSpec(0.05, seed=1))
-    train_docs = [tokenize_trigrams(r.normalized) for r in train_rs]
+    train_docs = [tokenize_trigrams(msg) for msg in train_rs.normalized]
     vocab = fit_vocabulary(train_docs)
     train_m = tfidf_transform(vocab, train_docs)
-    test_m = tfidf_transform(vocab, (tokenize_trigrams(r.normalized) for r in test_rs))
+    test_m = tfidf_transform(vocab, (tokenize_trigrams(msg) for msg in test_rs.normalized))
 
     def model_time(fit, score_fn):
         t_fit = time.perf_counter()
@@ -312,8 +313,8 @@ def test_c6c_flatten_token_conservation():
             records.append(LogRecord(raw="", line_no=i, label=Label.NORMAL,
                                      seq_key=f"s{rng.integers(6)}"))
             seqs.append(TokenSeq.of([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
-        rs = RecordSet(records, Granularity.SEQUENCE)
-        _, flat, _ = flatten_sequences(rs, seqs)
+        rs = record_set(records, Granularity.SEQUENCE)
+        flat = flatten_sequences(rs, seqs)
         ok &= sum(d.source_len for d in flat) == sum(s.source_len for s in seqs)
     verdict("C6c flatten preserves token counts", ok)
 
@@ -368,7 +369,7 @@ def _mangle_test_lines(corpus: Path, out: Path, config: RunConfig) -> None:
     rs = load(corpus, config.adapter)
     spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
     _, test_rs = split(rs, spec)
-    test_line_nos = {r.line_no for r in test_rs}
+    test_line_nos = set(test_rs.line_nos.tolist())
     mangled = []
     for i, line in enumerate(corpus.read_text().splitlines()):
         if i in test_line_nos:

@@ -14,18 +14,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logad.ingest import (
+    LABEL_CODE,
     Granularity,
     Label,
     LogRecord,
-    RecordSet,
     SplitMode,
     SplitSpec,
     filter_normal,
     sample,
-    sequence_labels,
     split,
 )
 from logad.represent import TokenSeq, flatten_sequences
+from rows import record_set
 
 KEYS = [f"s{i}" for i in range(6)]
 
@@ -89,6 +89,11 @@ def _ref_flatten(records, token_seqs):
     return list(labels), list(merged.values()), list(labels.values())
 
 
+def _sequence_labels(rs):
+    label_of = {code: label for label, code in LABEL_CODE.items()}
+    return dict(zip(rs.seq_keys, (label_of[c] for c in rs.unit_codes().tolist())))
+
+
 def _keys_in_order(records):
     return list(dict.fromkeys(r.seq_key for r in records if r.seq_key is not None))
 
@@ -119,24 +124,23 @@ def record_lists(draw, granularity=None):
 
 
 def _assert_rows(rs, rows):
-    assert rs.records == rows
+    assert list(rs) == rows
     assert rs.seq_keys == _keys_in_order(rows)
 
 
 @given(record_lists())
 def test_rows_round_trip(case):
     records, granularity = case
-    rs = RecordSet.from_records(records, granularity)
+    rs = record_set(records, granularity)
     assert len(rs) == len(records)
     assert rs.granularity is granularity
     _assert_rows(rs, records)
-    assert list(rs) == RecordSet(records, granularity).records
 
 
 @given(record_lists(), st.floats(0.01, 1.0), st.integers(0, 2**16))
 def test_sample_matches_reference(case, fraction, seed):
     records, granularity = case
-    out = sample(RecordSet.from_records(records, granularity), fraction, seed)
+    out = sample(record_set(records, granularity), fraction, seed)
     _assert_rows(out, _ref_sample(records, fraction, seed))
 
 
@@ -146,7 +150,7 @@ def test_split_matches_reference(case, train_fraction, seed, mode, sample_fracti
     # Splitting a sample also checks that the sample numbered its keys in
     # their first appearance: the random split permutes keys in that order.
     records, granularity = case
-    rs = sample(RecordSet.from_records(records, granularity), sample_fraction, seed)
+    rs = sample(record_set(records, granularity), sample_fraction, seed)
     rows = _ref_sample(records, sample_fraction, seed)
     spec = SplitSpec(train_fraction, seed, mode)
     expected = _ref_split(rows, granularity, spec)
@@ -163,7 +167,7 @@ def test_split_matches_reference(case, train_fraction, seed, mode, sample_fracti
 @given(record_lists())
 def test_filter_normal_matches_reference(case):
     records, granularity = case
-    rs = RecordSet.from_records(records, granularity)
+    rs = record_set(records, granularity)
     expected = _ref_filter_normal(records, granularity)
     if expected is None:
         with pytest.raises(ValueError, match="unknown label"):
@@ -175,9 +179,9 @@ def test_filter_normal_matches_reference(case):
 @given(record_lists(Granularity.SEQUENCE), st.floats(0.3, 1.0), st.integers(0, 2**16))
 def test_sequence_labels_match_reference(case, fraction, seed):
     records, _ = case
-    rs = sample(RecordSet.from_records(records, Granularity.SEQUENCE), fraction, seed)
+    rs = sample(record_set(records, Granularity.SEQUENCE), fraction, seed)
     rows = _ref_sample(records, fraction, seed)
-    assert list(sequence_labels(rs).items()) == list(_ref_sequence_labels(rows).items())
+    assert list(_sequence_labels(rs).items()) == list(_ref_sequence_labels(rows).items())
 
 
 @given(record_lists(Granularity.SEQUENCE), st.data())
@@ -187,13 +191,12 @@ def test_flatten_matches_reference(case, data):
         TokenSeq.of(data.draw(st.lists(st.sampled_from("abc"), max_size=4)))
         for _ in records
     ]
-    keys, docs, labels = flatten_sequences(
-        RecordSet.from_records(records, Granularity.SEQUENCE), token_seqs
-    )
+    rs = record_set(records, Granularity.SEQUENCE)
+    docs = flatten_sequences(rs, token_seqs)
     ref_keys, ref_terms, ref_labels = _ref_flatten(records, token_seqs)
-    assert keys == ref_keys
+    assert rs.seq_keys == ref_keys
     assert [d.terms for d in docs] == ref_terms
-    assert labels == ref_labels
+    assert list(_sequence_labels(rs).values()) == ref_labels
 
 
 def test_sample_without_a_sequences_first_record_reorders_keys():
@@ -204,7 +207,7 @@ def test_sample_without_a_sequences_first_record_reorders_keys():
         LogRecord(raw=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=key)
         for i, key in enumerate(spec)
     ]
-    rs = RecordSet.from_records(records, Granularity.SEQUENCE)
+    rs = record_set(records, Granularity.SEQUENCE)
     seed = next(
         s for s in range(1000)
         if [r.line_no for r in _ref_sample(records, 0.5, s)][:2] == [1, 2]

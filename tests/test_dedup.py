@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logad import pipeline
-from logad.ingest import Granularity, Label, LogRecord, RecordSet
+from logad.ingest import Granularity, Label, LogRecord
 from logad.pipeline import RunConfig, _Features, execute
 from logad.represent import (
     DrainParser,
@@ -26,6 +26,7 @@ from logad.represent import (
 )
 from logad.synth import gen_synthetic
 from logad.vectorize import count_transform, fit_vocabulary, tfidf_transform
+from rows import record_set
 
 # Empty messages, messages shorter than three characters, non-ASCII text and
 # messages containing "\n", next to word messages that Drain can merge.
@@ -59,8 +60,8 @@ def corpora(draw, granularity, all_distinct=False):
         keys = [None] * len(messages)
     records = [LogRecord(f"raw {i}", i, Label.NORMAL, key, msg)
                for i, (key, msg) in enumerate(zip(keys, messages))]
-    return (RecordSet(records[:n_train], granularity),
-            RecordSet(records[n_train:], granularity))
+    return (record_set(records[:n_train], granularity),
+            record_set(records[n_train:], granularity))
 
 
 def _reference_docs(config, train_rs, test_rs):
@@ -74,8 +75,8 @@ def _reference_docs(config, train_rs, test_rs):
         train_docs = [tokenize(m) for m in train_rs.normalized]
         test_docs = [tokenize(m) for m in test_rs.normalized]
     if train_rs.granularity is Granularity.SEQUENCE:
-        train_docs = flatten_sequences(train_rs, train_docs)[1]
-        test_docs = flatten_sequences(test_rs, test_docs)[1]
+        train_docs = flatten_sequences(train_rs, train_docs)
+        test_docs = flatten_sequences(test_rs, test_docs)
     return train_docs, test_docs
 
 

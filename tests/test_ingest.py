@@ -1,5 +1,7 @@
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from logad.ingest import (
@@ -15,6 +17,7 @@ from logad.ingest import (
     sample,
     split,
 )
+from rows import record_set
 
 BGL_NORMAL = (
     "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 2005-06-03-15.42.50.363779 "
@@ -37,8 +40,7 @@ class TestAdapters:
         rs = load(p, "bgl")
         assert rs.granularity is Granularity.LINE
         assert [r.label for r in rs] == [Label.NORMAL, Label.ANOMALY]
-        assert rs.records[0].raw == "instruction cache parity error corrected"
-        assert rs.records[1].raw == "data TLB error interrupt"
+        assert rs.raw == ["instruction cache parity error corrected", "data TLB error interrupt"]
 
     def test_thunderbird_labels(self, tmp_path):
         p = tmp_path / "tb.log"
@@ -47,8 +49,9 @@ class TestAdapters:
             "crond(pam_unix)[2915]: session closed for user root\n"
         )
         rs = load(p, "thunderbird")
-        assert rs.records[0].label is Label.NORMAL
-        assert rs.records[0].raw == "session closed for user root"
+        [record] = rs
+        assert record.label is Label.NORMAL
+        assert record.raw == "session closed for user root"
 
     def test_plain_three_lines_unknown(self, tmp_path):
         p = tmp_path / "x.log"
@@ -74,7 +77,7 @@ class TestAdapters:
             ("blk_2", Label.ANOMALY),
             ("blk_-3", Label.NORMAL),
         ]
-        assert rs.records[1].line_no == rs.records[2].line_no == 1
+        assert rs.line_nos[1] == rs.line_nos[2] == 1
 
     def test_hdfs_requires_label_file(self, tmp_path):
         log = tmp_path / "hdfs.log"
@@ -119,17 +122,14 @@ class TestAdapters:
 
 def _line_set(n, labels=None):
     labels = labels or [Label.NORMAL] * n
-    return RecordSet(
-        [LogRecord(raw=f"m{i}", line_no=i, label=labels[i]) for i in range(n)],
-        Granularity.LINE,
-    )
+    return record_set(LogRecord(raw=f"m{i}", line_no=i, label=labels[i]) for i in range(n))
 
 
 class TestSample:
     def test_identity_at_full_fraction(self):
         rs = _line_set(10)
         out = sample(rs, 1.0, seed=5)
-        assert out.records == rs.records
+        assert list(out) == list(rs)
 
     def test_exact_count(self):
         rs = _line_set(1000)
@@ -139,7 +139,7 @@ class TestSample:
         rs = _line_set(200)
         a = sample(rs, 0.1, seed=7)
         b = sample(rs, 0.1, seed=7)
-        assert _lines(a.records) == _lines(b.records)
+        assert _lines(a) == _lines(b)
         nos = [r.line_no for r in a]
         assert nos == sorted(nos)
 
@@ -169,15 +169,13 @@ class TestSplit:
     def test_multiset_identity(self):
         rs = _line_set(57)
         train, test = split(rs, SplitSpec(0.3, seed=9))
-        assert Counter(_lines(train.records)) + Counter(_lines(test.records)) == Counter(
-            _lines(rs.records)
-        )
+        assert Counter(_lines(train)) + Counter(_lines(test)) == Counter(_lines(rs))
 
     def test_deterministic(self):
         rs = _line_set(50)
         a = split(rs, SplitSpec(0.2, seed=4))
         b = split(rs, SplitSpec(0.2, seed=4))
-        assert _lines(a[0].records) == _lines(b[0].records)
+        assert _lines(a[0]) == _lines(b[0])
 
     def test_sequence_units_stay_whole(self):
         records = []
@@ -185,7 +183,7 @@ class TestSplit:
             records.append(
                 LogRecord(raw=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=f"s{i % 6}")
             )
-        rs = RecordSet(records, Granularity.SEQUENCE)
+        rs = record_set(records, Granularity.SEQUENCE)
         train, test = split(rs, SplitSpec(0.5, seed=2))
         train_keys = {r.seq_key for r in train}
         test_keys = {r.seq_key for r in test}
@@ -210,12 +208,12 @@ class TestFilterNormal:
 
     def test_identity_on_all_normal(self):
         rs = _line_set(5)
-        assert filter_normal(rs).records == rs.records
+        assert list(filter_normal(rs)) == list(rs)
 
     def test_idempotent(self):
         labels = [Label.NORMAL, Label.ANOMALY, Label.NORMAL]
         once = filter_normal(_line_set(3, labels))
-        assert filter_normal(once).records == once.records
+        assert list(filter_normal(once)) == list(once)
 
     def test_unknown_label_errors(self):
         with pytest.raises(ValueError):
@@ -228,11 +226,45 @@ class TestFilterNormal:
             LogRecord(raw="c", line_no=2, label=Label.ANOMALY, seq_key="s2"),
             LogRecord(raw="d", line_no=3, label=Label.NORMAL, seq_key="s2"),
         ]
-        rs = RecordSet(records, Granularity.SEQUENCE)
+        rs = record_set(records, Granularity.SEQUENCE)
         out = filter_normal(rs)
         assert [r.seq_key for r in out] == ["s1", "s1"]
 
 
 def test_sequence_recordset_requires_keys():
     with pytest.raises(ValueError):
-        RecordSet([LogRecord(raw="a", line_no=0)], Granularity.SEQUENCE)
+        record_set([LogRecord(raw="a", line_no=0)], Granularity.SEQUENCE)
+
+
+def _columns(n_raw=2, n_codes=2, n_ids=2, n_line_nos=2, seq_ids=None, normalized=None,
+             granularity=Granularity.LINE):
+    return RecordSet(
+        granularity,
+        [f"m{i}" for i in range(n_raw)],
+        np.zeros(n_codes, dtype=np.int8),
+        np.array(seq_ids if seq_ids is not None else [-1] * n_ids, dtype=np.int32),
+        ["s0"],
+        np.arange(10, 10 + n_line_nos, dtype=np.int64),
+        normalized,
+    )
+
+
+class TestColumnChecks:
+    @pytest.mark.parametrize("lengths", [
+        dict(n_raw=3), dict(n_codes=1), dict(n_ids=3), dict(n_line_nos=0),
+    ])
+    def test_unequal_columns_rejected(self, lengths):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            _columns(**lengths)
+
+    def test_normalized_length_checked(self):
+        assert _columns(normalized=["a", "b"]).normalized == ["a", "b"]
+        with pytest.raises(ValueError, match="2 records but 1 normalized"):
+            _columns(normalized=["a"])
+        with pytest.raises(ValueError, match="2 records but 1 normalized"):
+            replace(_columns(), normalized=["a"])
+
+    def test_keyless_sequence_record_named_by_line(self):
+        assert len(_columns(seq_ids=[0, 0], granularity=Granularity.SEQUENCE)) == 2
+        with pytest.raises(ValueError, match="at line 11 has no seq_key"):
+            _columns(seq_ids=[0, -1], granularity=Granularity.SEQUENCE)

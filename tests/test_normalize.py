@@ -3,8 +3,9 @@ import re
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logad.ingest import Granularity, LogRecord, RecordSet
+from logad.ingest import LogRecord
 from logad.normalize import normalize_message, normalize_records
+from rows import record_set
 
 
 def test_time_example():
@@ -51,13 +52,7 @@ def test_non_alphanumerics_preserved(s):
 
 
 def test_normalize_records_keeps_order_and_fields():
-    rs = RecordSet(
-        [
-            LogRecord(raw="Send 42", line_no=0),
-            LogRecord(raw="OK", line_no=1),
-        ],
-        Granularity.LINE,
-    )
+    rs = record_set([LogRecord(raw="Send 42", line_no=0), LogRecord(raw="OK", line_no=1)])
     out = normalize_records(rs)
     assert [r.normalized for r in out] == ["send 0", "ok"]
     assert [r.raw for r in out] == ["Send 42", "OK"]
@@ -79,7 +74,7 @@ _TRICKY = st.sampled_from(["İ", "Σ", "σ", "ς", "A", "b", "'", "\u0301", "ﬁ
 @example(["a\nΣ", "İ\n", "\n"])
 @example([])
 def test_batched_normalize_equals_per_message(messages):
-    rs = RecordSet.from_records([LogRecord(raw=m, line_no=i) for i, m in enumerate(messages)])
+    rs = record_set(LogRecord(raw=m, line_no=i) for i, m in enumerate(messages))
     out = normalize_records(rs)
     assert out.normalized == [normalize_message(m) for m in messages]
     assert out.raw == messages

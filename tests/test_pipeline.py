@@ -230,6 +230,26 @@ class TestRun:
             entry(replace(config, out_dir=out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [execute, run_grid])
+    @pytest.mark.parametrize("corpus", ["lines", "blocks"])
+    def test_iforest_below_two_train_units_fails_before_represent(
+        self, unseen_corpus, hdfs_corpus, tmp_path, monkeypatch, entry, corpus
+    ):
+        # One train line of 630, or one train block of 100; k=1 leaves the
+        # isolation forest as the grid's largest need.
+        if corpus == "lines":
+            config = _config(unseen_corpus, train_fraction=0.001)
+        else:
+            config = _hdfs_config(hdfs_corpus, train_fraction=0.01)
+        config = replace(config, model="iforest", scenario="unfiltered", k=1,
+                         out_dir=tmp_path / "out")
+        calls = []
+        monkeypatch.setattr(pipeline, "_represent", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="iforest's minimum of 2 exceeds the 1 train units"):
+            entry(config)
+        assert calls == []
+        assert not config.out_dir.exists()
+
     def test_k_is_not_checked_without_kmeans(self, unseen_corpus):
         assert 0.0 <= run(_config(unseen_corpus, model="rm", k=200)).auc <= 1.0
 
@@ -396,7 +416,7 @@ def _mangle_test_lines(corpus: Path, out: Path, config: RunConfig) -> None:
     rs = load(corpus, config.adapter)
     spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
     _, test_rs = split(rs, spec)
-    test_line_nos = {r.line_no for r in test_rs}
+    test_line_nos = set(test_rs.line_nos.tolist())
     lines = corpus.read_text().splitlines()
     mangled = []
     for i, line in enumerate(lines):
@@ -497,6 +517,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "--repeats must be >= 1" in captured.err
         assert "auc=" not in captured.out
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("k", "8", "k must be an integer, got '8'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("f1_budget", True, "f1_budget must be an integer, got True"),
+        ("train_fraction", "0.1", "train_fraction must be a number, got '0.1'"),
+        ("sim_threshold", None, "sim_threshold must be a number, got None"),
+    ], ids=["k", "seed", "f1_budget", "train_fraction", "sim_threshold"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), key: value}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         log = gen_synthetic(tmp_path / "s.log", 200, 10, 8, "unseen_token", seed=4)

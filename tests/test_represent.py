@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logad.ingest import Granularity, Label, LogRecord, RecordSet, filter_normal
+from logad.ingest import LABEL_CODE, Granularity, Label, LogRecord, filter_normal
 from logad.represent import (
     UNSEEN_EVENT,
     WILDCARD,
@@ -12,6 +12,7 @@ from logad.represent import (
     tokenize_trigrams,
     tokenize_words,
 )
+from rows import record_set
 
 
 class TestWords:
@@ -155,7 +156,7 @@ class TestDrain:
 
 def _seq_records(spec):
     # spec: list of (seq_key, label) per line
-    return RecordSet(
+    return record_set(
         [
             LogRecord(raw="", line_no=i, label=label, seq_key=key)
             for i, (key, label) in enumerate(spec)
@@ -164,35 +165,39 @@ def _seq_records(spec):
     )
 
 
+def _sequence_labels(rs):
+    """The label of each sequence, in the order of ``rs.seq_keys``."""
+    label_of = {code: label for label, code in LABEL_CODE.items()}
+    return [label_of[code] for code in rs.unit_codes().tolist()]
+
+
 class TestFlatten:
     def test_concatenation_in_line_order(self):
         rs = _seq_records([("s1", Label.NORMAL), ("s1", Label.NORMAL)])
-        keys, docs, labels = flatten_sequences(
-            rs, [TokenSeq.of(["a", "b"]), TokenSeq.of(["c"])]
-        )
-        assert keys == ["s1"]
-        assert docs[0].terms == ["a", "b", "c"]
-        assert labels == [Label.NORMAL]
+        docs = flatten_sequences(rs, [TokenSeq.of(["a", "b"]), TokenSeq.of(["c"])])
+        assert rs.seq_keys == ["s1"]
+        assert [d.terms for d in docs] == [["a", "b", "c"]]
+        assert _sequence_labels(rs) == [Label.NORMAL]
 
     def test_event_id_sequences(self):
         rs = _seq_records([("s1", Label.NORMAL)] * 3)
-        _, docs, _ = flatten_sequences(
+        docs = flatten_sequences(
             rs, [TokenSeq.of(["e1"]), TokenSeq.of(["e7"]), TokenSeq.of(["e1"])]
         )
         assert docs[0].terms == ["e1", "e7", "e1"]
 
     def test_empty_sequence_keeps_label(self):
         rs = _seq_records([("s1", Label.ANOMALY)])
-        keys, docs, labels = flatten_sequences(rs, [TokenSeq.of([])])
+        docs = flatten_sequences(rs, [TokenSeq.of([])])
         assert docs[0].terms == [] and docs[0].source_len == 0
-        assert labels == [Label.ANOMALY]
+        assert _sequence_labels(rs) == [Label.ANOMALY]
 
     def test_anomalous_member_marks_sequence(self):
         rs = _seq_records(
             [("s1", Label.NORMAL), ("s1", Label.ANOMALY), ("s2", Label.NORMAL)]
         )
-        _, _, labels = flatten_sequences(rs, [TokenSeq.of(["x"])] * 3)
-        assert labels == [Label.ANOMALY, Label.NORMAL]
+        assert len(flatten_sequences(rs, [TokenSeq.of(["x"])] * 3)) == 2
+        assert _sequence_labels(rs) == [Label.ANOMALY, Label.NORMAL]
 
     @pytest.mark.parametrize("members,expected", [
         ((Label.NORMAL, Label.NORMAL), Label.NORMAL),
@@ -203,11 +208,13 @@ class TestFlatten:
     ])
     def test_one_label_rule_for_flatten_and_filter(self, members, expected):
         # Anomaly beats unknown, unknown beats normal; filter_normal keeps
-        # the keys flatten_sequences labels normal.
+        # the keys whose documents flatten_sequences builds and that
+        # unit_codes labels normal.
         spec = [("s1", members[0]), ("s2", Label.NORMAL), ("s1", members[1]),
                 ("s3", Label.ANOMALY)]
         rs = _seq_records(spec)
-        keys, _, labels = flatten_sequences(rs, [TokenSeq.of(["x"])] * len(spec))
+        assert len(flatten_sequences(rs, [TokenSeq.of(["x"])] * len(spec))) == 3
+        keys, labels = rs.seq_keys, _sequence_labels(rs)
         assert keys == ["s1", "s2", "s3"]
         assert labels == [expected, Label.NORMAL, Label.ANOMALY]
         if Label.UNKNOWN in members:
@@ -221,7 +228,7 @@ class TestFlatten:
         spec = [("s1", Label.NORMAL), ("s2", Label.NORMAL), ("s1", Label.NORMAL)]
         rs = _seq_records(spec)
         seqs = [TokenSeq.of(["a"] * 3), TokenSeq.of(["b"] * 5), TokenSeq.of(["c"] * 2)]
-        _, docs, _ = flatten_sequences(rs, seqs)
+        docs = flatten_sequences(rs, seqs)
         assert sum(d.source_len for d in docs) == sum(s.source_len for s in seqs)
 
     def test_length_mismatch_errors(self):
@@ -230,6 +237,6 @@ class TestFlatten:
             flatten_sequences(rs, [])
 
     def test_line_granularity_rejected(self):
-        rs = RecordSet([LogRecord(raw="a", line_no=0)], Granularity.LINE)
+        rs = record_set([LogRecord(raw="a", line_no=0)], Granularity.LINE)
         with pytest.raises(ValueError):
             flatten_sequences(rs, [TokenSeq.of(["a"])])
