@@ -83,6 +83,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError(
+                f"config file {args.config} must hold a JSON object, got {file_values!r}"
+            )
         unknown = set(file_values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -90,8 +94,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if "input" not in values or values["input"] is None:
         raise ConfigError("an input log file is required (--input or config file)")
+    # A path field of another type is left for RunConfig.validate to reject.
     for key in ("input", "labels", "out_dir"):
-        if values.get(key) is not None:
+        if isinstance(values.get(key), str):
             values[key] = Path(values[key])
     return RunConfig(**values)
 

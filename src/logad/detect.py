@@ -86,10 +86,7 @@ class KMeansModel:
 def _sq_distances(X: sp.csr_matrix, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances via |x|^2 + |c|^2 - 2 x.c, clipped at 0."""
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    cross = X @ centroids.T
-    if sp.issparse(cross):
-        cross = np.asarray(cross.todense())
-    d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
+    d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * (X @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 

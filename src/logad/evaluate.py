@@ -180,13 +180,12 @@ def score_histogram(
         return Histogram(bins=[(lo, hi, nc, ac)])
     width = (hi - lo) / n_bins
     idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
-    bins = []
-    for b in range(n_bins):
-        in_bin = idx == b
-        low = lo + b * width
-        high = hi if b == n_bins - 1 else lo + (b + 1) * width
-        bins.append((low, high, int((y[in_bin] == 0).sum()), int((y[in_bin] == 1).sum())))
-    return Histogram(bins=bins)
+    normal = np.bincount(idx[y == 0], minlength=n_bins).tolist()
+    anomaly = np.bincount(idx[y == 1], minlength=n_bins).tolist()
+    return Histogram(bins=[
+        (lo + b * width, hi if b == n_bins - 1 else lo + (b + 1) * width, normal[b], anomaly[b])
+        for b in range(n_bins)
+    ])
 
 
 class TimingLog:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
@@ -48,6 +49,7 @@ from .evaluate import (
     score_histogram,
 )
 from .ingest import (
+    ADAPTERS,
     LABEL_CODE,
     Granularity,
     Label,
@@ -68,35 +70,36 @@ from .represent import (
     tokenize_words,
 )
 from .vectorize import (
-    DocTermMatrix, Vocabulary, count_transform, fit_vocabulary, tfidf_transform, tfidf_weighting
+    DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary, tfidf_transform,
+    tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
 SCENARIOS = ("unfiltered", "normal_only")
 
 # Model -> (train matrix, test matrix, fit, score).  A matrix is named by its
-# weighting, "counts" or "tfidf"; oovd and rm read no train matrix.
+# ``Weighting``; oovd and rm read no train matrix.
 # ``fit(config, vocab, train_m)`` is None for oovd, which fits nothing;
 # ``score(vocab, model, test_m)``.  The lambdas look the layer functions up
 # in this module when they run, so a name replaced after import (to trace a
 # run, say) is the one called.
 _MODEL_TABLE = {
-    "oovd": (None, "counts", None, lambda vocab, model, m: oovd_score(vocab, m)),
+    "oovd": (None, Weighting.COUNT, None, lambda vocab, model, m: oovd_score(vocab, m)),
     "rm": (
         None,
-        "tfidf",
+        Weighting.TFIDF,
         lambda config, vocab, train_m: rm_fit(vocab),
         lambda vocab, model, m: rm_score(model, m),
     ),
     "kmeans": (
-        "tfidf",
-        "tfidf",
+        Weighting.TFIDF,
+        Weighting.TFIDF,
         lambda config, vocab, train_m: kmeans_fit(train_m, config.k, config.seed),
         lambda vocab, model, m: kmeans_score(model, m),
     ),
     "iforest": (
-        "tfidf",
-        "tfidf",
+        Weighting.TFIDF,
+        Weighting.TFIDF,
         lambda config, vocab, train_m: iforest_fit(
             train_m, config.n_trees, config.subsample, config.seed
         ),
@@ -131,9 +134,9 @@ _LOWER_BOUNDS = {
 
 @dataclass
 class RunConfig:
-    input: Path
+    input: str | Path
     adapter: str = "plain"
-    labels: Path | None = None
+    labels: str | Path | None = None
     representation: str = "words"
     model: str = "rm"
     scenario: str = "unfiltered"
@@ -148,10 +151,18 @@ class RunConfig:
     depth: int = 4
     f1_budget: int | None = None
     n_bins: int = 50
-    out_dir: Path | None = None
+    out_dir: str | Path | None = None
     dump_templates: bool = False
 
     def validate(self) -> None:
+        for name in ("input", "labels", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike)) and (name == "input" or value is not None):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
+        if not isinstance(self.dump_templates, bool):
+            raise ConfigError(f"dump_templates must be true or false, got {self.dump_templates!r}")
+        if self.adapter not in tuple(ADAPTERS):  # a JSON list is unhashable
+            raise ConfigError(f"adapter must be one of {tuple(ADAPTERS)}")
         if self.representation not in REPRESENTATIONS:
             raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
         if self.model not in MODELS:
@@ -343,19 +354,19 @@ class _Features:
         )
         self._built: dict[str, tuple[DocTermMatrix, float]] = {}
 
-    def matrix(self, side: str, weighting: str) -> tuple[DocTermMatrix, float]:
+    def matrix(self, side: str, weighting: Weighting) -> tuple[DocTermMatrix, float]:
         """The ``side`` ("train" or "test") matrix with ``weighting``, and
         the seconds its build took; the test tf-idf is weighted from the
         test counts, and its seconds include theirs."""
-        name = f"{side} {weighting}"
+        name = f"{side} {weighting.value}"
         if name not in self._built:
             if side == "train":
-                transform = count_transform if weighting == "counts" else tfidf_transform
+                transform = count_transform if weighting is Weighting.COUNT else tfidf_transform
                 self._built[name] = self._log.timed(name, transform, self.vocab, self.train_docs)
-            elif weighting == "counts":
+            elif weighting is Weighting.COUNT:
                 self._built[name] = self._log.timed(name, self._test_counts)
             else:
-                counts, counts_s = self.matrix("test", "counts")
+                counts, counts_s = self.matrix("test", Weighting.COUNT)
                 tfidf, tfidf_s = self._log.timed(name, tfidf_weighting, self.vocab, counts)
                 self._built[name] = tfidf, counts_s + tfidf_s
         return self._built[name]
@@ -517,6 +528,7 @@ def run_repeats(config: RunConfig, repeats: int) -> tuple[list[EvalReport], dict
     """Re-run with derived seeds; summarize mean/min/max per metric."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    config.validate()
     reports = []
     for i in range(repeats):
         reports.append(run(replace(config, seed=config.seed + i)))

@@ -14,6 +14,7 @@ with raw in-vocabulary counts as tf and no sublinear scaling.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -75,68 +76,47 @@ class DocTermMatrix:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
 
+def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMatrix:
+    """Per-document counts of the terms in ``term_to_col``, the one counting
+    routine; other terms contribute nothing to a row but still count in its
+    ``doc_token_totals``."""
+    indptr, indices, totals = array("q", [0]), array("q"), array("q")
+    for doc in docs:
+        indices.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
+        indptr.append(len(indices))
+        totals.append(doc.source_len)
+    matrix = sp.csr_matrix(
+        (np.ones(len(indices)), np.frombuffer(indices, np.int64), np.frombuffer(indptr, np.int64)),
+        shape=(len(totals), len(term_to_col)),
+    )
+    # Sums the repeats of a term in a row and sorts each row's columns.
+    matrix.sum_duplicates()
+    return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
+
+
 def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
     """Collect the distinct terms of the training documents and their stats."""
-    term_to_col: dict[str, int] = {}
-    doc_freq: list[int] = []
-    term_total: list[int] = []
-    n_docs = 0
-    corpus_total = 0
-    for doc in train_docs:
-        n_docs += 1
-        counts: dict[int, int] = {}
-        for term in doc.terms:
-            col = term_to_col.get(term)
-            if col is None:
-                col = len(term_to_col)
-                term_to_col[term] = col
-                doc_freq.append(0)
-                term_total.append(0)
-            counts[col] = counts.get(col, 0) + 1
-        for col, c in counts.items():
-            doc_freq[col] += 1
-            term_total[col] += c
-            corpus_total += c
-    if n_docs == 0:
+    docs = list(train_docs)
+    if not docs:
         raise ValueError("cannot fit a vocabulary on zero documents")
-    if corpus_total == 0:
+    terms = dict.fromkeys(term for doc in docs for term in doc.terms)
+    if not terms:
         raise ValueError("cannot fit a vocabulary: all documents are empty")
+    term_to_col = dict(zip(terms, range(len(terms))))
+    counts = _counts(term_to_col, docs).matrix
+    term_total = np.bincount(counts.indices, weights=counts.data).astype(np.int64)
     return Vocabulary(
         term_to_col=term_to_col,
-        doc_freq=np.asarray(doc_freq, dtype=np.int64),
-        term_total=np.asarray(term_total, dtype=np.int64),
-        train_doc_count=n_docs,
-        corpus_total=corpus_total,
+        doc_freq=np.bincount(counts.indices).astype(np.int64, copy=False),
+        term_total=term_total,
+        train_doc_count=len(docs),
+        corpus_total=int(term_total.sum()),
     )
 
 
 def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
     """Per-document in-vocabulary term counts; OOV terms contribute nothing."""
-    term_to_col = v.term_to_col
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    totals: list[int] = []
-    for doc in docs:
-        counts: dict[int, int] = {}
-        for term in doc.terms:
-            col = term_to_col.get(term)
-            if col is not None:
-                counts[col] = counts.get(col, 0) + 1
-        for col in sorted(counts):
-            indices.append(col)
-            data.append(counts[col])
-        indptr.append(len(indices))
-        totals.append(doc.source_len)
-    matrix = sp.csr_matrix(
-        (
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-        ),
-        shape=(len(totals), v.n_terms),
-    )
-    return DocTermMatrix(matrix, Weighting.COUNT, np.asarray(totals, dtype=np.int64))
+    return _counts(v.term_to_col, docs)
 
 
 def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:

@@ -25,7 +25,7 @@ from logad.represent import (
     tokenize_words,
 )
 from logad.synth import gen_synthetic
-from logad.vectorize import count_transform, fit_vocabulary, tfidf_transform
+from logad.vectorize import Weighting, count_transform, fit_vocabulary, tfidf_transform
 from rows import record_set
 
 # Empty messages, messages shorter than three characters, non-ASCII text and
@@ -101,9 +101,9 @@ def _check_features(representation, train_rs, test_rs):
     assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
     assert features.test_multiplicity.shape == (len(ref_test), len(set(test_rs.normalized)))
     # The test tf-idf is read first: it builds the counts it is weighted from.
-    _assert_identical(features.matrix("test", "tfidf")[0], tfidf_transform(vocab, ref_test))
-    _assert_identical(features.matrix("test", "counts")[0], count_transform(vocab, ref_test))
-    _assert_identical(features.matrix("train", "tfidf")[0], tfidf_transform(vocab, ref_train))
+    _assert_identical(features.matrix("test", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_test))
+    _assert_identical(features.matrix("test", Weighting.COUNT)[0], count_transform(vocab, ref_test))
+    _assert_identical(features.matrix("train", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_train))
 
 
 @pytest.mark.parametrize("representation", pipeline.REPRESENTATIONS)

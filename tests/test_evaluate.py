@@ -174,6 +174,50 @@ class TestScoreHistogram:
         with pytest.raises(ValueError):
             score_histogram([1.0], [1], 0)
 
+    @staticmethod
+    def _reference_bins(scores, labels, n_bins):
+        """One boolean-mask pass over every score per bin."""
+        s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+        lo, hi = float(s.min()), float(s.max())
+        if lo == hi:
+            return [(lo, hi, int((y == 0).sum()), int((y == 1).sum()))]
+        width = (hi - lo) / n_bins
+        idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
+        bins = []
+        for b in range(n_bins):
+            in_bin = idx == b
+            low = lo + b * width
+            high = hi if b == n_bins - 1 else lo + (b + 1) * width
+            bins.append((low, high, int((y[in_bin] == 0).sum()), int((y[in_bin] == 1).sum())))
+        return bins
+
+    @given(
+        st.lists(
+            st.tuples(
+                # A grid of 0.25 steps puts scores on the bin edges of small bin counts.
+                st.one_of(st.integers(-8, 8).map(lambda i: i / 4), st.floats(-1e6, 1e6)),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(1, 12),
+    )
+    def test_bins_equal_the_per_bin_reference(self, pairs, n_bins):
+        scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
+        bins = score_histogram(scores, labels, n_bins).bins
+        assert bins == self._reference_bins(scores, labels, n_bins)
+        assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
+
+    @pytest.mark.parametrize("scores,n_bins", [
+        ([1.0, 1.0, 1.0], 5), ([0.0, 0.5, 1.0], 1), ([0.0, 0.25, 0.5, 0.75, 1.0], 4),
+    ], ids=["degenerate_range", "one_bin", "ties_on_edges"])
+    def test_edge_cases_equal_the_reference(self, scores, n_bins):
+        labels = [i % 2 for i in range(len(scores))]
+        bins = score_histogram(scores, labels, n_bins).bins
+        assert bins == self._reference_bins(scores, labels, n_bins)
+        assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
+
 
 class TestTimingLog:
     def test_noop_nonnegative(self):

@@ -531,6 +531,29 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        (5, "config file {cfg} must hold a JSON object, got 5"),
+        (["input"], "config file {cfg} must hold a JSON object, got ['input']"),
+        ({"input": 5}, "input must be a path, got 5"),
+        ({"labels": 3}, "labels must be a path, got 3"),
+        ({"adapter": ["bgl"]},
+         "adapter must be one of ('bgl', 'thunderbird', 'hdfs', 'hadoop', 'plain')"),
+        ({"dump_templates": "yes"}, "dump_templates must be true or false, got 'yes'"),
+    ], ids=["int_file", "list_file", "input", "labels", "adapter", "dump_templates"])
+    def test_malformed_config_file_rejected(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(content, dict):
+            content = {"input": str(tmp_path / "missing.log"), **content}
+        cfg.write_text(json.dumps(content))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+    def test_repeats_check_the_seed_before_deriving_seeds(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), "seed": "1"}))
+        assert main(["run", "--config", str(cfg), "--repeats", "2"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer, got '1'\n"
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         log = gen_synthetic(tmp_path / "s.log", 200, 10, 8, "unseen_token", seed=4)
         code = main(["run", "--input", str(log), "--adapter", "bgl", "--scenario",

@@ -1,7 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logad.represent import TokenSeq
 from logad.vectorize import (
@@ -136,3 +140,103 @@ class TestTfidfTransform:
         gen = (TokenSeq.of(["a"]) for _ in range(3))
         m = tfidf_transform(v, gen)
         assert m.n_docs == 3
+
+
+# Terms with spaces, tabs and non-ASCII text; the empty string is a term too.
+_TRAIN_TERMS = ["a", "b", "a b", "x\ty", "é", "日本語", "", "zz"]
+# Never in a train document, so a test document of these is all out of vocabulary.
+_OOV_TERMS = ["never", "ünseen term"]
+_DOC = st.lists(st.sampled_from(_TRAIN_TERMS), max_size=8)
+
+
+def _reference_vocabulary(train):
+    """First-appearance columns and the statistics, counted per document."""
+    term_to_col = {}
+    doc_freq, term_total = Counter(), Counter()
+    for terms in train:
+        for term in terms:
+            term_to_col.setdefault(term, len(term_to_col))
+        per_doc = Counter(terms)
+        doc_freq.update(per_doc.keys())
+        term_total.update(per_doc)
+    cols = list(term_to_col)
+    return (
+        term_to_col,
+        np.array([doc_freq[t] for t in cols], dtype=np.int64),
+        np.array([term_total[t] for t in cols], dtype=np.int64),
+    )
+
+
+def _reference_counts(term_to_col, docs):
+    """Each row's known terms counted with a Counter, columns ascending."""
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        per_doc = Counter(term_to_col[t] for t in doc.terms if t in term_to_col)
+        for col in sorted(per_doc):
+            indices.append(col)
+            data.append(per_doc[col])
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+        ),
+        shape=(len(docs), len(term_to_col)),
+    )
+
+
+def _assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+
+class TestCountingEquivalence:
+    """The vocabulary and the count matrices against per-document Counters."""
+
+    @given(
+        train=st.lists(_DOC, max_size=8),
+        test=st.lists(
+            st.tuples(st.lists(st.sampled_from(_TRAIN_TERMS + _OOV_TERMS), max_size=8),
+                      st.integers(0, 3)),
+            max_size=8,
+        ),
+        as_generator=st.booleans(),
+    )
+    def test_matches_counter_reference(self, train, test, as_generator):
+        feed = (lambda docs: (d for d in docs)) if as_generator else list
+        train_docs = docs(*train)
+        if not train:
+            with pytest.raises(ValueError, match="^cannot fit a vocabulary on zero documents$"):
+                fit_vocabulary(feed(train_docs))
+            return
+        if not any(train):
+            with pytest.raises(
+                ValueError, match="^cannot fit a vocabulary: all documents are empty$"
+            ):
+                fit_vocabulary(feed(train_docs))
+            return
+        v = fit_vocabulary(feed(train_docs))
+        term_to_col, doc_freq, term_total = _reference_vocabulary(train)
+        assert list(v.term_to_col.items()) == list(term_to_col.items())
+        _assert_same_array(v.doc_freq, doc_freq)
+        _assert_same_array(v.term_total, term_total)
+        assert v.corpus_total == sum(map(len, train))
+        assert type(v.corpus_total) is int
+        assert v.train_doc_count == len(train)
+
+        # Extra source tokens stand for terms dropped before counting.
+        test_docs = [TokenSeq(terms, len(terms) + extra) for terms, extra in test]
+        test_docs.append(TokenSeq.of(_OOV_TERMS * 2))
+        for side in (train_docs, test_docs):
+            m = count_transform(v, feed(side))
+            expected = _reference_counts(term_to_col, side)
+            assert m.matrix.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                _assert_same_array(getattr(m.matrix, name), getattr(expected, name))
+            assert m.matrix.has_sorted_indices
+            _assert_same_array(
+                m.doc_token_totals, np.array([d.source_len for d in side], dtype=np.int64)
+            )
+            assert m.weighting is Weighting.COUNT
