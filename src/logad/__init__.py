@@ -61,6 +61,7 @@ from .represent import (
 )
 from .synth import gen_synthetic
 from .vectorize import (
+    CSRMatrix,
     DocTermMatrix,
     Vocabulary,
     Weighting,
@@ -72,6 +73,7 @@ from .vectorize import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CSRMatrix",
     "ConfigError",
     "DocTermMatrix",
     "DrainParser",

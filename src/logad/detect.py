@@ -8,12 +8,11 @@ models are immutable; scoring a document never looks at other documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .vectorize import DocTermMatrix, Vocabulary, Weighting
+from .vectorize import CSRMatrix, DocTermMatrix, Vocabulary, Weighting
 
 
 def _check_columns(expected: int, docs: DocTermMatrix, what: str) -> None:
@@ -83,7 +82,11 @@ class KMeansModel:
     seed: int
 
 
-def _sq_distances(X: sp.csr_matrix, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _row_sq_norms(X: CSRMatrix) -> np.ndarray:
+    return replace(X, data=X.data**2).row_sums()
+
+
+def _sq_distances(X: CSRMatrix, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances via |x|^2 + |c|^2 - 2 x.c, clipped at 0."""
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * (X @ centroids.T)
@@ -92,12 +95,12 @@ def _sq_distances(X: sp.csr_matrix, x_sq: np.ndarray, centroids: np.ndarray) -> 
 
 
 def _plus_plus_init(
-    X: sp.csr_matrix, x_sq: np.ndarray, k: int, rng: np.random.Generator
+    X: CSRMatrix, x_sq: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
     centroids = np.zeros((k, X.shape[1]))
-    centroids[0] = X[chosen[0]].toarray().ravel()
+    centroids[0] = X.take_rows([chosen[0]]).toarray()[0]
     d2 = _sq_distances(X, x_sq, centroids[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
@@ -108,7 +111,7 @@ def _plus_plus_init(
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
         chosen.append(idx)
-        centroids[j] = X[idx].toarray().ravel()
+        centroids[j] = X.take_rows([idx]).toarray()[0]
         d2 = np.minimum(d2, _sq_distances(X, x_sq, centroids[j : j + 1]).ravel())
     return centroids
 
@@ -125,8 +128,8 @@ def kmeans_fit(
     n = train.n_docs
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n_docs], got k={k} for {n} docs")
-    X = train.matrix.tocsr()
-    x_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    X = train.matrix
+    x_sq = _row_sq_norms(X)
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(X, x_sq, k, rng)
 
@@ -144,7 +147,7 @@ def kmeans_fit(
             break
         for j in range(k):
             members = np.flatnonzero(assign == j)
-            centroids[j] = np.asarray(X[members].sum(axis=0)).ravel() / len(members)
+            centroids[j] = X.take_rows(members).column_sums() / len(members)
         prev = assign
     return KMeansModel(k=k, centroids=centroids, seed=seed)
 
@@ -152,9 +155,8 @@ def kmeans_fit(
 def kmeans_score(m: KMeansModel, docs: DocTermMatrix) -> np.ndarray:
     """Euclidean distance to the nearest centroid."""
     _check_columns(m.centroids.shape[1], docs, "kmeans_score")
-    X = docs.matrix.tocsr()
-    x_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    d2 = _sq_distances(X, x_sq, m.centroids)
+    X = docs.matrix
+    d2 = _sq_distances(X, _row_sq_norms(X), m.centroids)
     return np.sqrt(d2.min(axis=1))
 
 
@@ -194,7 +196,10 @@ def average_path_length(n: int) -> float:
     return 2.0 * h - 2.0 * (n - 1) / n
 
 
-def _build_tree(dense: np.ndarray, rng: np.random.Generator, depth_cap: int) -> IsolationTree:
+def _build_tree(
+    dense: np.ndarray, rng: np.random.Generator, depth_cap: int, c: list[float]
+) -> IsolationTree:
+    """One tree on ``dense`` rows; ``c[n]`` is ``average_path_length(n)``."""
     features: list[int] = []
     thresholds: list[float] = []
     left: list[int] = []
@@ -214,16 +219,17 @@ def _build_tree(dense: np.ndarray, rng: np.random.Generator, depth_cap: int) -> 
     def grow(rows: np.ndarray, d: int) -> int:
         node = new_node(d)
         if d >= depth_cap or rows.size <= 1:
-            adjust[node] = average_path_length(rows.size)
+            adjust[node] = c[rows.size]
             return node
         sub = dense[rows]
         mins = sub.min(axis=0)
         maxs = sub.max(axis=0)
         candidates = np.flatnonzero(maxs > mins)
         if candidates.size == 0:
-            adjust[node] = average_path_length(rows.size)
+            adjust[node] = c[rows.size]
             return node
-        f = int(rng.choice(candidates))
+        # Draws what rng.choice(candidates) draws, without its overhead.
+        f = int(candidates[rng.integers(candidates.size)])
         t = float(rng.uniform(mins[f], maxs[f]))
         if t <= mins[f]:  # uniform() may return its lower bound
             t = (float(mins[f]) + float(maxs[f])) / 2.0
@@ -265,17 +271,16 @@ def iforest_fit(
         raise ValueError(f"subsample must be >= 2, got {subsample}")
     psi = min(subsample, n)
     depth_cap = max(1, math.ceil(math.log2(psi)))
-    X = train.matrix.tocsr()
+    c = [average_path_length(size) for size in range(psi + 1)]
     trees = []
     for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
         rows = rng.choice(n, size=psi, replace=False)
-        dense = np.asarray(X[rows].todense())
-        trees.append(_build_tree(dense, rng, depth_cap))
+        trees.append(_build_tree(train.matrix.take_rows(rows).toarray(), rng, depth_cap, c))
     return IForestModel(
         trees=trees,
         subsample=psi,
-        c_norm=average_path_length(psi),
+        c_norm=c[psi],
         n_terms=train.n_terms,
         depth_cap=depth_cap,
     )
@@ -292,12 +297,11 @@ def iforest_score(m: IForestModel, docs: DocTermMatrix) -> np.ndarray:
     n = docs.n_docs
     if n == 0:
         return np.zeros(0)
-    X = docs.matrix.tocsr()
     chunk = max(1, _CHUNK_ELEMENTS // max(1, m.n_terms))
     mean_h = np.zeros(n)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        dense = np.asarray(X[start:stop].todense())
+        dense = docs.matrix.take_rows(np.arange(start, stop)).toarray()
         rows = np.arange(stop - start)
         acc = np.zeros(stop - start)
         for tree in m.trees:

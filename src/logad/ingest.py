@@ -28,6 +28,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+# Loaded with the package, not on first use inside a run's timed work.
+import numpy.random  # noqa: F401
 
 
 class Label(Enum):

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .detect import (
     IForestModel,
@@ -70,8 +69,8 @@ from .represent import (
     tokenize_words,
 )
 from .vectorize import (
-    DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary, tfidf_transform,
-    tfidf_weighting,
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary,
+    tfidf_transform, tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
@@ -253,12 +252,12 @@ def _distinct(messages: list[str]) -> tuple[list[str], list[int]]:
 
 def _represent(
     config: RunConfig, train_rs: RecordSet, test_rs: RecordSet
-) -> tuple[list[TokenSeq], tuple[list[TokenSeq], sp.csr_matrix], DrainParser | None]:
+) -> tuple[list[TokenSeq], tuple[list[TokenSeq], np.ndarray], DrainParser | None]:
     """Tokenize each distinct message once; template mining fits on every
     train line and parses the test side read-only.
 
     Returns the train documents (one per train unit); the distinct test
-    documents with the (units x documents) count of each in each unit; and
+    documents with the index of each test record's document among them; and
     the parser.
     """
     drain = None
@@ -277,12 +276,7 @@ def _represent(
         test_docs = [tokenize(msg) for msg in test_msgs]
     if train_rs.granularity is Granularity.SEQUENCE:
         train_docs = flatten_sequences(train_rs, train_docs)
-    # Converting to CSR sums the repeats of a message in a unit.
-    multiplicity = sp.csr_matrix(
-        (np.ones(len(test_ids), dtype=np.int64), (test_rs.unit_ids, test_ids)),
-        shape=(test_rs.n_units, len(test_docs)),
-    )
-    return train_docs, (test_docs, multiplicity), drain
+    return train_docs, (test_docs, np.array(test_ids, dtype=np.int64)), drain
 
 
 @dataclass
@@ -341,12 +335,16 @@ class _Features:
     Every computation here runs once and keeps its duration.
     """
 
-    def __init__(self, config: RunConfig, train_rs: RecordSet, test_rs: RecordSet):
+    def __init__(self, cells: list[RunConfig], train_rs: RecordSet, test_rs: RecordSet):
         self._log = TimingLog()
         (self.train_docs, test_side, self.drain), self.represent_s = self._log.timed(
-            "represent", _represent, config, train_rs, test_rs
+            "represent", _represent, cells[0], train_rs, test_rs
         )
-        self.test_docs, self.test_multiplicity = test_side
+        self.test_docs, self.test_message_ids = test_side
+        self._test_rs = test_rs
+        # The test weightings the cells read; test counts that no cell reads
+        # are not kept once the test tf-idf is weighted from them.
+        self._test_reads = {_MODEL_TABLE[cell.model][1] for cell in cells}
         # The vocabulary fit and the train transform get the same list
         # object, by which a tracer tells the train side from the test side.
         self.vocab, self.vocabulary_s = self._log.timed(
@@ -367,19 +365,38 @@ class _Features:
                 self._built[name] = self._log.timed(name, self._test_counts)
             else:
                 counts, counts_s = self.matrix("test", Weighting.COUNT)
+                if Weighting.COUNT not in self._test_reads:
+                    del self._built["test count"]
                 tfidf, tfidf_s = self._log.timed(name, tfidf_weighting, self.vocab, counts)
                 self._built[name] = tfidf, counts_s + tfidf_s
         return self._built[name]
 
     def _test_counts(self) -> DocTermMatrix:
-        """Each distinct test document counted once and summed into its
-        units; the counts are integers, so the sums are exact."""
+        """Each distinct test document counted once, then summed into units."""
         distinct = count_transform(self.vocab, self.test_docs)
-        counts = self.test_multiplicity @ distinct.matrix
-        # As count_transform does, so the weighting sums each row in order.
-        counts.sort_indices()
-        totals = self.test_multiplicity @ distinct.doc_token_totals
-        return replace(distinct, matrix=counts, doc_token_totals=totals)
+        return _unit_counts(
+            distinct, self.test_message_ids, self._test_rs.unit_ids, self._test_rs.n_units
+        )
+
+
+def _unit_counts(
+    distinct: DocTermMatrix, message_ids: np.ndarray, unit_ids: np.ndarray, n_units: int
+) -> DocTermMatrix:
+    """The counts of ``n_units`` units, record ``i`` adding the row
+    ``message_ids[i]`` of ``distinct`` to unit ``unit_ids[i]``; the counts
+    are integers, so the sums are exact."""
+    records = distinct.matrix.take_rows(message_ids)
+    if np.array_equal(unit_ids, np.arange(n_units)):
+        # One record per unit, in unit order (lines): the rows are the units'.
+        counts = records
+    else:
+        n_cols = records.shape[1]
+        positions = np.repeat(unit_ids.astype(np.int64) * n_cols, np.diff(records.indptr))
+        positions += records.indices
+        counts = CSRMatrix.from_positions(positions, (n_units, n_cols), records.data)
+    totals = np.zeros(n_units, dtype=np.int64)
+    np.add.at(totals, unit_ids, distinct.doc_token_totals[message_ids])
+    return DocTermMatrix(counts, Weighting.COUNT, totals)
 
 
 def _run_cell(
@@ -424,7 +441,7 @@ def _run_cell(
             "scenario": config.scenario,
             "seed": config.seed,
             "n_train_docs": len(features.train_docs),
-            "n_test_docs": features.test_multiplicity.shape[0],
+            "n_test_docs": shared.test_rs.n_units,
             "n_terms": features.vocab.n_terms,
             "f1_mode": "exact" if config.f1_budget is None else f"budgeted({config.f1_budget})",
             "f1_label_assisted": True,
@@ -451,7 +468,7 @@ def _run_cells(
     shared = _load_and_split(config, max(_train_units_needed(c) for c in configs))
     for _, group in groupby(configs, key=lambda c: c.representation):
         group = list(group)
-        features = _Features(group[0], shared.train_rs, shared.test_rs)
+        features = _Features(group, shared.train_rs, shared.test_rs)
         for cell in group:
             yield (cell, *_run_cell(cell, shared, features))
         # Release this representation's documents and matrices before the

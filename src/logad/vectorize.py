@@ -10,19 +10,147 @@ Tf-idf weighting is pinned to smoothed idf with L2 row normalization:
     idf(t) = ln((1 + n_train_docs) / (1 + doc_freq(t))) + 1
 
 with raw in-vocabulary counts as tf and no sublinear scaling.
+
+Matrices are held in ``CSRMatrix``, a small numpy compressed-sparse-row
+form with only the operations the detectors use.  Each computes the same
+bits as the scipy.sparse operation it replaced: sums run in the same order.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .represent import TokenSeq
+
+
+def _weighted_bincount(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The sum of ``weights`` per bin, added in order; float64 also when
+    there are no weights, where ``np.bincount`` returns int64."""
+    return np.bincount(bins, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def _sum_repeats(
+    positions: np.ndarray, values: np.ndarray | None, n_positions: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct positions (all below ``n_positions``), ascending, and
+    the float64 sum of each one's values, added in entry order (each entry
+    counts 1 when ``values`` is None).  Without values, ``positions`` is
+    sorted in place."""
+    if n_positions <= len(positions):
+        # A count per possible position takes no more room than the entries.
+        counts = np.bincount(positions, minlength=n_positions)
+        distinct = np.flatnonzero(counts)
+        if values is None:
+            return distinct, counts[distinct].astype(np.float64)
+        return distinct, _weighted_bincount(positions, values, n_positions)[distinct]
+    if values is None:
+        positions.sort()
+    else:
+        order = np.argsort(positions, kind="stable")
+        positions, values = positions[order], values[order]
+    starts_run = np.ones(len(positions), dtype=bool)
+    np.not_equal(positions[1:], positions[:-1], out=starts_run[1:])
+    first = np.flatnonzero(starts_run)
+    if values is None:
+        # Run lengths, written straight into floats to spare a copy.
+        sums = np.empty(len(first))
+        np.subtract(first[1:], first[:-1], out=sums[:-1])
+        sums[-1:] = len(positions) - first[-1:]
+    else:
+        sums = _weighted_bincount(np.cumsum(starts_run) - 1, values, len(first))
+    return positions[first], sums
+
+
+@dataclass(frozen=True)
+class CSRMatrix:
+    """Compressed sparse rows: row ``r`` holds the values
+    ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, which ascend and never repeat.
+
+    Index arrays are int32 while every index fits, else int64, as scipy
+    chooses them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @classmethod
+    def from_positions(
+        cls, positions: np.ndarray, shape: tuple[int, int], values: np.ndarray | None = None
+    ) -> CSRMatrix:
+        """The matrix of the entries at the int64 row-major positions
+        ``row * n_cols + col`` (as ``np.ravel_multi_index`` gives them), with
+        float64 ``values``, or 1 each without them.  A repeated position
+        holds the sum of its values, added in entry order, and each row's
+        columns ascend, as scipy's ``sum_duplicates`` leaves them.  Without
+        values, ``positions`` is sorted in place.
+        """
+        n_rows, n_cols = shape
+        fits_int32 = max(n_rows, n_cols, len(positions)) <= np.iinfo(np.int32).max
+        index = np.int32 if fits_int32 else np.int64
+        distinct, data = _sum_repeats(positions, values, n_rows * n_cols)
+        indptr = np.searchsorted(distinct, np.arange(n_rows + 1, dtype=np.int64) * n_cols)
+        np.remainder(distinct, n_cols, out=distinct)
+        return cls(indptr.astype(index), distinct.astype(index), data, (n_rows, n_cols))
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def take_rows(self, rows: np.ndarray) -> CSRMatrix:
+        """The listed rows, in the listed order (scipy's ``X[rows]``)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows].astype(np.int64)
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.arange(indptr[-1])
+        entries += np.repeat(starts - indptr[:-1], lengths)
+        return CSRMatrix(
+            indptr.astype(self.indptr.dtype), self.indices[entries], self.data[entries],
+            (len(rows), self.shape[1]),
+        )
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[self._entry_rows(), self.indices] = self.data
+        return dense
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, as scipy's ``sum(axis=1)``: ``np.add.reduceat``
+        over the non-empty rows."""
+        sums = np.zeros(self.shape[0], dtype=self.data.dtype)
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        if len(nonempty):
+            sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
+        return sums
+
+    def column_sums(self) -> np.ndarray:
+        """Each column's sum, added in entry order as scipy's ``sum(axis=0)``."""
+        return _weighted_bincount(self.indices, self.data, self.shape[1])
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """The product with a dense vector or matrix.  Every output entry is
+        summed in entry order from 0, as scipy's ``csr_matvec`` does;
+        ``np.add.reduceat`` would pair the terms differently."""
+        rows = self._entry_rows()
+
+        def dot(v):
+            return _weighted_bincount(rows, self.data * v[self.indices], self.shape[0])
+
+        return dot(other) if other.ndim == 1 else np.column_stack([dot(v) for v in other.T])
 
 
 class Weighting(Enum):
@@ -60,7 +188,7 @@ class DocTermMatrix:
     counts tokens that fell out of the vocabulary.
     """
 
-    matrix: sp.csr_matrix
+    matrix: CSRMatrix
     weighting: Weighting
     doc_token_totals: np.ndarray
 
@@ -73,24 +201,26 @@ class DocTermMatrix:
         return self.matrix.shape[1]
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return self.matrix.row_sums()
 
 
 def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMatrix:
     """Per-document counts of the terms in ``term_to_col``, the one counting
     routine; other terms contribute nothing to a row but still count in its
     ``doc_token_totals``."""
-    indptr, indices, totals = array("q", [0]), array("q"), array("q")
+    lengths, cols, totals = array("q"), array("q"), array("q")
     for doc in docs:
-        indices.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
-        indptr.append(len(indices))
+        start = len(cols)
+        cols.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
+        lengths.append(len(cols) - start)
         totals.append(doc.source_len)
-    matrix = sp.csr_matrix(
-        (np.ones(len(indices)), np.frombuffer(indices, np.int64), np.frombuffer(indptr, np.int64)),
-        shape=(len(totals), len(term_to_col)),
-    )
-    # Sums the repeats of a term in a row and sorts each row's columns.
-    matrix.sum_duplicates()
+    shape = (len(totals), len(term_to_col))
+    # Each column becomes its row-major position in place, so the buffer is
+    # the only per-entry array until the build.
+    positions = np.frombuffer(cols, np.int64)
+    row_starts = np.arange(shape[0], dtype=np.int64) * shape[1]
+    positions += np.repeat(row_starts, np.frombuffer(lengths, np.int64))
+    matrix = CSRMatrix.from_positions(positions, shape)
     return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
 
 
@@ -104,7 +234,7 @@ def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
         raise ValueError("cannot fit a vocabulary: all documents are empty")
     term_to_col = dict(zip(terms, range(len(terms))))
     counts = _counts(term_to_col, docs).matrix
-    term_total = np.bincount(counts.indices, weights=counts.data).astype(np.int64)
+    term_total = counts.column_sums().astype(np.int64)
     return Vocabulary(
         term_to_col=term_to_col,
         doc_freq=np.bincount(counts.indices).astype(np.int64, copy=False),
@@ -120,19 +250,15 @@ def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
 
 
 def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
-    """Tf-idf weighted copy of a count matrix; idf comes from training
-    statistics only."""
-    matrix = counts.matrix.copy()
-    if matrix.nnz:
-        matrix.data *= v.idf()[matrix.indices]
-        # L2-normalize nonzero rows in place.
-        sq = matrix.copy()
-        sq.data **= 2
-        norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
-        row_lengths = np.diff(matrix.indptr)
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        matrix.data *= np.repeat(scale, row_lengths)
-    return DocTermMatrix(matrix, Weighting.TFIDF, counts.doc_token_totals)
+    """Tf-idf weighted copy of a count matrix, sharing its index arrays;
+    idf comes from training statistics only."""
+    matrix = counts.matrix
+    data = matrix.data * v.idf()[matrix.indices]
+    # L2-normalize the nonzero rows.
+    norms = np.sqrt(replace(matrix, data=data**2).row_sums())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    data *= np.repeat(scale, np.diff(matrix.indptr))
+    return DocTermMatrix(replace(matrix, data=data), Weighting.TFIDF, counts.doc_token_totals)
 
 
 def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:

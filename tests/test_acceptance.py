@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from logad.detect import (
     iforest_fit,
@@ -32,6 +31,7 @@ from logad.pipeline import ConfigError, RunConfig, execute, run
 from logad.represent import DrainParser, TokenSeq, WILDCARD, flatten_sequences, tokenize_trigrams
 from logad.synth import gen_synthetic
 from logad.vectorize import DocTermMatrix, Weighting, count_transform, fit_vocabulary, tfidf_transform
+from csr import from_dense, to_scipy
 from rows import record_set
 
 
@@ -48,7 +48,7 @@ def docs(term_lists):
 def dtm(rows):
     arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     totals = (arr != 0).sum(axis=1).astype(np.int64)
-    return DocTermMatrix(sp.csr_matrix(arr), Weighting.TFIDF, totals)
+    return DocTermMatrix(from_dense(arr), Weighting.TFIDF, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_c6d_tfidf_unit_norms():
         train = [[f"t{rng.integers(30)}" for _ in range(rng.integers(1, 10))] for _ in range(30)]
         test = [[f"t{rng.integers(45)}" for _ in range(rng.integers(0, 10))] for _ in range(30)]
         v = fit_vocabulary(docs(train))
-        m = tfidf_transform(v, docs(test)).matrix
+        m = to_scipy(tfidf_transform(v, docs(test)).matrix)
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1))).ravel()
         nonzero = np.diff(m.indptr) > 0
         ok &= bool(np.all(np.abs(norms[nonzero] - 1.0) < 1e-9)) and bool(np.all(norms[~nonzero] == 0))

@@ -8,6 +8,7 @@ transforming those documents.
 """
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -93,13 +94,16 @@ def _assert_identical(got, want):
 
 def _check_features(representation, train_rs, test_rs):
     config = RunConfig(input=Path("unused.log"), representation=representation)
-    features = _Features(config, train_rs, test_rs)
+    # Cells that read both test weightings, so the test counts are kept.
+    features = _Features([config, replace(config, model="oovd")], train_rs, test_rs)
     ref_train, ref_test = _reference_docs(config, train_rs, test_rs)
     vocab = fit_vocabulary(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
     assert features.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
     assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
-    assert features.test_multiplicity.shape == (len(ref_test), len(set(test_rs.normalized)))
+    assert test_rs.n_units == len(ref_test)
+    assert len(features.test_docs) == len(set(test_rs.normalized))
+    assert len(features.test_message_ids) == len(test_rs)
     # The test tf-idf is read first: it builds the counts it is weighted from.
     _assert_identical(features.matrix("test", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_test))
     _assert_identical(features.matrix("test", Weighting.COUNT)[0], count_transform(vocab, ref_test))

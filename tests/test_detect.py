@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from logad.detect import (
     average_path_length,
@@ -23,6 +22,7 @@ from logad.vectorize import (
     fit_vocabulary,
     tfidf_transform,
 )
+from csr import from_dense, to_scipy
 
 
 def docs(*term_lists):
@@ -34,7 +34,7 @@ def dtm(rows, weighting=Weighting.TFIDF, totals=None):
     arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if totals is None:
         totals = (arr != 0).sum(axis=1)
-    return DocTermMatrix(sp.csr_matrix(arr), weighting, np.asarray(totals, dtype=np.int64))
+    return DocTermMatrix(from_dense(arr), weighting, np.asarray(totals, dtype=np.int64))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -339,6 +339,87 @@ class TestIForest:
         base = iforest_score(model, dtm(rows))
         shuffled = iforest_score(model, dtm(rows[perm]))
         np.testing.assert_allclose(shuffled, base[perm])
+
+
+def _reference_build_tree(dense, rng, depth_cap):
+    """The tree builder before the fit-wide c(n) table and the cheaper draw."""
+    features, thresholds, left, right, depth, adjust = [], [], [], [], [], []
+
+    def new_node(d):
+        for column, value in ((features, -1), (thresholds, 0.0), (left, -1), (right, -1),
+                              (depth, d), (adjust, 0.0)):
+            column.append(value)
+        return len(features) - 1
+
+    def grow(rows, d):
+        node = new_node(d)
+        if d >= depth_cap or rows.size <= 1:
+            adjust[node] = average_path_length(rows.size)
+            return node
+        sub = dense[rows]
+        mins = sub.min(axis=0)
+        maxs = sub.max(axis=0)
+        candidates = np.flatnonzero(maxs > mins)
+        if candidates.size == 0:
+            adjust[node] = average_path_length(rows.size)
+            return node
+        f = int(rng.choice(candidates))
+        t = float(rng.uniform(mins[f], maxs[f]))
+        if t <= mins[f]:
+            t = (float(mins[f]) + float(maxs[f])) / 2.0
+        mask = sub[:, f] < t
+        features[node] = f
+        thresholds[node] = t
+        left[node] = grow(rows[mask], d + 1)
+        right[node] = grow(rows[~mask], d + 1)
+        return node
+
+    grow(np.arange(dense.shape[0]), 0)
+    return [np.asarray(features, dtype=np.int64), np.asarray(thresholds, dtype=np.float64),
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+            np.asarray(depth, dtype=np.int64), np.asarray(adjust, dtype=np.float64)]
+
+
+def _reference_iforest_trees(X, n_trees, subsample, seed):
+    """The trees of the fit before, on a scipy matrix ``X``."""
+    n = X.shape[0]
+    psi = min(subsample, n)
+    depth_cap = max(1, math.ceil(math.log2(psi)))
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(ss)
+        rows = rng.choice(n, size=psi, replace=False)
+        trees.append(_reference_build_tree(np.asarray(X[rows].todense()), rng, depth_cap))
+    return trees
+
+
+class TestIForestSameTrees:
+    """The fit grows the trees the fit before it grew, array for array."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("subsample", [2, 3, 16, 64])
+    @pytest.mark.parametrize("matrix", ["tfidf", "constant_columns"])
+    def test_trees_equal_reference(self, seed, subsample, matrix):
+        if matrix == "tfidf":
+            train_terms, _ = random_corpus(np.random.default_rng(seed), n_train=50, vocab=30)
+            train = tfidf_transform(fit_vocabulary(docs(*train_terms)), docs(*train_terms))
+        else:
+            rng = np.random.default_rng(seed)
+            rows = np.where(rng.random((40, 6)) < 0.4, rng.integers(1, 4, (40, 6)), 0.0)
+            rows[:, 1] = 2.0  # constant
+            rows[:, 4] = 0.0  # constant and empty
+            rows[10:20] = rows[0]  # repeated rows
+            train = dtm(rows)
+        model = iforest_fit(train, n_trees=12, subsample=subsample, seed=seed)
+        want = _reference_iforest_trees(to_scipy(train.matrix), 12, subsample, seed)
+        assert len(model.trees) == len(want)
+        for tree, ref in zip(model.trees, want):
+            got = [tree.feature, tree.threshold, tree.left, tree.right, tree.depth, tree.adjust]
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        psi = min(subsample, train.n_docs)
+        assert model.c_norm == average_path_length(psi)
 
 
 def test_oovd_and_rm_permutation_property():

@@ -394,6 +394,29 @@ class TestSharedStages:
             assert cells["kmeans"]["vectorize"] >= cells["rm"]["vectorize"]
             assert cells["kmeans"]["vectorize"] == cells["iforest"]["vectorize"]
 
+    @staticmethod
+    def _matrices_kept(monkeypatch):
+        """The names of the matrices a representation holds after each cell."""
+        kept = []
+
+        def run_cell(config, shared, features, _run_cell=pipeline._run_cell):
+            out = _run_cell(config, shared, features)
+            kept.append(set(features._built))
+            return out
+
+        monkeypatch.setattr(pipeline, "_run_cell", run_cell)
+        return kept
+
+    def test_single_rm_run_keeps_no_test_counts(self, unseen_corpus, monkeypatch):
+        kept = self._matrices_kept(monkeypatch)
+        execute(_config(unseen_corpus, scenario="normal_only", model="rm"))
+        assert kept == [{"test tfidf"}]
+
+    def test_grid_keeps_the_test_counts_oovd_reads(self, unseen_corpus, monkeypatch):
+        kept = self._matrices_kept(monkeypatch)
+        run_grid(_config(unseen_corpus, scenario="normal_only"))
+        assert len(kept) == len(grid_cells("normal_only"))
+        assert all("test count" in names for names in kept)
 
 class TestRepeats:
     def test_summary_statistics(self, unseen_corpus, tmp_path):
