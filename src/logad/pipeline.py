@@ -69,7 +69,7 @@ from .represent import (
     tokenize_words,
 )
 from .vectorize import (
-    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary,
+    DocTermMatrix, Vocabulary, Weighting, _from_positions, count_transform, fit_vocabulary,
     tfidf_transform, tfidf_weighting,
 )
 
@@ -393,7 +393,7 @@ def _unit_counts(
         n_cols = records.shape[1]
         positions = np.repeat(unit_ids.astype(np.int64) * n_cols, np.diff(records.indptr))
         positions += records.indices
-        counts = CSRMatrix.from_positions(positions, (n_units, n_cols), records.data)
+        counts = _from_positions(positions, (n_units, n_cols), records.data)
     totals = np.zeros(n_units, dtype=np.int64)
     np.add.at(totals, unit_ids, distinct.doc_token_totals[message_ids])
     return DocTermMatrix(counts, Weighting.COUNT, totals)

@@ -10,8 +10,9 @@ from logad.vectorize import CSRMatrix
 def from_dense(rows) -> CSRMatrix:
     """The CSR of the nonzero entries of dense rows, as float64."""
     arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    positions = np.flatnonzero(arr)
-    return CSRMatrix.from_positions(positions, arr.shape, arr.ravel()[positions])
+    row_of, cols = np.nonzero(arr)
+    indptr = np.searchsorted(row_of, np.arange(arr.shape[0] + 1))
+    return CSRMatrix(indptr.astype(np.int32), cols.astype(np.int32), arr[row_of, cols], arr.shape)
 
 
 def to_scipy(m: CSRMatrix) -> sp.csr_matrix:

@@ -8,14 +8,15 @@ rows into units.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logad.detect import _row_sq_norms
 from logad.pipeline import _unit_counts
-from logad.vectorize import CSRMatrix, DocTermMatrix, Vocabulary, Weighting, tfidf_weighting
+from logad.vectorize import (
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _from_positions, _index_dtype, tfidf_weighting,
+)
 
 from csr import to_scipy
 
@@ -52,7 +53,7 @@ def entries(draw, max_rows=8, max_cols=8, max_entries=40):
 
 
 def _build(shape, rows, cols, values=None):
-    return CSRMatrix.from_positions(np.ravel_multi_index((rows, cols), shape), shape, values)
+    return _from_positions(np.ravel_multi_index((rows, cols), shape), shape, values)
 
 
 def _scipy_build(shape, rows, cols, values):
@@ -109,17 +110,9 @@ class TestBuild:
             _scipy_build(shape, rows, cols, np.ones(len(rows))),
         )
 
-    @pytest.mark.parametrize("n_cols", [3, 10_000])  # a count per key, and a sort
-    def test_float_repeats_add_in_entry_order(self, n_cols):
-        rng = np.random.default_rng(0)
-        rows, cols = rng.integers(0, 2, 300), rng.integers(0, 3, 300)
-        values = rng.random(300) * 1000
-        sums = {}
-        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            sums[r, c] = sums.get((r, c), 0.0) + v
-        m = _build((2, n_cols), rows, cols, values)
-        assert m.data.tolist() == [sums[key] for key in sorted(sums)]
-        assert m.indices.tolist() == [c for _, c in sorted(sums)]
+    def test_index_arrays_are_int32_while_they_fit(self):
+        assert _index_dtype(np.iinfo(np.int32).max) is np.int32
+        assert _index_dtype(np.iinfo(np.int32).max + 1) is np.int64
 
 
 class TestOperations:
@@ -155,6 +148,21 @@ class TestOperations:
             _assert_same(
                 X.take_rows(members).column_sums(), np.asarray(S[members].sum(axis=0)).ravel()
             )
+
+    def test_gather_index_dtype_follows_the_result(self):
+        # int64 source arrays whose gather fits int32, and int32 source
+        # arrays whose gather has more columns than int32 holds.
+        X = CSRMatrix(np.array([0, 1, 2]), np.array([0, 2]), np.array([1.0, 2.0]), (2, 3))
+        gathered = X.take_rows([1, 0, 1])
+        assert gathered.indptr.dtype == gathered.indices.dtype == np.int32
+        assert gathered.indptr.tolist() == [0, 1, 2, 3]
+        assert gathered.indices.tolist() == [2, 0, 2]
+        assert gathered.data.tolist() == [2.0, 1.0, 2.0]
+        wide = CSRMatrix(np.array([0, 1], np.int32), np.array([5], np.int32), np.array([1.0]),
+                         (1, 2**31))
+        gathered = wide.take_rows([0, 0])
+        assert gathered.indptr.dtype == gathered.indices.dtype == np.int64
+        assert gathered.indices.tolist() == [5, 5]
 
 
 @st.composite
