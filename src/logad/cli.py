@@ -39,14 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the detection pipeline")
     p_run.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     p_run.add_argument("--input", type=Path, help="log file (or directory for hadoop)")
-    p_run.add_argument("--adapter", choices=list(ADAPTERS), help="dataset adapter (default plain)")
+    p_run.add_argument("--adapter", choices=list(ADAPTERS),
+                       help=f"dataset adapter (default {RunConfig.adapter})")
     p_run.add_argument("--labels", type=Path, help="label CSV for hdfs/hadoop adapters")
     p_run.add_argument("--rep", dest="representation", choices=REPRESENTATIONS,
                        help="log representation")
     p_run.add_argument("--model", choices=MODELS, help="anomaly scorer")
     p_run.add_argument("--scenario", choices=SCENARIOS, help="training scenario")
     p_run.add_argument("--train-frac", dest="train_fraction", type=float,
-                       help="train split fraction (default 0.05)")
+                       help=f"train split fraction (default {RunConfig.train_fraction})")
     p_run.add_argument("--sample-frac", dest="sample_fraction", type=float,
                        help="pre-split sample fraction")
     p_run.add_argument("--split-mode", choices=[m.value for m in SplitMode])
@@ -54,13 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", dest="out_dir", type=Path, help="output directory for reports")
     p_run.add_argument("--grid", action="store_true", help="run all reps x models")
     p_run.add_argument("--repeats", type=int, default=1, help="re-run with derived seeds")
-    p_run.add_argument("--k", type=int, help="kmeans cluster count (default 8)")
-    p_run.add_argument("--n-trees", type=int, help="isolation forest size (default 100)")
-    p_run.add_argument("--subsample", type=int, help="isolation forest subsample (default 256)")
-    p_run.add_argument("--sim-threshold", type=float, help="template similarity (default 0.4)")
-    p_run.add_argument("--depth", type=int, help="template tree depth (default 4)")
+    p_run.add_argument("--k", type=int, help=f"kmeans cluster count (default {RunConfig.k})")
+    p_run.add_argument("--n-trees", type=int,
+                       help=f"isolation forest size (default {RunConfig.n_trees})")
+    p_run.add_argument("--subsample", type=int,
+                       help=f"isolation forest subsample (default {RunConfig.subsample})")
+    p_run.add_argument("--sim-threshold", type=float,
+                       help=f"template similarity (default {RunConfig.sim_threshold})")
+    p_run.add_argument("--depth", type=int, help=f"template tree depth (default {RunConfig.depth})")
     p_run.add_argument("--f1-budget", type=int, help="bounded threshold search budget")
-    p_run.add_argument("--bins", dest="n_bins", type=int, help="histogram bin count (default 50)")
+    p_run.add_argument("--bins", dest="n_bins", type=int,
+                       help=f"histogram bin count (default {RunConfig.n_bins})")
     p_run.add_argument(
         "--dump-templates", action="store_true", default=None, help="write mined templates CSV"
     )

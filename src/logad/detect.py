@@ -8,7 +8,7 @@ models are immutable; scoring a document never looks at other documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class KMeansModel:
     seed: int
 
 
-def _row_sq_norms(X: CSRMatrix) -> np.ndarray:
-    return replace(X, data=X.data**2).row_sums()
-
-
 def _sq_distances(X: CSRMatrix, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances via |x|^2 + |c|^2 - 2 x.c, clipped at 0."""
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -129,7 +125,7 @@ def kmeans_fit(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n_docs], got k={k} for {n} docs")
     X = train.matrix
-    x_sq = _row_sq_norms(X)
+    x_sq = X.row_sq_norms()
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(X, x_sq, k, rng)
 
@@ -156,7 +152,7 @@ def kmeans_score(m: KMeansModel, docs: DocTermMatrix) -> np.ndarray:
     """Euclidean distance to the nearest centroid."""
     _check_columns(m.centroids.shape[1], docs, "kmeans_score")
     X = docs.matrix
-    d2 = _sq_distances(X, _row_sq_norms(X), m.centroids)
+    d2 = _sq_distances(X, X.row_sq_norms(), m.centroids)
     return np.sqrt(d2.min(axis=1))
 
 

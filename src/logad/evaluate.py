@@ -18,41 +18,32 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their ranks.
-
-    Equals ``scipy.stats.rankdata(values)``: the ranks are exact halves of
-    integers, and any NaN makes every rank NaN.
-    """
-    if np.isnan(values).any():
-        return np.full(len(values), np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    ranks = np.empty(len(values))
-    # Sorted positions start..end-1 hold ranks start+1..end.
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
-    return ranks
-
-
 def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Rank-based AUC-ROC with midranks for ties, O(n log n).
+    """Rank-based AUC-ROC with midranks for ties, O(n log n); NaN if any
+    score is NaN.
 
     ``labels`` are 1 for anomalous, 0 for normal; both classes must be
     present, otherwise the metric is undefined and a ValueError is raised.
+    The Mann-Whitney U comes from the best-F1 threshold table: the normal
+    items of a tie run rank below the anomalous items of every higher run
+    and tie with those of their own run, so
+    ``2U = sum(d_fp[i] * (tp[i - 1] + tp[i]))``.  2U and 2PN are exact
+    integers, so one division gives the bits of the midrank formula.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise ValueError(f"{s.shape[0]} scores but {y.shape[0]} labels")
-    pos = y == 1
-    n_pos = int(pos.sum())
+    n_pos = int((y == 1).sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC-ROC is undefined for single-class labels")
-    ranks = _midranks(s)
-    return (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(s).any():
+        return float("nan")
+    _, tps, fps = _threshold_table(s, y)
+    tp_before = np.r_[0, tps[:-1]]
+    two_u = int(np.diff(fps, prepend=0) @ (tp_before + tps))
+    return two_u / (2 * n_pos * n_neg)
 
 
 def _f1_counts(tp: int, fp: int, n_pos: int) -> float:
@@ -71,7 +62,8 @@ def _threshold_table(scores: np.ndarray, labels: np.ndarray):
     y = labels[order]
     cum_tp = np.cumsum(y == 1)
     cum_fp = np.cumsum(y == 0)
-    last = np.flatnonzero(np.diff(s, append=-np.inf))  # last index of each tie run
+    # The last index of each tie run; equal infinities are one run.
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
     return s[last], cum_tp[last], cum_fp[last]
 
 

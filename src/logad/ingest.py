@@ -65,55 +65,51 @@ class LoadError(ValueError):
 class LogRecord:
     """One record as a row; ``RecordSet`` stores records by column."""
 
-    raw: str
+    message: str
     line_no: int
     label: Label = Label.UNKNOWN
     seq_key: str | None = None
-    normalized: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class RecordSet:
     """Ordered log records flowing through the pipeline, stored by column.
 
-    ``raw`` and ``normalized`` are ``list[str]`` (``normalized`` is None
-    before normalization), ``label_codes`` is ``int8`` (see ``LABEL_CODE``),
-    ``seq_ids`` is ``int32`` and indexes ``seq_keys`` (-1 for no key), which
-    lists the keys in first-appearance order, and ``line_nos`` is ``int64``.
-    Columns are shared between sets and never modified in place.
+    ``messages`` is ``list[str]``: the raw messages as loaded, or their
+    normalized forms in the set ``normalize_records`` returns.
+    ``label_codes`` is ``int8`` (see ``LABEL_CODE``), ``seq_ids`` is
+    ``int32`` and indexes ``seq_keys`` (-1 for no key), which lists the keys
+    in first-appearance order, and ``line_nos`` is ``int64``.  Columns are
+    shared between sets and never modified in place.
     Iterating yields the records as ``LogRecord`` rows, built on every pass.
     """
 
     granularity: Granularity
-    raw: list[str]
+    messages: list[str]
     label_codes: np.ndarray
     seq_ids: np.ndarray
     seq_keys: list[str]
     line_nos: np.ndarray
-    normalized: list[str] | None = None
 
     def __post_init__(self):
-        n = len(self.raw)
+        n = len(self.messages)
         if not len(self.label_codes) == len(self.seq_ids) == len(self.line_nos) == n:
             raise ValueError(
-                f"column lengths differ: {n} raw, {len(self.label_codes)} label codes, "
+                f"column lengths differ: {n} messages, {len(self.label_codes)} label codes, "
                 f"{len(self.seq_ids)} seq ids, {len(self.line_nos)} line numbers"
             )
-        if self.normalized is not None and len(self.normalized) != n:
-            raise ValueError(f"{n} records but {len(self.normalized)} normalized messages")
         if self.granularity is Granularity.SEQUENCE and (keyless := self.seq_ids < 0).any():
             line_no = self.line_nos[np.argmax(keyless)]
             raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
 
     def __len__(self) -> int:
-        return len(self.raw)
+        return len(self.messages)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        keys, normalized = self.seq_keys, self.normalized or [None] * len(self)
-        for raw, line_no, code, sid, norm in zip(self.raw, self.line_nos.tolist(),
-                self.label_codes.tolist(), self.seq_ids.tolist(), normalized):
-            key = None if sid < 0 else keys[sid]
-            yield LogRecord(raw, line_no, _LABEL_OF_CODE[code], key, norm)
+        keys = self.seq_keys
+        for message, line_no, code, sid in zip(self.messages, self.line_nos.tolist(),
+                self.label_codes.tolist(), self.seq_ids.tolist()):
+            yield LogRecord(message, line_no, _LABEL_OF_CODE[code], None if sid < 0 else keys[sid])
 
     @property
     def n_units(self) -> int:
@@ -138,8 +134,6 @@ class RecordSet:
     def _take(self, index: np.ndarray) -> RecordSet:
         """The records at the ascending positions ``index``; the keys left
         are renumbered in their first appearance among them."""
-        rows = index.tolist()
-        normalized = None if self.normalized is None else [self.normalized[i] for i in rows]
         seq_ids, seq_keys = self.seq_ids[index], self.seq_keys
         if seq_keys:
             present, first = np.unique(seq_ids[seq_ids >= 0], return_index=True)
@@ -148,22 +142,22 @@ class RecordSet:
             new_id = np.full(len(seq_keys) + 1, -1, dtype=np.int32)
             new_id[kept] = np.arange(len(kept))
             seq_ids, seq_keys = new_id[seq_ids], [seq_keys[k] for k in kept.tolist()]
-        return RecordSet(self.granularity, [self.raw[i] for i in rows], self.label_codes[index],
-                         seq_ids, seq_keys, self.line_nos[index], normalized)
+        return RecordSet(self.granularity, [self.messages[i] for i in index.tolist()],
+                         self.label_codes[index], seq_ids, seq_keys, self.line_nos[index])
 
 
 class _Columns:
     """Column lists that records are appended to, one at a time."""
 
     def __init__(self):
-        self.raw: list[str] = []
+        self.messages: list[str] = []
         self.codes: list[int] = []
         self.seq_ids: list[int] = []
         self.keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
         self.line_nos: list[int] = []
 
-    def append(self, raw: str, line_no: int, code: int, seq_key: str | None = None) -> None:
-        self.raw.append(raw)
+    def append(self, message: str, line_no: int, code: int, seq_key: str | None = None) -> None:
+        self.messages.append(message)
         self.codes.append(code)
         self.seq_ids.append(
             -1 if seq_key is None else self.keys.setdefault(seq_key, len(self.keys))
@@ -171,7 +165,7 @@ class _Columns:
         self.line_nos.append(line_no)
 
     def record_set(self, granularity: Granularity) -> RecordSet:
-        return RecordSet(granularity, self.raw, np.array(self.codes, dtype=np.int8),
+        return RecordSet(granularity, self.messages, np.array(self.codes, dtype=np.int8),
                          np.array(self.seq_ids, dtype=np.int32), list(self.keys),
                          np.array(self.line_nos, dtype=np.int64))
 

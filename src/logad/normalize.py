@@ -31,7 +31,7 @@ def normalize_message(raw: str) -> str:
 
 
 def normalize_records(rs: RecordSet) -> RecordSet:
-    r"""Normalize every raw message into the ``normalized`` column.
+    r"""The set with every message normalized; ``rs`` keeps its own.
 
     The messages are normalized as one string, joined with "\n".  That
     equals normalizing each one: no step rewrites "\n", a zero run cannot
@@ -39,8 +39,8 @@ def normalize_records(rs: RecordSet) -> RecordSet:
     does not look past it.  A message that contains "\n" itself comes back
     in as many pieces, which are joined again.
     """
-    normalized = normalize_message("\n".join(rs.raw)).split("\n")
+    normalized = normalize_message("\n".join(rs.messages)).split("\n")
     if len(normalized) != len(rs):
         pieces = iter(normalized)
-        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in rs.raw]
-    return replace(rs, normalized=normalized)
+        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in rs.messages]
+    return replace(rs, messages=normalized)

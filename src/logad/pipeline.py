@@ -69,8 +69,8 @@ from .represent import (
     tokenize_words,
 )
 from .vectorize import (
-    DocTermMatrix, Vocabulary, Weighting, _from_positions, count_transform, fit_vocabulary,
-    tfidf_transform, tfidf_weighting,
+    DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary, tfidf_transform,
+    tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
@@ -261,16 +261,16 @@ def _represent(
     the parser.
     """
     drain = None
-    test_msgs, test_ids = _distinct(test_rs.normalized)
+    test_msgs, test_ids = _distinct(test_rs.messages)
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
         # Drain's similarity counts exact matches only, so a repeated message
         # can miss a template it helped to wildcard: the fit sees every line.
-        train_docs = [TokenSeq.of([drain.fit_line(msg)]) for msg in train_rs.normalized]
+        train_docs = [TokenSeq.of([drain.fit_line(msg)]) for msg in train_rs.messages]
         test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_msgs]
     else:
         tokenize = _TOKENIZERS[config.representation]
-        train_msgs, train_ids = _distinct(train_rs.normalized)
+        train_msgs, train_ids = _distinct(train_rs.messages)
         distinct_docs = [tokenize(msg) for msg in train_msgs]
         train_docs = [distinct_docs[i] for i in train_ids]
         test_docs = [tokenize(msg) for msg in test_msgs]
@@ -358,9 +358,10 @@ class _Features:
         test counts, and its seconds include theirs."""
         name = f"{side} {weighting.value}"
         if name not in self._built:
-            if side == "train":
-                transform = count_transform if weighting is Weighting.COUNT else tfidf_transform
-                self._built[name] = self._log.timed(name, transform, self.vocab, self.train_docs)
+            if side == "train":  # every train matrix in _MODEL_TABLE is tf-idf
+                self._built[name] = self._log.timed(
+                    name, tfidf_transform, self.vocab, self.train_docs
+                )
             elif weighting is Weighting.COUNT:
                 self._built[name] = self._log.timed(name, self._test_counts)
             else:
@@ -374,29 +375,9 @@ class _Features:
     def _test_counts(self) -> DocTermMatrix:
         """Each distinct test document counted once, then summed into units."""
         distinct = count_transform(self.vocab, self.test_docs)
-        return _unit_counts(
-            distinct, self.test_message_ids, self._test_rs.unit_ids, self._test_rs.n_units
+        return distinct.sum_rows(
+            self.test_message_ids, self._test_rs.unit_ids, self._test_rs.n_units
         )
-
-
-def _unit_counts(
-    distinct: DocTermMatrix, message_ids: np.ndarray, unit_ids: np.ndarray, n_units: int
-) -> DocTermMatrix:
-    """The counts of ``n_units`` units, record ``i`` adding the row
-    ``message_ids[i]`` of ``distinct`` to unit ``unit_ids[i]``; the counts
-    are integers, so the sums are exact."""
-    records = distinct.matrix.take_rows(message_ids)
-    if np.array_equal(unit_ids, np.arange(n_units)):
-        # One record per unit, in unit order (lines): the rows are the units'.
-        counts = records
-    else:
-        n_cols = records.shape[1]
-        positions = np.repeat(unit_ids.astype(np.int64) * n_cols, np.diff(records.indptr))
-        positions += records.indices
-        counts = _from_positions(positions, (n_units, n_cols), records.data)
-    totals = np.zeros(n_units, dtype=np.int64)
-    np.add.at(totals, unit_ids, distinct.doc_token_totals[message_ids])
-    return DocTermMatrix(counts, Weighting.COUNT, totals)
 
 
 def _run_cell(

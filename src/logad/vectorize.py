@@ -146,6 +146,10 @@ class CSRMatrix:
             sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
         return sums
 
+    def row_sq_norms(self) -> np.ndarray:
+        """Each row's squared L2 norm: the row sums of the squared values."""
+        return replace(self, data=self.data**2).row_sums()
+
     def column_sums(self) -> np.ndarray:
         """Each column's sum, added in entry order as scipy's ``sum(axis=0)``."""
         return _weighted_bincount(self.indices, self.data, self.shape[1])
@@ -214,6 +218,23 @@ class DocTermMatrix:
     def row_sums(self) -> np.ndarray:
         return self.matrix.row_sums()
 
+    def sum_rows(self, rows: np.ndarray, groups: np.ndarray, n_groups: int) -> DocTermMatrix:
+        """The counts of ``n_groups`` groups, entry ``i`` adding the row
+        ``rows[i]`` to the group ``groups[i]``; the counts are integers, so
+        the sums are exact."""
+        records = self.matrix.take_rows(rows)
+        if np.array_equal(groups, np.arange(n_groups)):
+            # One row per group, in group order (lines): the rows are the groups'.
+            counts = records
+        else:
+            n_cols = records.shape[1]
+            positions = np.repeat(groups.astype(np.int64) * n_cols, np.diff(records.indptr))
+            positions += records.indices
+            counts = _from_positions(positions, (n_groups, n_cols), records.data)
+        totals = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(totals, groups, self.doc_token_totals[rows])
+        return DocTermMatrix(counts, self.weighting, totals)
+
 
 def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMatrix:
     """Per-document counts of the terms in ``term_to_col``, the one counting
@@ -265,11 +286,12 @@ def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
     idf comes from training statistics only."""
     matrix = counts.matrix
     data = matrix.data * v.idf()[matrix.indices]
+    weighted = replace(matrix, data=data)
     # L2-normalize the nonzero rows.
-    norms = np.sqrt(replace(matrix, data=data**2).row_sums())
+    norms = np.sqrt(weighted.row_sq_norms())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     data *= np.repeat(scale, np.diff(matrix.indptr))
-    return DocTermMatrix(replace(matrix, data=data), Weighting.TFIDF, counts.doc_token_totals)
+    return DocTermMatrix(weighted, Weighting.TFIDF, counts.doc_token_totals)
 
 
 def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:

@@ -1,8 +1,7 @@
 """Build a ``RecordSet`` from ``LogRecord`` rows, for tests that state their
 records one row at a time.
 
-Sequence keys are numbered in their first appearance, and ``normalized`` is
-None unless some row is normalized (then rows without it hold None).
+Sequence keys are numbered in their first appearance.
 """
 
 import numpy as np
@@ -14,13 +13,11 @@ def record_set(rows, granularity=Granularity.LINE):
     rows = list(rows)
     keys = list(dict.fromkeys(r.seq_key for r in rows if r.seq_key is not None))
     key_id = {key: i for i, key in enumerate(keys)}
-    normalized = [r.normalized for r in rows]
     return RecordSet(
         granularity,
-        [r.raw for r in rows],
+        [r.message for r in rows],
         np.array([LABEL_CODE[r.label] for r in rows], dtype=np.int8),
         np.array([key_id.get(r.seq_key, -1) for r in rows], dtype=np.int32),
         keys,
         np.array([r.line_no for r in rows], dtype=np.int64),
-        None if normalized.count(None) == len(normalized) else normalized,
     )

@@ -224,10 +224,10 @@ def test_c4_speed_ordering(tmp_path):
                            "rare_token", seed=11)
     rs = normalize_records(load(corpus, "bgl"))
     train_rs, test_rs = split(rs, SplitSpec(0.05, seed=1))
-    train_docs = [tokenize_trigrams(msg) for msg in train_rs.normalized]
+    train_docs = [tokenize_trigrams(msg) for msg in train_rs.messages]
     vocab = fit_vocabulary(train_docs)
     train_m = tfidf_transform(vocab, train_docs)
-    test_m = tfidf_transform(vocab, (tokenize_trigrams(msg) for msg in test_rs.normalized))
+    test_m = tfidf_transform(vocab, (tokenize_trigrams(msg) for msg in test_rs.messages))
 
     def model_time(fit, score_fn):
         t_fit = time.perf_counter()
@@ -310,7 +310,7 @@ def test_c6c_flatten_token_conservation():
         n = int(rng.integers(1, 40))
         records, seqs = [], []
         for i in range(n):
-            records.append(LogRecord(raw="", line_no=i, label=Label.NORMAL,
+            records.append(LogRecord(message="", line_no=i, label=Label.NORMAL,
                                      seq_key=f"s{rng.integers(6)}"))
             seqs.append(TokenSeq.of([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
         rs = record_set(records, Granularity.SEQUENCE)

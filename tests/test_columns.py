@@ -101,24 +101,22 @@ def _keys_in_order(records):
 @st.composite
 def record_lists(draw, granularity=None):
     """(rows, granularity): labels include unknown; line-granularity rows may
-    carry a key or not; every row, no row or some rows are normalized."""
+    carry a key or not."""
     if granularity is None:
         granularity = draw(st.sampled_from(Granularity))
     n = draw(st.integers(1, 30))
     key = st.sampled_from(KEYS)
     if granularity is Granularity.LINE:
         key = st.none() | key
-    normalized = draw(st.sampled_from([st.just(True), st.just(False), st.booleans()]))
     records = []
     line_no = 0
     for i in range(n):
         line_no += draw(st.integers(0, 2))
         records.append(LogRecord(
-            raw=f"m{i}",
+            message=f"m{i}",
             line_no=line_no,
             label=draw(st.sampled_from(Label)),
             seq_key=draw(key),
-            normalized=f"n{i}" if draw(normalized) else None,
         ))
     return records, granularity
 
@@ -204,7 +202,7 @@ def test_sample_without_a_sequences_first_record_reorders_keys():
     # s1 appears first in the sample, and so takes id 0.
     spec = ["s0", "s1", "s0", "s1", "s2", "s0"]
     records = [
-        LogRecord(raw=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=key)
+        LogRecord(message=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=key)
         for i, key in enumerate(spec)
     ]
     rs = record_set(records, Granularity.SEQUENCE)

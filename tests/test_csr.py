@@ -12,8 +12,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logad.detect import _row_sq_norms
-from logad.pipeline import _unit_counts
 from logad.vectorize import (
     CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _from_positions, _index_dtype, tfidf_weighting,
 )
@@ -129,7 +127,7 @@ class TestOperations:
         for X, S in _weighted(*case, seed):
             n_rows, n_cols = X.shape
             _assert_same(X.row_sums(), np.asarray(S.sum(axis=1)).ravel())
-            _assert_same(_row_sq_norms(X), np.asarray(S.multiply(S).sum(axis=1)).ravel())
+            _assert_same(X.row_sq_norms(), np.asarray(S.multiply(S).sum(axis=1)).ravel())
             v = rng.random(n_cols) * 10
             _assert_same(X @ v, S @ v)
             centroids = rng.random((int(rng.integers(1, 4)), n_cols))
@@ -195,7 +193,7 @@ class TestUnitCounts:
         if case is None:
             return
         distinct, message_ids, unit_ids, n_units = case
-        got = _unit_counts(distinct, message_ids, unit_ids, n_units)
+        got = distinct.sum_rows(message_ids, unit_ids, n_units)
         # The old aggregation: a units x documents multiplicity matrix.
         multiplicity = sp.csr_matrix(
             (np.ones(len(message_ids), dtype=np.int64), (unit_ids, message_ids)),

@@ -59,7 +59,7 @@ def corpora(draw, granularity, all_distinct=False):
                                                   max_size=len(messages)))]
     else:
         keys = [None] * len(messages)
-    records = [LogRecord(f"raw {i}", i, Label.NORMAL, key, msg)
+    records = [LogRecord(msg, i, Label.NORMAL, key)
                for i, (key, msg) in enumerate(zip(keys, messages))]
     return (record_set(records[:n_train], granularity),
             record_set(records[n_train:], granularity))
@@ -69,12 +69,12 @@ def _reference_docs(config, train_rs, test_rs):
     """Per-unit documents, one tokenizer or parser call per record."""
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
-        train_docs = [TokenSeq.of([drain.fit_line(m)]) for m in train_rs.normalized]
-        test_docs = [TokenSeq.of([drain.parse_line(m)]) for m in test_rs.normalized]
+        train_docs = [TokenSeq.of([drain.fit_line(m)]) for m in train_rs.messages]
+        test_docs = [TokenSeq.of([drain.parse_line(m)]) for m in test_rs.messages]
     else:
         tokenize = {"words": tokenize_words, "trigrams": tokenize_trigrams}[config.representation]
-        train_docs = [tokenize(m) for m in train_rs.normalized]
-        test_docs = [tokenize(m) for m in test_rs.normalized]
+        train_docs = [tokenize(m) for m in train_rs.messages]
+        test_docs = [tokenize(m) for m in test_rs.messages]
     if train_rs.granularity is Granularity.SEQUENCE:
         train_docs = flatten_sequences(train_rs, train_docs)
         test_docs = flatten_sequences(test_rs, test_docs)
@@ -102,7 +102,7 @@ def _check_features(representation, train_rs, test_rs):
     assert features.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
     assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
     assert test_rs.n_units == len(ref_test)
-    assert len(features.test_docs) == len(set(test_rs.normalized))
+    assert len(features.test_docs) == len(set(test_rs.messages))
     assert len(features.test_message_ids) == len(test_rs)
     # The test tf-idf is read first: it builds the counts it is weighted from.
     _assert_identical(features.matrix("test", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_test))
@@ -150,14 +150,14 @@ class TestDrainCalls:
                            scenario="normal_only", train_fraction=0.2, seed=1)
         _, artifacts = execute(config)
         [(train_rs, test_rs)] = sides
-        n_distinct = len(set(test_rs.normalized))
+        n_distinct = len(set(test_rs.messages))
         assert n_distinct < len(test_rs)  # the corpus repeats its messages
         assert calls == {"fit_line": len(train_rs), "parse_line": n_distinct}
 
         # Drain's similarity counts exact matches only, so fitting the
         # distinct messages would mine other groups: the fit sees every line.
         line_by_line = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
-        for msg in train_rs.normalized:
+        for msg in train_rs.messages:
             line_by_line.fit_line(msg)
         assert [(g.event_id, g.template, g.count) for g in artifacts.drain.groups()] == [
             (g.event_id, g.template, g.count) for g in line_by_line.groups()

@@ -11,7 +11,6 @@ from logad.evaluate import (
     GRID_COLUMNS,
     EvalReport,
     TimingLog,
-    _midranks,
     auc_roc,
     best_f1,
     score_histogram,
@@ -28,20 +27,56 @@ def pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-class TestMidranks:
-    @given(st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]), max_size=80))
-    def test_many_ties_equal_scipy(self, values):
-        v = np.asarray(values, dtype=np.float64)
-        assert np.array_equal(_midranks(v), rankdata(v))
+def _labeled(draw, scores):
+    """0/1 labels for ``scores`` with both classes present."""
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    labels[0], labels[-1] = 0, 1
+    return np.asarray(scores, dtype=np.float64), np.asarray(labels)
 
-    @given(st.lists(st.floats(allow_nan=False), unique=True, max_size=80))
-    def test_no_ties_equal_scipy(self, values):
-        v = np.asarray(values, dtype=np.float64)
-        assert np.array_equal(_midranks(v), rankdata(v))
 
-    def test_nan_makes_every_rank_nan(self):
-        v = np.array([1.0, np.nan, 0.0])
-        assert np.array_equal(_midranks(v), rankdata(v), equal_nan=True)
+@st.composite
+def heavy_ties(draw):
+    return _labeled(draw, draw(st.lists(
+        st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]), min_size=2, max_size=80)))
+
+
+@st.composite
+def no_ties(draw):
+    return _labeled(draw, draw(st.lists(
+        st.floats(allow_nan=False), unique=True, min_size=2, max_size=80)))
+
+
+@st.composite
+def with_nan(draw):
+    scores = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    scores.insert(draw(st.integers(0, len(scores))), np.nan)
+    return _labeled(draw, scores)
+
+
+def _rank_sum_auc(scores, labels):
+    """The midrank formula, with scipy's ranks as the oracle."""
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    return (rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+class TestAucRankOracle:
+    """``auc_roc`` gives the bytes of the midrank formula."""
+
+    @given(heavy_ties())
+    def test_many_ties_equal_scipy(self, case):
+        got, want = auc_roc(*case), _rank_sum_auc(*case)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(no_ties())
+    def test_no_ties_equal_scipy(self, case):
+        got, want = auc_roc(*case), _rank_sum_auc(*case)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(with_nan())
+    def test_nan_in_nan_out(self, case):
+        assert np.isnan(auc_roc(*case))
+        assert np.isnan(_rank_sum_auc(*case))
 
 
 class TestAucRoc:
@@ -110,6 +145,11 @@ class TestBestF1:
     def test_no_positive_labels_errors(self):
         with pytest.raises(ValueError):
             best_f1([0.1, 0.2], [0, 0])
+
+    def test_equal_infinite_scores_are_one_threshold(self):
+        # Both infinite scores are predicted anomalous at threshold inf.
+        thr, f1 = best_f1([np.inf, np.inf, 0.0], [1, 0, 0])
+        assert (thr, f1) == (np.inf, pytest.approx(2 / 3))
 
     def test_smallest_optimal_threshold_wins(self):
         # thresholds 0.2 and 0.4 both give f1 = 1.0 here

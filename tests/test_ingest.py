@@ -30,7 +30,7 @@ BGL_ANOMALY = (
 
 
 def _lines(records):
-    return [r.raw for r in records]
+    return [r.message for r in records]
 
 
 class TestAdapters:
@@ -40,7 +40,7 @@ class TestAdapters:
         rs = load(p, "bgl")
         assert rs.granularity is Granularity.LINE
         assert [r.label for r in rs] == [Label.NORMAL, Label.ANOMALY]
-        assert rs.raw == ["instruction cache parity error corrected", "data TLB error interrupt"]
+        assert rs.messages == ["instruction cache parity error corrected", "data TLB error interrupt"]
 
     def test_thunderbird_labels(self, tmp_path):
         p = tmp_path / "tb.log"
@@ -51,7 +51,7 @@ class TestAdapters:
         rs = load(p, "thunderbird")
         [record] = rs
         assert record.label is Label.NORMAL
-        assert record.raw == "session closed for user root"
+        assert record.message == "session closed for user root"
 
     def test_plain_three_lines_unknown(self, tmp_path):
         p = tmp_path / "x.log"
@@ -122,7 +122,7 @@ class TestAdapters:
 
 def _line_set(n, labels=None):
     labels = labels or [Label.NORMAL] * n
-    return record_set(LogRecord(raw=f"m{i}", line_no=i, label=labels[i]) for i in range(n))
+    return record_set(LogRecord(message=f"m{i}", line_no=i, label=labels[i]) for i in range(n))
 
 
 class TestSample:
@@ -181,7 +181,7 @@ class TestSplit:
         records = []
         for i in range(30):
             records.append(
-                LogRecord(raw=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=f"s{i % 6}")
+                LogRecord(message=f"m{i}", line_no=i, label=Label.NORMAL, seq_key=f"s{i % 6}")
             )
         rs = record_set(records, Granularity.SEQUENCE)
         train, test = split(rs, SplitSpec(0.5, seed=2))
@@ -221,10 +221,10 @@ class TestFilterNormal:
 
     def test_sequence_level(self):
         records = [
-            LogRecord(raw="a", line_no=0, label=Label.NORMAL, seq_key="s1"),
-            LogRecord(raw="b", line_no=1, label=Label.NORMAL, seq_key="s1"),
-            LogRecord(raw="c", line_no=2, label=Label.ANOMALY, seq_key="s2"),
-            LogRecord(raw="d", line_no=3, label=Label.NORMAL, seq_key="s2"),
+            LogRecord(message="a", line_no=0, label=Label.NORMAL, seq_key="s1"),
+            LogRecord(message="b", line_no=1, label=Label.NORMAL, seq_key="s1"),
+            LogRecord(message="c", line_no=2, label=Label.ANOMALY, seq_key="s2"),
+            LogRecord(message="d", line_no=3, label=Label.NORMAL, seq_key="s2"),
         ]
         rs = record_set(records, Granularity.SEQUENCE)
         out = filter_normal(rs)
@@ -233,36 +233,35 @@ class TestFilterNormal:
 
 def test_sequence_recordset_requires_keys():
     with pytest.raises(ValueError):
-        record_set([LogRecord(raw="a", line_no=0)], Granularity.SEQUENCE)
+        record_set([LogRecord(message="a", line_no=0)], Granularity.SEQUENCE)
 
 
-def _columns(n_raw=2, n_codes=2, n_ids=2, n_line_nos=2, seq_ids=None, normalized=None,
+def _columns(n_messages=2, n_codes=2, n_ids=2, n_line_nos=2, seq_ids=None,
              granularity=Granularity.LINE):
     return RecordSet(
         granularity,
-        [f"m{i}" for i in range(n_raw)],
+        [f"m{i}" for i in range(n_messages)],
         np.zeros(n_codes, dtype=np.int8),
         np.array(seq_ids if seq_ids is not None else [-1] * n_ids, dtype=np.int32),
         ["s0"],
         np.arange(10, 10 + n_line_nos, dtype=np.int64),
-        normalized,
     )
 
 
 class TestColumnChecks:
     @pytest.mark.parametrize("lengths", [
-        dict(n_raw=3), dict(n_codes=1), dict(n_ids=3), dict(n_line_nos=0),
+        dict(n_messages=3), dict(n_codes=1), dict(n_ids=3), dict(n_line_nos=0),
     ])
     def test_unequal_columns_rejected(self, lengths):
         with pytest.raises(ValueError, match="column lengths differ"):
             _columns(**lengths)
 
-    def test_normalized_length_checked(self):
-        assert _columns(normalized=["a", "b"]).normalized == ["a", "b"]
-        with pytest.raises(ValueError, match="2 records but 1 normalized"):
-            _columns(normalized=["a"])
-        with pytest.raises(ValueError, match="2 records but 1 normalized"):
-            replace(_columns(), normalized=["a"])
+    def test_replaced_messages_length_checked(self):
+        assert replace(_columns(), messages=["a", "b"]).messages == ["a", "b"]
+        with pytest.raises(ValueError, match="2 messages, 1 label codes"):
+            replace(_columns(n_codes=1, n_ids=1, n_line_nos=1), messages=["a", "b"])
+        with pytest.raises(ValueError, match="1 messages, 2 label codes"):
+            replace(_columns(), messages=["a"])
 
     def test_keyless_sequence_record_named_by_line(self):
         assert len(_columns(seq_ids=[0, 0], granularity=Granularity.SEQUENCE)) == 2

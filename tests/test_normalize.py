@@ -3,7 +3,7 @@ import re
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logad.ingest import LogRecord
+from logad.ingest import LogRecord, sample
 from logad.normalize import normalize_message, normalize_records
 from rows import record_set
 
@@ -52,11 +52,11 @@ def test_non_alphanumerics_preserved(s):
 
 
 def test_normalize_records_keeps_order_and_fields():
-    rs = record_set([LogRecord(raw="Send 42", line_no=0), LogRecord(raw="OK", line_no=1)])
+    rs = record_set([LogRecord(message="Send 42", line_no=0), LogRecord(message="OK", line_no=1)])
     out = normalize_records(rs)
-    assert [r.normalized for r in out] == ["send 0", "ok"]
-    assert [r.raw for r in out] == ["Send 42", "OK"]
+    assert [r.message for r in out] == ["send 0", "ok"]
     assert [r.line_no for r in out] == [0, 1]
+    assert rs.messages == ["Send 42", "OK"]
 
 
 # Characters whose lowercase changes length or depends on context (final
@@ -74,7 +74,17 @@ _TRICKY = st.sampled_from(["İ", "Σ", "σ", "ς", "A", "b", "'", "\u0301", "ﬁ
 @example(["a\nΣ", "İ\n", "\n"])
 @example([])
 def test_batched_normalize_equals_per_message(messages):
-    rs = record_set(LogRecord(raw=m, line_no=i) for i, m in enumerate(messages))
+    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
     out = normalize_records(rs)
-    assert out.normalized == [normalize_message(m) for m in messages]
-    assert out.raw == messages
+    assert out.messages == [normalize_message(m) for m in messages]
+    assert rs.messages == messages
+
+
+@given(st.lists(st.text(alphabet=_TRICKY, max_size=8), min_size=1, max_size=20),
+       st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_normalizing_a_sample_normalizes_its_records(messages, fraction, seed):
+    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
+    sampled = sample(rs, fraction, seed)
+    out = normalize_records(sampled)
+    assert out.messages == [normalize_message(r.message) for r in sampled]
+    assert out.messages == sample(normalize_records(rs), fraction, seed).messages

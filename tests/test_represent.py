@@ -158,7 +158,7 @@ def _seq_records(spec):
     # spec: list of (seq_key, label) per line
     return record_set(
         [
-            LogRecord(raw="", line_no=i, label=label, seq_key=key)
+            LogRecord(message="", line_no=i, label=label, seq_key=key)
             for i, (key, label) in enumerate(spec)
         ],
         Granularity.SEQUENCE,
@@ -237,6 +237,6 @@ class TestFlatten:
             flatten_sequences(rs, [])
 
     def test_line_granularity_rejected(self):
-        rs = record_set([LogRecord(raw="a", line_no=0)], Granularity.LINE)
+        rs = record_set([LogRecord(message="a", line_no=0)], Granularity.LINE)
         with pytest.raises(ValueError):
             flatten_sequences(rs, [TokenSeq.of(["a"])])
