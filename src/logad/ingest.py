@@ -12,8 +12,12 @@ Adapters know the line layout of the supported benchmark formats:
   keyed by file stem.
 * ``plain``: one record per line, labels unknown.
 
-Files are read line by line with a lossy UTF-8 fallback (the public corpora
-contain invalid bytes).  Records are stored by column in a ``RecordSet``;
+Files are read line by line with universal newlines ("\r\n" and a lone
+"\r" end a line, as "\n" does) and a lossy UTF-8 fallback: the public
+corpora contain invalid bytes, which become U+FFFD.  An adapter appends
+each record's fields to local column lists through bound ``append``
+methods, so no Python-level function runs per record, and builds the
+``RecordSet`` once at the end.  Records are stored by column in it;
 sampling, splitting and filtering are index and mask operations on it.
 """
 
@@ -146,30 +150,6 @@ class RecordSet:
                          self.label_codes[index], seq_ids, seq_keys, self.line_nos[index])
 
 
-class _Columns:
-    """Column lists that records are appended to, one at a time."""
-
-    def __init__(self):
-        self.messages: list[str] = []
-        self.codes: list[int] = []
-        self.seq_ids: list[int] = []
-        self.keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
-        self.line_nos: list[int] = []
-
-    def append(self, message: str, line_no: int, code: int, seq_key: str | None = None) -> None:
-        self.messages.append(message)
-        self.codes.append(code)
-        self.seq_ids.append(
-            -1 if seq_key is None else self.keys.setdefault(seq_key, len(self.keys))
-        )
-        self.line_nos.append(line_no)
-
-    def record_set(self, granularity: Granularity) -> RecordSet:
-        return RecordSet(granularity, self.messages, np.array(self.codes, dtype=np.int8),
-                         np.array(self.seq_ids, dtype=np.int32), list(self.keys),
-                         np.array(self.line_nos, dtype=np.int64))
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Train/test split parameters; ``train_fraction`` is exclusive (0, 1)."""
@@ -194,7 +174,7 @@ def _iter_lines(path: Path) -> Iterator[str]:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     with fh:
         for line in fh:
-            yield line.rstrip("\n").rstrip("\r")
+            yield line.rstrip("\n")
 
 
 def _read_label_csv(path: Path) -> dict[str, int]:
@@ -229,22 +209,41 @@ _BLOCK_ID = re.compile(r"blk_-?\d+")
 _HDFS_HEADER_FIELDS = 5
 
 
+def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
+                keys: dict[str, int], line_nos) -> RecordSet:
+    """The set of loaded columns, each given as a list or an array."""
+    return RecordSet(granularity, messages, np.asarray(codes, dtype=np.int8),
+                     np.asarray(seq_ids, dtype=np.int32), list(keys),
+                     np.asarray(line_nos, dtype=np.int64))
+
+
 def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
-    cols = _Columns()
+    messages: list[str] = []
+    codes: list[int] = []
+    line_nos: list[int] = []
+    add_message, add_code, add_line_no = messages.append, codes.append, line_nos.append
     for i, line in enumerate(_iter_lines(path)):
         parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
         if not parts:
             continue  # blank line
-        msg = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
-        cols.append(msg, i, _NORMAL if parts[0] == "-" else _ANOMALY)
-    return cols.record_set(Granularity.LINE)
+        add_message(parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else "")
+        add_code(_NORMAL if parts[0] == "-" else _ANOMALY)
+        add_line_no(i)
+    return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1), {},
+                       line_nos)
 
 
 def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
     if labels is None:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
-    cols = _Columns()
+    messages: list[str] = []
+    codes: list[int] = []
+    seq_ids: list[int] = []
+    keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
+    line_nos: list[int] = []
+    add_message, add_code, add_seq_id, add_line_no = (
+        messages.append, codes.append, seq_ids.append, line_nos.append)
     for i, line in enumerate(_iter_lines(path)):
         block_ids = _BLOCK_ID.findall(line)
         if not block_ids:
@@ -252,8 +251,11 @@ def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
         parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
         msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
         for bid in dict.fromkeys(block_ids):
-            cols.append(msg, i, seq_labels.get(bid, _UNKNOWN), bid)
-    return cols.record_set(Granularity.SEQUENCE)
+            add_message(msg)
+            add_code(seq_labels.get(bid, _UNKNOWN))
+            add_seq_id(keys.setdefault(bid, len(keys)))
+            add_line_no(i)
+    return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys, line_nos)
 
 
 def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
@@ -262,20 +264,29 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
     if not path.is_dir():
         raise LoadError(f"hadoop adapter expects a directory of per-application logs: {path}")
     seq_labels = _read_label_csv(labels)
-    app_files = sorted(p for p in path.iterdir() if p.is_file())
-    # Line numbers run on across the files, in file-name order.
-    lines = ((f.stem, line) for f in app_files for line in _iter_lines(f))
-    cols = _Columns()
-    for i, (app, line) in enumerate(lines):
-        cols.append(line, i, seq_labels.get(app, _UNKNOWN), app)
-    return cols.record_set(Granularity.SEQUENCE)
+    messages: list[str] = []
+    codes: list[int] = []
+    seq_ids: list[int] = []
+    keys: dict[str, int] = {}
+    # Line numbers run on across the files, in file-name order; a file
+    # without lines gets no key.
+    for app_file in sorted(p for p in path.iterdir() if p.is_file()):
+        start = len(messages)
+        messages += _iter_lines(app_file)
+        n = len(messages) - start
+        if n:
+            app = app_file.stem
+            codes += [seq_labels.get(app, _UNKNOWN)] * n
+            seq_ids += [keys.setdefault(app, len(keys))] * n
+    return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys,
+                       np.arange(len(messages)))
 
 
 def _load_plain(path: Path, labels: Path | None) -> RecordSet:
-    cols = _Columns()
-    for i, line in enumerate(_iter_lines(path)):
-        cols.append(line, i, _UNKNOWN)
-    return cols.record_set(Granularity.LINE)
+    messages = list(_iter_lines(path))
+    n = len(messages)
+    return _record_set(Granularity.LINE, messages, np.full(n, _UNKNOWN), np.full(n, -1), {},
+                       np.arange(n))
 
 
 ADAPTERS = {

@@ -9,16 +9,26 @@ operations are applied, in this order:
 3. collapse every run of consecutive zeros to a single '0'.
 
 "Time 12:34:56" becomes "time 0:0:0".
+
+Step 3 runs in numpy over the UTF-8 bytes of the text: byte 0x30 only ever
+encodes "0" in UTF-8 (every byte of a multi-byte character is 0x80 or
+above), so dropping each 0x30 byte that follows another one collapses the
+zero runs and leaves every other character whole.  Lone surrogates, which
+Python strings may hold, round-trip through the ``surrogatepass`` handler.
 """
 
-import re
 from dataclasses import replace
 from itertools import islice
+
+import numpy as np
 
 from .ingest import RecordSet
 
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
-_ZERO_RUN = re.compile("0{2,}")
+_ZERO = ord("0")
+# Messages normalized per call in normalize_records; it bounds the size of
+# the transient byte arrays.
+_BLOCK = 8192
 
 
 def normalize_message(raw: str) -> str:
@@ -26,21 +36,32 @@ def normalize_message(raw: str) -> str:
 
     Idempotent; only ASCII digits are rewritten (Unicode digits pass
     through untouched), and non-alphanumeric characters are preserved.
+    Every call goes through numpy for the zero-run step.
     """
-    return _ZERO_RUN.sub("0", raw.lower().translate(_DIGITS_TO_ZERO))
+    data = np.frombuffer(
+        raw.lower().translate(_DIGITS_TO_ZERO).encode("utf-8", "surrogatepass"), dtype=np.uint8
+    )
+    zero = data == _ZERO
+    keep = np.ones(len(data), dtype=bool)
+    np.logical_not(zero[1:] & zero[:-1], out=keep[1:])
+    return data[keep].tobytes().decode("utf-8", "surrogatepass")
 
 
 def normalize_records(rs: RecordSet) -> RecordSet:
     r"""The set with every message normalized; ``rs`` keeps its own.
 
-    The messages are normalized as one string, joined with "\n".  That
-    equals normalizing each one: no step rewrites "\n", a zero run cannot
-    span it, and the one context-dependent case mapping, a final sigma,
-    does not look past it.  A message that contains "\n" itself comes back
-    in as many pieces, which are joined again.
+    The messages are normalized in blocks of ``_BLOCK``, each block as one
+    string joined with "\n".  That equals normalizing each message: no step
+    rewrites "\n", a zero run cannot span it, and the one context-dependent
+    case mapping, a final sigma, does not look past it.  A message that
+    contains "\n" itself comes back in as many pieces, which are joined
+    again.
     """
-    normalized = normalize_message("\n".join(rs.messages)).split("\n")
+    messages = rs.messages
+    normalized: list[str] = []
+    for start in range(0, len(messages), _BLOCK):
+        normalized += normalize_message("\n".join(messages[start:start + _BLOCK])).split("\n")
     if len(normalized) != len(rs):
         pieces = iter(normalized)
-        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in rs.messages]
+        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in messages]
     return replace(rs, messages=normalized)

@@ -267,3 +267,84 @@ class TestColumnChecks:
         assert len(_columns(seq_ids=[0, 0], granularity=Granularity.SEQUENCE)) == 2
         with pytest.raises(ValueError, match="at line 11 has no seq_key"):
             _columns(seq_ids=[0, -1], granularity=Granularity.SEQUENCE)
+
+
+BGL_SHORT = "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 RAS KERNEL INFO"
+
+
+class TestLoaderLines:
+    """What a loader makes of line ends, blank lines and bytes that are not UTF-8."""
+
+    def test_crlf_lone_cr_and_unterminated_last_line(self, tmp_path):
+        p = tmp_path / "x.log"
+        p.write_bytes(b"a b\r\nc\rd\n\re")
+        rs = load(p, "plain")
+        assert rs.messages == ["a b", "c", "d", "", "e"]
+        assert rs.line_nos.tolist() == [0, 1, 2, 3, 4]
+
+    def test_crlf_tagged(self, tmp_path):
+        p = tmp_path / "bgl.log"
+        p.write_bytes((BGL_NORMAL + "\r\n" + BGL_ANOMALY + "\r" + BGL_NORMAL).encode())
+        rs = load(p, "bgl")
+        assert rs.messages == ["instruction cache parity error corrected",
+                               "data TLB error interrupt",
+                               "instruction cache parity error corrected"]
+        assert rs.label_codes.tolist() == [0, 2, 0]
+
+    def test_tagged_skips_blank_lines_but_counts_them(self, tmp_path):
+        p = tmp_path / "bgl.log"
+        p.write_text("\n" + BGL_NORMAL + "\n \t \n\n" + BGL_ANOMALY + "\n   \n")
+        rs = load(p, "bgl")
+        assert len(rs) == 2
+        assert rs.line_nos.tolist() == [1, 4]
+
+    def test_plain_keeps_blank_lines(self, tmp_path):
+        p = tmp_path / "x.log"
+        p.write_text("a\n\n \t \nb\n")
+        rs = load(p, "plain")
+        assert rs.messages == ["a", "", " \t ", "b"]
+        assert rs.line_nos.tolist() == [0, 1, 2, 3]
+
+    def test_tagged_line_without_a_body_has_an_empty_message(self, tmp_path):
+        p = tmp_path / "bgl.log"
+        p.write_text(BGL_SHORT + "\nKERNDTLB\n" + BGL_NORMAL + "\n")
+        rs = load(p, "bgl")
+        assert rs.messages == ["", "", "instruction cache parity error corrected"]
+        assert rs.label_codes.tolist() == [0, 2, 0]
+
+    def test_invalid_utf8_becomes_replacement_character(self, tmp_path):
+        p = tmp_path / "x.log"
+        p.write_bytes(b"ok \xff bad\ncaf\xc3\xa9\n")
+        rs = load(p, "plain")
+        assert rs.messages == ["ok � bad", "café"]
+
+    def test_hadoop_empty_app_file_has_no_key(self, tmp_path):
+        apps = tmp_path / "apps"
+        apps.mkdir()
+        (apps / "app_1.log").write_text("first\nsecond\n")
+        (apps / "app_2.log").write_text("")
+        (apps / "app_3.log").write_text("third")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("app_1,Normal\napp_2,Anomaly\napp_3,Anomaly\n")
+        rs = load(apps, "hadoop", labels=labels)
+        assert rs.seq_keys == ["app_1", "app_3"]
+        assert rs.seq_ids.tolist() == [0, 0, 1]
+        assert rs.line_nos.tolist() == [0, 1, 2]
+        assert rs.messages == ["first", "second", "third"]
+
+    @pytest.mark.parametrize("adapter", ["bgl", "hdfs", "hadoop", "plain"])
+    def test_column_dtypes(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("blk_1,Normal\nlog,Anomaly\n")
+        if adapter == "hadoop":
+            path = tmp_path / "apps"
+            path.mkdir()
+            (path / "log.txt").write_text("a\nb\n")
+        else:
+            path = tmp_path / "log"
+            path.write_text(BGL_NORMAL + " blk_1\n" + BGL_ANOMALY + " blk_2\n")
+        rs = load(path, adapter, labels=labels)
+        assert len(rs) == 2
+        assert rs.label_codes.dtype == np.int8
+        assert rs.seq_ids.dtype == np.int32
+        assert rs.line_nos.dtype == np.int64

@@ -1,11 +1,31 @@
 import re
+from unittest import mock
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from logad import normalize
 from logad.ingest import LogRecord, sample
 from logad.normalize import normalize_message, normalize_records
 from rows import record_set
+
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+_ZERO_RUN = re.compile("0{2,}")
+
+
+def _reference_normalize(raw: str) -> str:
+    """The regex normalizer that the byte pass over UTF-8 replaced."""
+    return _ZERO_RUN.sub("0", raw.lower().translate(_DIGITS_TO_ZERO))
+
+
+# Characters whose lowercase changes length or depends on context (final
+# sigma, with case-ignorable marks around it), ASCII and non-ASCII digits,
+# lone surrogates (which the default text strategy leaves out), and the
+# "\n" the batched pass joins messages with.
+_TRICKY = st.sampled_from(["İ", "Σ", "σ", "ς", "A", "b", "'", "\u0301", "ﬁ", "0", "0", "7", "9",
+                           "٣", "\ud800", "\udfff", "\udc80", " ", "\n"])
+_ANY_TEXT = (st.text(alphabet=_TRICKY, max_size=12)
+             | st.text(alphabet=st.characters(exclude_categories=()), max_size=12))
 
 
 def test_time_example():
@@ -31,13 +51,13 @@ def test_unicode_digits_untouched():
     assert normalize_message("x٣") == "x٣"
 
 
-@given(st.text())
+@given(_ANY_TEXT | st.text())
 def test_idempotent(s):
     once = normalize_message(s)
     assert normalize_message(once) == once
 
 
-@given(st.text())
+@given(_ANY_TEXT | st.text())
 def test_output_invariants(s):
     out = normalize_message(s)
     assert not re.search("[1-9]", out)
@@ -59,25 +79,43 @@ def test_normalize_records_keeps_order_and_fields():
     assert rs.messages == ["Send 42", "OK"]
 
 
-# Characters whose lowercase changes length or depends on context (final
-# sigma, with case-ignorable marks around it), digits, and the "\n" the
-# batched pass joins messages with.
-_TRICKY = st.sampled_from(["İ", "Σ", "σ", "ς", "A", "b", "'", "\u0301", "ﬁ", "0", "7", "9",
-                           " ", "\n"])
+@given(_ANY_TEXT)
+@example("00ab00")
+@example("0")
+@example("99999 x 12")
+@example("٣00٣ 0٣0")
+@example("İΣ AΣ ΣΣ")
+@example("\ud800 00 \udfff0")
+@example("0\ud80000\udc80")
+def test_normalize_message_matches_reference(s):
+    assert normalize_message(s) == _reference_normalize(s)
 
 
-@given(st.lists(st.text(alphabet=_TRICKY, max_size=8) | st.text(max_size=8), max_size=10))
-@example(["AΣ", "B"])
-@example(["Σ", "aΣ'", "'Σb"])
-@example(["12", "34", "0"])
-@example(["", "", ""])
-@example(["a\nΣ", "İ\n", "\n"])
-@example([])
-def test_batched_normalize_equals_per_message(messages):
+@given(st.lists(_ANY_TEXT | st.text(max_size=8), max_size=10), st.integers(1, 4))
+@example(["AΣ", "B"], 1)
+@example(["Σ", "aΣ'", "'Σb"], 2)
+@example(["12", "34", "0"], 2)
+@example(["", "", ""], 2)
+@example(["a\nΣ", "İ\n", "\n"], 1)
+@example(["00", "0\n0", "\n00\n", "0"], 2)
+@example([], 1)
+def test_batched_normalize_equals_per_message(messages, block):
     rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    out = normalize_records(rs)
+    with mock.patch.object(normalize, "_BLOCK", block):
+        out = normalize_records(rs)
     assert out.messages == [normalize_message(m) for m in messages]
+    assert out.messages == [_reference_normalize(m) for m in messages]
     assert rs.messages == messages
+
+
+def test_records_longer_than_one_block():
+    n = 2 * normalize._BLOCK + 3
+    messages = [f"Line {i:07d} at 0x00{i}" for i in range(n)]
+    # Messages with "\n" on both sides of the first block boundary and last.
+    for i in (normalize._BLOCK - 1, normalize._BLOCK, n - 1):
+        messages[i] = f"Σ 00{i}\n\n0{i}Σ\n"
+    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
+    assert normalize_records(rs).messages == [_reference_normalize(m) for m in messages]
 
 
 @given(st.lists(st.text(alphabet=_TRICKY, max_size=8), min_size=1, max_size=20),
