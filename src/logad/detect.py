@@ -3,6 +3,9 @@
 All scorers share one contract: fit on training data, then return one
 finite score per document where larger means more anomalous.  Fitted
 models are immutable; scoring a document never looks at other documents.
+
+The isolation forest keeps all its trees in one node table with each
+tree's root, and scores by walking every tree at once, one level per step.
 """
 
 from __future__ import annotations
@@ -161,20 +164,19 @@ def kmeans_score(m: KMeansModel, docs: DocTermMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class IsolationTree:
-    """Flat-array tree: feature < 0 marks a leaf; adjust holds c(leaf size)."""
+class IForestModel:
+    """Every tree in one node table; ``feature < 0`` marks a leaf.
+
+    ``roots[t]`` is tree ``t``'s root.  ``path`` holds a node's depth plus
+    c(its training rows): the path length of a document that ends there.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    depth: np.ndarray
-    adjust: np.ndarray
-
-
-@dataclass
-class IForestModel:
-    trees: list[IsolationTree]
+    path: np.ndarray
+    roots: np.ndarray
     subsample: int
     c_norm: float
     n_terms: int
@@ -192,65 +194,10 @@ def average_path_length(n: int) -> float:
     return 2.0 * h - 2.0 * (n - 1) / n
 
 
-def _build_tree(
-    dense: np.ndarray, rng: np.random.Generator, depth_cap: int, c: list[float]
-) -> IsolationTree:
-    """One tree on ``dense`` rows; ``c[n]`` is ``average_path_length(n)``."""
-    features: list[int] = []
-    thresholds: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    depth: list[int] = []
-    adjust: list[float] = []
-
-    def new_node(d: int) -> int:
-        features.append(-1)
-        thresholds.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        depth.append(d)
-        adjust.append(0.0)
-        return len(features) - 1
-
-    def grow(rows: np.ndarray, d: int) -> int:
-        node = new_node(d)
-        if d >= depth_cap or rows.size <= 1:
-            adjust[node] = c[rows.size]
-            return node
-        sub = dense[rows]
-        mins = sub.min(axis=0)
-        maxs = sub.max(axis=0)
-        candidates = np.flatnonzero(maxs > mins)
-        if candidates.size == 0:
-            adjust[node] = c[rows.size]
-            return node
-        # Draws what rng.choice(candidates) draws, without its overhead.
-        f = int(candidates[rng.integers(candidates.size)])
-        t = float(rng.uniform(mins[f], maxs[f]))
-        if t <= mins[f]:  # uniform() may return its lower bound
-            t = (float(mins[f]) + float(maxs[f])) / 2.0
-        mask = sub[:, f] < t
-        features[node] = f
-        thresholds[node] = t
-        left[node] = grow(rows[mask], d + 1)
-        right[node] = grow(rows[~mask], d + 1)
-        return node
-
-    grow(np.arange(dense.shape[0]), 0)
-    return IsolationTree(
-        feature=np.asarray(features, dtype=np.int64),
-        threshold=np.asarray(thresholds, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        depth=np.asarray(depth, dtype=np.int64),
-        adjust=np.asarray(adjust, dtype=np.float64),
-    )
-
-
 def iforest_fit(
     train: DocTermMatrix, n_trees: int = 100, subsample: int = 256, seed: int = 0
 ) -> IForestModel:
-    """Grow isolation trees on random subsamples.
+    """Grow isolation trees on random subsamples into one node table.
 
     Each tree takes a subsample of up to ``subsample`` rows, recursively
     splits a randomly chosen feature (only features that actually vary in
@@ -268,13 +215,52 @@ def iforest_fit(
     psi = min(subsample, n)
     depth_cap = max(1, math.ceil(math.log2(psi)))
     c = [average_path_length(size) for size in range(psi + 1)]
-    trees = []
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    path: list[float] = []
+
+    def grow(dense: np.ndarray, rng: np.random.Generator, rows: np.ndarray, d: int) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        path.append(d + c[rows.size])
+        if d >= depth_cap or rows.size <= 1:
+            return node
+        sub = dense[rows]
+        mins = sub.min(axis=0)
+        maxs = sub.max(axis=0)
+        candidates = np.flatnonzero(maxs > mins)
+        if candidates.size == 0:
+            return node
+        # Draws what rng.choice(candidates) draws, without its overhead.
+        f = int(candidates[rng.integers(candidates.size)])
+        t = float(rng.uniform(mins[f], maxs[f]))
+        if t <= mins[f]:  # uniform() may return its lower bound
+            t = (float(mins[f]) + float(maxs[f])) / 2.0
+        mask = sub[:, f] < t
+        feature[node] = f
+        threshold[node] = t
+        left[node] = grow(dense, rng, rows[mask], d + 1)
+        right[node] = grow(dense, rng, rows[~mask], d + 1)
+        return node
+
+    roots = []
     for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
         rows = rng.choice(n, size=psi, replace=False)
-        trees.append(_build_tree(train.matrix.take_rows(rows).toarray(), rng, depth_cap, c))
+        dense = train.matrix.take_rows(rows).toarray()
+        roots.append(grow(dense, rng, np.arange(psi), 0))
     return IForestModel(
-        trees=trees,
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        path=np.asarray(path, dtype=np.float64),
+        roots=np.asarray(roots, dtype=np.int64),
         subsample=psi,
         c_norm=c[psi],
         n_terms=train.n_terms,
@@ -285,33 +271,32 @@ def iforest_fit(
 # Dense scoring buffer budget (elements per chunk); keeps peak memory flat
 # when documents are wide.
 _CHUNK_ELEMENTS = 1 << 24
+# Node slots (trees x docs) per chunk: a walk over 2^20 slots falls out of
+# the cache and was slower than walking the trees one by one.
+_WALK_SLOTS = 1 << 16
 
 
 def iforest_score(m: IForestModel, docs: DocTermMatrix) -> np.ndarray:
     """2^(-E[path length] / c(subsample)); in (0, 1], larger = more anomalous."""
     _check_columns(m.n_terms, docs, "iforest_score")
     n = docs.n_docs
-    if n == 0:
-        return np.zeros(0)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, m.n_terms))
+    n_trees = len(m.roots)
+    chunk = max(1, min(_CHUNK_ELEMENTS // max(1, m.n_terms), _WALK_SLOTS // n_trees))
     mean_h = np.zeros(n)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         dense = docs.matrix.take_rows(np.arange(start, stop)).toarray()
         rows = np.arange(stop - start)
-        acc = np.zeros(stop - start)
-        for tree in m.trees:
-            node = np.zeros(stop - start, dtype=np.int64)
-            for _ in range(m.depth_cap + 1):
-                feats = tree.feature[node]
-                internal = feats >= 0
-                if not internal.any():
-                    break
-                vals = dense[rows, np.where(internal, feats, 0)]
-                go_left = vals < tree.threshold[node]
-                node = np.where(
-                    internal, np.where(go_left, tree.left[node], tree.right[node]), node
-                )
-            acc += tree.depth[node] + tree.adjust[node]
-        mean_h[start:stop] = acc / len(m.trees)
+        node = np.repeat(m.roots[:, None], stop - start, axis=1)
+        for _ in range(m.depth_cap + 1):
+            feats = m.feature[node]
+            internal = feats >= 0
+            if not internal.any():
+                break
+            vals = dense[rows, np.where(internal, feats, 0)]
+            go_left = vals < m.threshold[node]
+            node = np.where(internal, np.where(go_left, m.left[node], m.right[node]), node)
+        # Adds tree by tree, in tree order.  np.add.reduce would sum a
+        # one-doc chunk pairwise, since its trees axis is contiguous.
+        mean_h[start:stop] = np.cumsum(m.path[node], axis=0)[-1] / n_trees
     return np.power(2.0, -mean_h / m.c_norm)

@@ -523,13 +523,20 @@ def run_grid(config: RunConfig) -> list[EvalReport]:
 
 
 def run_repeats(config: RunConfig, repeats: int) -> tuple[list[EvalReport], dict]:
-    """Re-run with derived seeds; summarize mean/min/max per metric."""
+    """Re-run with derived seeds; summarize mean/min/max per metric.
+
+    With ``out_dir`` set, each seed writes its own ``report_{tag}.json``.
+    """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     config.validate()
     reports = []
     for i in range(repeats):
-        reports.append(run(replace(config, seed=config.seed + i)))
+        seeded = replace(config, seed=config.seed + i)
+        report, artifacts = execute(seeded)
+        if seeded.out_dir is not None:
+            _write_outputs(seeded, report, artifacts, f"report_{seeded.tag()}.json")
+        reports.append(report)
     summary = {}
     for name, getter in (
         ("auc", lambda r: r.auc),

@@ -10,6 +10,7 @@ import math
 import os
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -399,9 +400,9 @@ def test_c6g_train_test_leakage_canary(unseen_corpus, tmp_path):
         if model == "rm":
             ok &= bool(np.array_equal(base.model.rarity, other.model.rarity))
         if model == "iforest":
-            for ta, tb in zip(base.model.trees, other.model.trees):
-                ok &= bool(np.array_equal(ta.feature, tb.feature))
-                ok &= bool(np.array_equal(ta.threshold, tb.threshold))
+            for field in fields(base.model):
+                ok &= bool(np.array_equal(getattr(base.model, field.name),
+                                          getattr(other.model, field.name)))
     verdict("C6g mutating test data never changes fitted artifacts", ok)
 
 

@@ -1,10 +1,13 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from logad import detect
 from logad.detect import (
+    IForestModel,
     average_path_length,
     iforest_fit,
     iforest_score,
@@ -277,7 +280,7 @@ class TestIForest:
     def test_identical_points_single_leaf_and_equal_scores(self):
         train = dtm([[3.0, 1.0]] * 8)
         model = iforest_fit(train, n_trees=10, subsample=8, seed=1)
-        assert all((t.feature == -1).all() for t in model.trees)
+        assert (model.feature == -1).all()
         scores = iforest_score(model, train)
         assert np.unique(scores).size == 1
 
@@ -312,9 +315,8 @@ class TestIForest:
         rows = rng.random((100, 3))
         a = iforest_fit(dtm(rows), n_trees=15, subsample=32, seed=9)
         b = iforest_fit(dtm(rows), n_trees=15, subsample=32, seed=9)
-        for ta, tb in zip(a.trees, b.trees):
-            np.testing.assert_array_equal(ta.feature, tb.feature)
-            np.testing.assert_array_equal(ta.threshold, tb.threshold)
+        for field in fields(IForestModel):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_needs_two_docs(self):
         with pytest.raises(ValueError):
@@ -393,6 +395,49 @@ def _reference_iforest_trees(X, n_trees, subsample, seed):
     return trees
 
 
+def _reference_iforest_score(trees, c_norm, X):
+    """The per-tree walk before the node table, on reference trees."""
+    dense = np.asarray(X.todense())
+    rows = np.arange(dense.shape[0])
+    acc = np.zeros(dense.shape[0])
+    for feature, threshold, left, right, depth, adjust in trees:
+        node = np.zeros(dense.shape[0], dtype=np.int64)
+        while (feature[node] >= 0).any():
+            feats = feature[node]
+            internal = feats >= 0
+            vals = dense[rows, np.where(internal, feats, 0)]
+            go_left = vals < threshold[node]
+            node = np.where(internal, np.where(go_left, left[node], right[node]), node)
+        acc += depth[node] + adjust[node]
+    return np.power(2.0, -(acc / len(trees)) / c_norm)
+
+
+def _forest_matrix(kind, seed):
+    """A tf-idf matrix, dense rows with constant columns, or 4 distinct rows."""
+    rng = np.random.default_rng(seed)
+    if kind == "tfidf":
+        train_terms, _ = random_corpus(rng, n_train=50, vocab=30)
+        return tfidf_transform(fit_vocabulary(docs(*train_terms)), docs(*train_terms))
+    rows = np.where(rng.random((40, 6)) < 0.4, rng.integers(1, 4, (40, 6)), 0.0)
+    if kind == "repeated_rows":
+        return dtm(rows[rng.integers(0, 4, 40)])
+    rows[:, 1] = 2.0  # constant
+    rows[:, 4] = 0.0  # constant and empty
+    rows[10:20] = rows[0]  # repeated rows
+    return dtm(rows)
+
+
+def _packed_trees(model):
+    """Each tree sliced out of the node table, its child ids relative to its root."""
+    ends = [*model.roots[1:], len(model.feature)]
+    for root, end in zip(model.roots, ends):
+        span = slice(root, end)
+        left, right = model.left[span], model.right[span]
+        yield (model.feature[span], model.threshold[span],
+               np.where(left >= 0, left - root, -1), np.where(right >= 0, right - root, -1),
+               model.path[span])
+
+
 class TestIForestSameTrees:
     """The fit grows the trees the fit before it grew, array for array."""
 
@@ -400,26 +445,41 @@ class TestIForestSameTrees:
     @pytest.mark.parametrize("subsample", [2, 3, 16, 64])
     @pytest.mark.parametrize("matrix", ["tfidf", "constant_columns"])
     def test_trees_equal_reference(self, seed, subsample, matrix):
-        if matrix == "tfidf":
-            train_terms, _ = random_corpus(np.random.default_rng(seed), n_train=50, vocab=30)
-            train = tfidf_transform(fit_vocabulary(docs(*train_terms)), docs(*train_terms))
-        else:
-            rng = np.random.default_rng(seed)
-            rows = np.where(rng.random((40, 6)) < 0.4, rng.integers(1, 4, (40, 6)), 0.0)
-            rows[:, 1] = 2.0  # constant
-            rows[:, 4] = 0.0  # constant and empty
-            rows[10:20] = rows[0]  # repeated rows
-            train = dtm(rows)
+        train = _forest_matrix(matrix, seed)
         model = iforest_fit(train, n_trees=12, subsample=subsample, seed=seed)
         want = _reference_iforest_trees(to_scipy(train.matrix), 12, subsample, seed)
-        assert len(model.trees) == len(want)
-        for tree, ref in zip(model.trees, want):
-            got = [tree.feature, tree.threshold, tree.left, tree.right, tree.depth, tree.adjust]
-            for a, b in zip(got, ref):
+        assert model.roots[0] == 0
+        got = list(_packed_trees(model))
+        assert len(got) == len(want)
+        for (*arrays, path), (*ref, depth, adjust) in zip(got, want):
+            for a, b in zip(arrays, ref):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
+            leaves = ref[0] < 0
+            assert path[leaves].tobytes() == (depth + adjust)[leaves].tobytes()
         psi = min(subsample, train.n_docs)
         assert model.c_norm == average_path_length(psi)
+
+
+class TestIForestScoreWalk:
+    """Walking all trees at once scores what the per-tree walk scored."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("matrix", ["tfidf", "constant_columns", "repeated_rows"])
+    @pytest.mark.parametrize("docs_per_chunk", [1, 7, None])
+    def test_scores_equal_reference(self, monkeypatch, seed, matrix, docs_per_chunk):
+        n_trees = 24
+        train = _forest_matrix(matrix, seed)
+        model = iforest_fit(train, n_trees=n_trees, subsample=16, seed=seed)
+        if docs_per_chunk == 1:
+            monkeypatch.setattr(detect, "_CHUNK_ELEMENTS", train.n_terms)
+        elif docs_per_chunk == 7:
+            monkeypatch.setattr(detect, "_WALK_SLOTS", 7 * n_trees)
+        else:
+            assert detect._WALK_SLOTS // n_trees >= train.n_docs  # one chunk holds all
+        trees = _reference_iforest_trees(to_scipy(train.matrix), n_trees, 16, seed)
+        want = _reference_iforest_score(trees, average_path_length(16), to_scipy(train.matrix))
+        assert iforest_score(model, train).tobytes() == want.tobytes()
 
 
 def test_oovd_and_rm_permutation_property():

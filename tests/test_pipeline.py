@@ -1,7 +1,7 @@
 import csv
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +429,14 @@ class TestRepeats:
             assert stats["min"] <= stats["mean"] <= stats["max"]
         assert json.loads((out / "summary.json").read_text())["auc"] == summary["auc"]
 
+    def test_each_seed_keeps_its_report(self, unseen_corpus, tmp_path):
+        out = tmp_path / "rep"
+        reports, _ = run_repeats(_config(unseen_corpus, out_dir=out), repeats=3)
+        written = [json.loads(p.read_text()) for p in sorted(out.glob("report_*.json"))]
+        assert [w["meta"]["seed"] for w in written] == [1, 2, 3]
+        assert [w["auc"] for w in written] == [r.auc for r in reports]
+        assert not (out / "report.json").exists()
+
     def test_bad_repeat_count(self, unseen_corpus):
         with pytest.raises(ConfigError):
             run_repeats(_config(unseen_corpus), repeats=0)
@@ -479,10 +487,9 @@ class TestLeakageCanary:
         elif model == "kmeans":
             assert np.array_equal(base.model.centroids, other.model.centroids)
         elif model == "iforest":
-            for ta, tb in zip(base.model.trees, other.model.trees):
-                assert np.array_equal(ta.feature, tb.feature)
-                assert np.array_equal(ta.threshold, tb.threshold)
-                assert np.array_equal(ta.adjust, tb.adjust)
+            for field in fields(base.model):
+                assert np.array_equal(getattr(base.model, field.name),
+                                      getattr(other.model, field.name)), field.name
 
 
 class TestCli:
