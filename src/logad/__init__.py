@@ -22,7 +22,6 @@ from .detect import (
 from .evaluate import (
     EvalReport,
     Histogram,
-    TimingLog,
     auc_roc,
     best_f1,
     score_histogram,
@@ -91,7 +90,6 @@ __all__ = [
     "RunConfig",
     "SplitMode",
     "SplitSpec",
-    "TimingLog",
     "TokenSeq",
     "UNSEEN_EVENT",
     "Vocabulary",

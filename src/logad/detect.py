@@ -115,12 +115,14 @@ def _plus_plus_init(
     return centroids
 
 
-def kmeans_fit(
-    train: DocTermMatrix, k: int = 8, seed: int = 0, max_iter: int = 100
-) -> KMeansModel:
+# Lloyd rounds after which k-means stops even without a fixpoint.
+_KMEANS_MAX_ITER = 100
+
+
+def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
     """Lloyd's algorithm from a seeded k-means++-style initialization.
 
-    Runs until the assignment reaches a fixpoint or ``max_iter`` rounds.
+    Runs until the assignment reaches a fixpoint or ``_KMEANS_MAX_ITER`` rounds.
     Empty clusters are repaired by reseeding them to the point currently
     farthest from its own centroid.
     """
@@ -133,7 +135,7 @@ def kmeans_fit(
     centroids = _plus_plus_init(X, x_sq, k, rng)
 
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = _sq_distances(X, x_sq, centroids)
         assign = d2.argmin(axis=1)
         own = d2[np.arange(n), assign].copy()

@@ -1,4 +1,4 @@
-"""Evaluation: AUC-ROC, best-F1 threshold search, histograms, stage timing.
+"""Evaluation: AUC-ROC, best-F1 threshold search, histograms, the report.
 
 AUC-ROC is the probability that a randomly chosen anomalous item is ranked
 above a randomly chosen normal one; tied pairs count one half.  It is
@@ -10,10 +10,9 @@ explicit label-assisted marker for it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,23 +177,6 @@ def score_histogram(
         (lo + b * width, hi if b == n_bins - 1 else lo + (b + 1) * width, normal[b], anomaly[b])
         for b in range(n_bins)
     ])
-
-
-class TimingLog:
-    """Wall-clock stage timings for one run; stage ids may be used once."""
-
-    def __init__(self):
-        self.stages: dict[str, float] = {}
-
-    def timed(self, stage: str, computation: Callable, *args, **kwargs):
-        """Run ``computation`` and record its duration; returns (result, seconds)."""
-        if stage in self.stages:
-            raise ValueError(f"stage {stage!r} already timed in this log")
-        t0 = time.perf_counter()
-        result = computation(*args, **kwargs)
-        seconds = time.perf_counter() - t0
-        self.stages[stage] = seconds
-        return result, seconds
 
 
 GRID_COLUMNS = [

@@ -105,6 +105,12 @@ class RecordSet:
         if self.granularity is Granularity.SEQUENCE and (keyless := self.seq_ids < 0).any():
             line_no = self.line_nos[np.argmax(keyless)]
             raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
+        for name, column, low, high in (("label code", self.label_codes, 0, _ANOMALY),
+                                        ("seq id", self.seq_ids, -1, len(self.seq_keys) - 1)):
+            if (bad := (column < low) | (column > high)).any():
+                i = np.argmax(bad)
+                raise ValueError(f"record at line {self.line_nos[i]} has {name} {column[i]}, "
+                                 f"outside {low}..{high}")
 
     def __len__(self) -> int:
         return len(self.messages)

@@ -7,9 +7,9 @@ models) sees training data only; the template miner in particular is
 trained on the train side and applied read-only to the test side.
 
 One chain of stages serves a single run and a grid alike: load through
-filter run once, representation and the vocabulary once per
-representation, each document-term matrix once per representation when a
-cell first reads it, and fit, score and evaluation once per cell.
+filter run once; representation, the vocabulary and the document-term
+matrices that its cells read once per representation, before its first
+cell runs; and fit, score and evaluation once per cell.
 Each distinct normalized message is tokenized once, and on the test side
 counted once: a unit's count row is the exact sum of its messages' rows.
 """
@@ -20,10 +20,11 @@ import csv
 import json
 import numbers
 import os
+import time
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .detect import (
 from .evaluate import (
     GRID_COLUMNS,
     EvalReport,
-    TimingLog,
     auc_roc,
     best_f1,
     score_histogram,
@@ -76,33 +76,43 @@ from .vectorize import (
 REPRESENTATIONS = ("words", "trigrams", "events")
 SCENARIOS = ("unfiltered", "normal_only")
 
-# Model -> (train matrix, test matrix, fit, score).  A matrix is named by its
-# ``Weighting``; oovd and rm read no train matrix.
-# ``fit(config, vocab, train_m)`` is None for oovd, which fits nothing;
-# ``score(vocab, model, test_m)``.  The lambdas look the layer functions up
-# in this module when they run, so a name replaced after import (to trace a
-# run, say) is the one called.
+class _Model(NamedTuple):
+    """What one model reads and runs; a matrix is named by its ``Weighting``.
+
+    The lambdas look the layer functions up in this module when they run, so
+    a name replaced after import (to trace a run, say) is the one called.
+    """
+
+    test: Weighting
+    score: Callable  # (vocab, model, test_m) -> scores
+    train: Weighting | None = None  # None: the model reads no train matrix
+    fit: Callable | None = None  # (config, vocab, train_m) -> model; None: fits nothing
+    # (config) -> the fewest train units the model fits on, and their name in an error
+    min_train: Callable = lambda config: (1, config.model)
+
+
 _MODEL_TABLE = {
-    "oovd": (None, Weighting.COUNT, None, lambda vocab, model, m: oovd_score(vocab, m)),
-    "rm": (
-        None,
+    "oovd": _Model(Weighting.COUNT, lambda vocab, model, m: oovd_score(vocab, m)),
+    "rm": _Model(
         Weighting.TFIDF,
-        lambda config, vocab, train_m: rm_fit(vocab),
         lambda vocab, model, m: rm_score(model, m),
+        fit=lambda config, vocab, train_m: rm_fit(vocab),
     ),
-    "kmeans": (
+    "kmeans": _Model(
         Weighting.TFIDF,
+        lambda vocab, model, m: kmeans_score(model, m),
         Weighting.TFIDF,
         lambda config, vocab, train_m: kmeans_fit(train_m, config.k, config.seed),
-        lambda vocab, model, m: kmeans_score(model, m),
+        lambda config: (config.k, f"k={config.k}"),
     ),
-    "iforest": (
+    "iforest": _Model(
         Weighting.TFIDF,
+        lambda vocab, model, m: iforest_score(model, m),
         Weighting.TFIDF,
         lambda config, vocab, train_m: iforest_fit(
             train_m, config.n_trees, config.subsample, config.seed
         ),
-        lambda vocab, model, m: iforest_score(model, m),
+        lambda config: (2, "iforest's minimum of 2"),
     ),
 }
 MODELS = tuple(_MODEL_TABLE)
@@ -221,6 +231,14 @@ class FittedArtifacts:
 _TOKENIZERS = {"words": tokenize_words, "trigrams": tokenize_trigrams}
 
 
+def _timed(timings: dict[str, float], stage: str, fn: Callable, *args):
+    """Return ``fn(*args)``; its wall-clock seconds go to ``timings[stage]``."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[stage] = time.perf_counter() - t0
+    return result
+
+
 def _test_labels(test_rs: RecordSet) -> np.ndarray:
     """0/1 labels of the test units (lines or sequences, in document order).
 
@@ -289,31 +307,23 @@ class _Split:
     timings: dict[str, float]
 
 
-def _train_units_needed(config: RunConfig) -> tuple[int, str]:
-    """The fewest train units the cell's model fits on, and their name in
-    an error."""
-    if config.model == "kmeans":
-        return config.k, f"k={config.k}"
-    return (2, "iforest's minimum of 2") if config.model == "iforest" else (1, config.model)
-
-
 def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
     """Load, sample, normalize, split and filter, then check the split.
 
     Label and class errors, and fewer train units than ``train_units``
-    (from ``_train_units_needed``) asks for, are raised here, before
+    (from a model's ``min_train``) asks for, are raised here, before
     representation.
     """
-    tl = TimingLog()
-    rs, _ = tl.timed("load", load, config.input, config.adapter, config.labels)
+    timings: dict[str, float] = {}
+    rs = _timed(timings, "load", load, config.input, config.adapter, config.labels)
     if config.sample_fraction < 1.0:
-        rs, _ = tl.timed("sample", sample, rs, config.sample_fraction, config.seed)
-    rs, _ = tl.timed("normalize", normalize_records, rs)
+        rs = _timed(timings, "sample", sample, rs, config.sample_fraction, config.seed)
+    rs = _timed(timings, "normalize", normalize_records, rs)
     spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
-    (train_rs, test_rs), _ = tl.timed("split", split, rs, spec)
+    train_rs, test_rs = _timed(timings, "split", split, rs, spec)
     y = _test_labels(test_rs)
     if config.scenario == "normal_only":
-        train_rs, _ = tl.timed("filter", filter_normal, train_rs)
+        train_rs = _timed(timings, "filter", filter_normal, train_rs)
         if not len(train_rs):
             raise ValueError(
                 "normal_only training needs Normal labels on the train side; "
@@ -325,59 +335,44 @@ def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
             f"{name} exceeds the {n_train} train units left by scenario "
             f"{config.scenario}; raise train_fraction"
         )
-    return _Split(train_rs, test_rs, y, tl.stages)
+    return _Split(train_rs, test_rs, y, timings)
 
 
 class _Features:
-    """One representation: documents, train vocabulary and the matrices.
+    """One representation: its train vocabulary and the matrices its cells read.
 
-    Each matrix is built the first time a cell reads it and then shared.
-    Every computation here runs once and keeps its duration.
+    ``matrices`` maps (side, ``Weighting``) to a matrix and the seconds its
+    build took; the test tf-idf is weighted from the test counts, and its
+    seconds include theirs.  The test counts are kept only if a cell reads
+    them.
     """
 
     def __init__(self, cells: list[RunConfig], train_rs: RecordSet, test_rs: RecordSet):
-        self._log = TimingLog()
-        (self.train_docs, test_side, self.drain), self.represent_s = self._log.timed(
-            "represent", _represent, cells[0], train_rs, test_rs
+        t: dict[str, float] = {}
+        train_docs, (test_docs, message_ids), self.drain = _timed(
+            t, "represent", _represent, cells[0], train_rs, test_rs
         )
-        self.test_docs, self.test_message_ids = test_side
-        self._test_rs = test_rs
-        # The test weightings the cells read; test counts that no cell reads
-        # are not kept once the test tf-idf is weighted from them.
-        self._test_reads = {_MODEL_TABLE[cell.model][1] for cell in cells}
         # The vocabulary fit and the train transform get the same list
         # object, by which a tracer tells the train side from the test side.
-        self.vocab, self.vocabulary_s = self._log.timed(
-            "vocabulary", fit_vocabulary, self.train_docs
-        )
-        self._built: dict[str, tuple[DocTermMatrix, float]] = {}
-
-    def matrix(self, side: str, weighting: Weighting) -> tuple[DocTermMatrix, float]:
-        """The ``side`` ("train" or "test") matrix with ``weighting``, and
-        the seconds its build took; the test tf-idf is weighted from the
-        test counts, and its seconds include theirs."""
-        name = f"{side} {weighting.value}"
-        if name not in self._built:
-            if side == "train":  # every train matrix in _MODEL_TABLE is tf-idf
-                self._built[name] = self._log.timed(
-                    name, tfidf_transform, self.vocab, self.train_docs
-                )
-            elif weighting is Weighting.COUNT:
-                self._built[name] = self._log.timed(name, self._test_counts)
-            else:
-                counts, counts_s = self.matrix("test", Weighting.COUNT)
-                if Weighting.COUNT not in self._test_reads:
-                    del self._built["test count"]
-                tfidf, tfidf_s = self._log.timed(name, tfidf_weighting, self.vocab, counts)
-                self._built[name] = tfidf, counts_s + tfidf_s
-        return self._built[name]
-
-    def _test_counts(self) -> DocTermMatrix:
-        """Each distinct test document counted once, then summed into units."""
-        distinct = count_transform(self.vocab, self.test_docs)
-        return distinct.sum_rows(
-            self.test_message_ids, self._test_rs.unit_ids, self._test_rs.n_units
-        )
+        self.vocab = _timed(t, "vocabulary", fit_vocabulary, train_docs)
+        self.represent_s, self.vocabulary_s = t["represent"], t["vocabulary"]
+        self.n_train_docs = len(train_docs)
+        entries = [_MODEL_TABLE[cell.model] for cell in cells]
+        test_reads = {entry.test for entry in entries}
+        self.matrices: dict[tuple[str, Weighting], tuple[DocTermMatrix, float]] = {}
+        if any(entry.train is not None for entry in entries):
+            # Every train matrix in _MODEL_TABLE is tf-idf.
+            train_m = _timed(t, "train", tfidf_transform, self.vocab, train_docs)
+            self.matrices["train", Weighting.TFIDF] = train_m, t["train"]
+        # Each distinct test document counted once, then summed into units.
+        counts = _timed(t, "counts", lambda: count_transform(self.vocab, test_docs).sum_rows(
+            message_ids, test_rs.unit_ids, test_rs.n_units
+        ))
+        if Weighting.COUNT in test_reads:
+            self.matrices["test", Weighting.COUNT] = counts, t["counts"]
+        if Weighting.TFIDF in test_reads:
+            tfidf = _timed(t, "tfidf", tfidf_weighting, self.vocab, counts)
+            self.matrices["test", Weighting.TFIDF] = tfidf, t["counts"] + t["tfidf"]
 
 
 def _run_cell(
@@ -389,16 +384,18 @@ def _run_cell(
     cell that used it; ``vectorize`` is the vocabulary fit plus the matrices
     this cell reads.
     """
-    train_weighting, test_weighting, fit, score = _MODEL_TABLE[config.model]
-    train_m, train_s = None, 0.0
-    if train_weighting is not None:
-        train_m, train_s = features.matrix("train", train_weighting)
-    test_m, test_s = features.matrix("test", test_weighting)
-    tl = TimingLog()
+    entry = _MODEL_TABLE[config.model]
+    train_m, train_s = features.matrices.get(("train", entry.train), (None, 0.0))
+    test_m, test_s = features.matrices["test", entry.test]
+    timings = {
+        **shared.timings,
+        "represent": features.represent_s,
+        "vectorize": features.vocabulary_s + train_s + test_s,
+    }
     model = None
-    if fit is not None:
-        model, _ = tl.timed("fit", fit, config, features.vocab, train_m)
-    scores, _ = tl.timed("score", score, features.vocab, model, test_m)
+    if entry.fit is not None:
+        model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
+    scores = _timed(timings, "score", entry.score, features.vocab, model, test_m)
 
     auc = auc_roc(scores, shared.y)
     threshold, f1 = best_f1(scores, shared.y, budget=config.f1_budget)
@@ -408,12 +405,7 @@ def _run_cell(
         auc=auc,
         best_f1=f1,
         best_threshold=threshold,
-        timings={
-            **shared.timings,
-            "represent": features.represent_s,
-            "vectorize": features.vocabulary_s + train_s + test_s,
-            **tl.stages,
-        },
+        timings=timings,
         histogram=hist,
         meta={
             "dataset": Path(config.input).stem,
@@ -421,7 +413,7 @@ def _run_cell(
             "model": config.model,
             "scenario": config.scenario,
             "seed": config.seed,
-            "n_train_docs": len(features.train_docs),
+            "n_train_docs": features.n_train_docs,
             "n_test_docs": shared.test_rs.n_units,
             "n_terms": features.vocab.n_terms,
             "f1_mode": "exact" if config.f1_budget is None else f"budgeted({config.f1_budget})",
@@ -446,14 +438,13 @@ def _run_cells(
     configs = [replace(config, representation=rep, model=model) for rep, model in cells]
     for cell in configs:
         cell.validate()
-    shared = _load_and_split(config, max(_train_units_needed(c) for c in configs))
+    shared = _load_and_split(config, max(_MODEL_TABLE[c.model].min_train(c) for c in configs))
     for _, group in groupby(configs, key=lambda c: c.representation):
         group = list(group)
         features = _Features(group, shared.train_rs, shared.test_rs)
         for cell in group:
             yield (cell, *_run_cell(cell, shared, features))
-        # Release this representation's documents and matrices before the
-        # next one is built.
+        # Release this representation's matrices before the next one is built.
         del features
 
 
@@ -466,7 +457,16 @@ def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
     return report, artifacts
 
 
-def _append_grid_row(out_dir: Path, report: EvalReport) -> None:
+def _write_outputs(
+    config: RunConfig, report: EvalReport, artifacts: FittedArtifacts, report_name: str
+) -> None:
+    """Write the report, its histogram and its grid.csv row, if out_dir is set."""
+    if config.out_dir is None:
+        return
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / report_name).write_text(report.to_json() + "\n")
+    report.histogram.write_csv(out_dir / f"hist_{config.tag()}.csv")
     grid_path = out_dir / "grid.csv"
     new = not grid_path.exists()
     with open(grid_path, "a", newline="") as fh:
@@ -474,16 +474,6 @@ def _append_grid_row(out_dir: Path, report: EvalReport) -> None:
         if new:
             writer.writerow(GRID_COLUMNS)
         writer.writerow(report.grid_row())
-
-
-def _write_outputs(
-    config: RunConfig, report: EvalReport, artifacts: FittedArtifacts, report_name: str
-) -> None:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / report_name).write_text(report.to_json() + "\n")
-    report.histogram.write_csv(out_dir / f"hist_{config.tag()}.csv")
-    _append_grid_row(out_dir, report)
     if config.dump_templates and artifacts.drain is not None:
         artifacts.drain.dump_templates(out_dir / f"templates_{config.tag()}.csv")
 
@@ -491,8 +481,7 @@ def _write_outputs(
 def run(config: RunConfig) -> EvalReport:
     """Execute one configuration; write report/grid/histogram if out_dir set."""
     report, artifacts = execute(config)
-    if config.out_dir is not None:
-        _write_outputs(config, report, artifacts, "report.json")
+    _write_outputs(config, report, artifacts, "report.json")
     return report
 
 
@@ -516,8 +505,7 @@ def run_grid(config: RunConfig) -> list[EvalReport]:
     """
     reports = []
     for cell, report, artifacts in _run_cells(config, grid_cells(config.scenario)):
-        if cell.out_dir is not None:
-            _write_outputs(cell, report, artifacts, f"report_{cell.tag()}.json")
+        _write_outputs(cell, report, artifacts, f"report_{cell.tag()}.json")
         reports.append(report)
     return reports
 
@@ -529,13 +517,12 @@ def run_repeats(config: RunConfig, repeats: int) -> tuple[list[EvalReport], dict
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    config.validate()
+    config.validate()  # the derived seeds need an integer seed
     reports = []
     for i in range(repeats):
         seeded = replace(config, seed=config.seed + i)
         report, artifacts = execute(seeded)
-        if seeded.out_dir is not None:
-            _write_outputs(seeded, report, artifacts, f"report_{seeded.tag()}.json")
+        _write_outputs(seeded, report, artifacts, f"report_{seeded.tag()}.json")
         reports.append(report)
     summary = {}
     for name, getter in (

@@ -16,6 +16,8 @@ from .ingest import Granularity, RecordSet
 
 WILDCARD = "<*>"
 UNSEEN_EVENT = "e_unseen"
+# Children per routing node; a full node routes new tokens to its wildcard.
+_MAX_CHILDREN = 100
 
 
 @dataclass(slots=True)
@@ -76,14 +78,13 @@ class DrainParser:
     never mutates the model.
     """
 
-    def __init__(self, depth: int = 4, sim_threshold: float = 0.4, max_children: int = 100):
+    def __init__(self, depth: int = 4, sim_threshold: float = 0.4):
         if depth < 3:
             raise ValueError(f"depth must be >= 3, got {depth}")
         if not 0.0 < sim_threshold < 1.0:
             raise ValueError(f"sim_threshold must be in (0, 1), got {sim_threshold}")
         self.depth = depth
         self.sim_threshold = sim_threshold
-        self.max_children = max_children
         # Leaf depth counts the root, the token-count level and the leaf
         # group list, leaving depth - 3 levels of leading-token routing
         # (depth 4 routes by token count plus one leading token).
@@ -121,11 +122,11 @@ class DrainParser:
                 child = node.children.get(tok)
                 if child is None:
                     if WILDCARD in node.children:
-                        if len(node.children) < self.max_children:
+                        if len(node.children) < _MAX_CHILDREN:
                             child = node.children[tok] = _Node()
                         else:
                             child = node.children[WILDCARD]
-                    elif len(node.children) + 1 < self.max_children:
+                    elif len(node.children) + 1 < _MAX_CHILDREN:
                         child = node.children[tok] = _Node()
                     else:
                         child = node.children[WILDCARD] = _Node()

@@ -1,7 +1,7 @@
 """Each distinct normalized message is represented and counted once.
 
-``pipeline._Features`` tokenizes (or parses) every distinct message once and
-sums the distinct count rows into units.  These tests build the per-unit
+``pipeline._represent`` tokenizes (or parses) every distinct message once,
+and ``pipeline._Features`` sums the distinct count rows into units.  These tests build the per-unit
 documents the long way, from the public tokenizers, ``DrainParser`` and
 ``flatten_sequences``, and require the unit matrices to be bit-identical to
 transforming those documents.
@@ -94,20 +94,22 @@ def _assert_identical(got, want):
 
 def _check_features(representation, train_rs, test_rs):
     config = RunConfig(input=Path("unused.log"), representation=representation)
-    # Cells that read both test weightings, so the test counts are kept.
-    features = _Features([config, replace(config, model="oovd")], train_rs, test_rs)
+    _, (test_docs, message_ids), _ = pipeline._represent(config, train_rs, test_rs)
+    assert len(test_docs) == len(set(test_rs.messages))
+    assert len(message_ids) == len(test_rs)
+    # Cells that read every matrix, so the test counts are kept.
+    cells = [replace(config, model="kmeans"), replace(config, model="oovd")]
+    features = _Features(cells, train_rs, test_rs)
     ref_train, ref_test = _reference_docs(config, train_rs, test_rs)
     vocab = fit_vocabulary(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
     assert features.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
     assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
     assert test_rs.n_units == len(ref_test)
-    assert len(features.test_docs) == len(set(test_rs.messages))
-    assert len(features.test_message_ids) == len(test_rs)
-    # The test tf-idf is read first: it builds the counts it is weighted from.
-    _assert_identical(features.matrix("test", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_test))
-    _assert_identical(features.matrix("test", Weighting.COUNT)[0], count_transform(vocab, ref_test))
-    _assert_identical(features.matrix("train", Weighting.TFIDF)[0], tfidf_transform(vocab, ref_train))
+    matrices = features.matrices
+    _assert_identical(matrices["test", Weighting.TFIDF][0], tfidf_transform(vocab, ref_test))
+    _assert_identical(matrices["test", Weighting.COUNT][0], count_transform(vocab, ref_test))
+    _assert_identical(matrices["train", Weighting.TFIDF][0], tfidf_transform(vocab, ref_train))
 
 
 @pytest.mark.parametrize("representation", pipeline.REPRESENTATIONS)

@@ -1,5 +1,4 @@
 import json
-import time
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from scipy.stats import rankdata
 from logad.evaluate import (
     GRID_COLUMNS,
     EvalReport,
-    TimingLog,
     auc_roc,
     best_f1,
     score_histogram,
@@ -259,36 +257,6 @@ class TestScoreHistogram:
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
 
 
-class TestTimingLog:
-    def test_noop_nonnegative(self):
-        tl = TimingLog()
-        result, seconds = tl.timed("load", lambda: 42)
-        assert result == 42
-        assert seconds >= 0.0
-        assert tl.stages["load"] == seconds
-
-    def test_model_time_additivity(self):
-        tl = TimingLog()
-        tl.timed("fit", time.sleep, 0.01)
-        tl.timed("score", time.sleep, 0.01)
-        report = EvalReport(None, None, None, dict(tl.stages), None)
-        assert report.model_time == pytest.approx(
-            tl.stages["fit"] + tl.stages["score"], abs=1e-12
-        )
-
-    def test_stage_ids_free_form(self):
-        tl = TimingLog()
-        for stage in ("Load", "Normalize", "Create trigrams", "Create words", "Parse event IDs"):
-            tl.timed(stage, lambda: None)
-        assert len(tl.stages) == 5
-
-    def test_stage_reuse_rejected(self):
-        tl = TimingLog()
-        tl.timed("fit", lambda: None)
-        with pytest.raises(ValueError):
-            tl.timed("fit", lambda: None)
-
-
 class TestEvalReport:
     def _report(self):
         return EvalReport(
@@ -299,6 +267,13 @@ class TestEvalReport:
             histogram=score_histogram([0.0, 1.0], [0, 1], 2),
             meta={"dataset": "d", "representation": "words", "model": "rm", "scenario": "unfiltered"},
         )
+
+    def test_model_time_additivity(self):
+        timings = {"load": 0.1, "fit": 0.2, "score": 0.3}
+        report = EvalReport(None, None, None, timings, None)
+        assert report.model_time == pytest.approx(timings["fit"] + timings["score"], abs=1e-12)
+        # A model that fits nothing (oovd) has no fit stage.
+        assert EvalReport(None, None, None, {"score": 0.3}, None).model_time == 0.3
 
     def test_json_round_trip(self):
         data = json.loads(self._report().to_json())

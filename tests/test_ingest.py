@@ -268,6 +268,18 @@ class TestColumnChecks:
         with pytest.raises(ValueError, match="at line 11 has no seq_key"):
             _columns(seq_ids=[0, -1], granularity=Granularity.SEQUENCE)
 
+    @pytest.mark.parametrize("column,values,match", [
+        ("label_codes", np.array([0, 7], dtype=np.int8), "line 11 has label code 7"),
+        ("label_codes", np.array([-1, 2], dtype=np.int8), "line 10 has label code -1"),
+        ("seq_ids", np.array([0, 5], dtype=np.int32), "line 11 has seq id 5"),
+        ("seq_ids", np.array([-2, 0], dtype=np.int32), "line 10 has seq id -2"),
+    ])
+    def test_out_of_range_code_or_seq_id_named_by_line(self, column, values, match):
+        # A code of 7 would be scored as normal but dropped by filter_normal;
+        # a seq id past the keys would fail later in unit_codes.
+        with pytest.raises(ValueError, match=match):
+            replace(_columns(seq_ids=[0, 0]), **{column: values})
+
 
 BGL_SHORT = "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 RAS KERNEL INFO"
 

@@ -13,6 +13,7 @@ from logad.ingest import LogRecord, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message
 from logad.pipeline import ConfigError, RunConfig, execute, grid_cells, run, run_grid, run_repeats
 from logad.synth import gen_synthetic
+from logad.vectorize import Weighting
 
 
 @pytest.fixture(scope="module")
@@ -396,12 +397,13 @@ class TestSharedStages:
 
     @staticmethod
     def _matrices_kept(monkeypatch):
-        """The names of the matrices a representation holds after each cell."""
+        """The (side, weighting) keys of the matrices a representation holds
+        after each cell."""
         kept = []
 
         def run_cell(config, shared, features, _run_cell=pipeline._run_cell):
             out = _run_cell(config, shared, features)
-            kept.append(set(features._built))
+            kept.append(set(features.matrices))
             return out
 
         monkeypatch.setattr(pipeline, "_run_cell", run_cell)
@@ -410,13 +412,27 @@ class TestSharedStages:
     def test_single_rm_run_keeps_no_test_counts(self, unseen_corpus, monkeypatch):
         kept = self._matrices_kept(monkeypatch)
         execute(_config(unseen_corpus, scenario="normal_only", model="rm"))
-        assert kept == [{"test tfidf"}]
+        assert kept == [{("test", Weighting.TFIDF)}]
 
     def test_grid_keeps_the_test_counts_oovd_reads(self, unseen_corpus, monkeypatch):
         kept = self._matrices_kept(monkeypatch)
         run_grid(_config(unseen_corpus, scenario="normal_only"))
         assert len(kept) == len(grid_cells("normal_only"))
-        assert all("test count" in names for names in kept)
+        assert all(names == {("train", Weighting.TFIDF), ("test", Weighting.COUNT),
+                             ("test", Weighting.TFIDF)} for names in kept)
+
+    def test_unfiltered_grid_keeps_no_test_counts(self, unseen_corpus, monkeypatch):
+        # Without oovd no cell reads the test counts.
+        kept = self._matrices_kept(monkeypatch)
+        run_grid(_config(unseen_corpus, scenario="unfiltered"))
+        assert len(kept) == len(grid_cells("unfiltered"))
+        assert all(names == {("train", Weighting.TFIDF), ("test", Weighting.TFIDF)}
+                   for names in kept)
+
+    def test_timed_returns_the_result_and_stores_its_seconds(self):
+        timings = {}
+        assert pipeline._timed(timings, "load", max, 4, 2) == 4
+        assert list(timings) == ["load"] and timings["load"] >= 0.0
 
 class TestRepeats:
     def test_summary_statistics(self, unseen_corpus, tmp_path):
