@@ -3,6 +3,9 @@
 All scorers share one contract: fit on training data, then return one
 finite score per document where larger means more anomalous.  Fitted
 models are immutable; scoring a document never looks at other documents.
+A scorer scores each stored row of the matrix once and maps the row scores
+to the documents (``DocTermMatrix.per_doc``), so documents that share a row
+cost one score.  Fits need one stored row per document.
 
 The isolation forest keeps all its trees in one node table with each
 tree's root, and scores by walking every tree at once, one level per step.
@@ -23,6 +26,15 @@ def _check_columns(expected: int, docs: DocTermMatrix, what: str) -> None:
         raise ValueError(f"{what}: matrix has {docs.n_terms} columns, expected {expected}")
 
 
+def _check_unmapped(train: DocTermMatrix, what: str) -> None:
+    """A fit samples documents, so it needs each document in its own row."""
+    if train.doc_rows is not None:
+        raise ValueError(
+            f"{what} needs one stored row per document, got {train.n_docs} "
+            f"documents in {train.n_rows} rows"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Out-of-vocabulary detector
 # ---------------------------------------------------------------------------
@@ -37,7 +49,7 @@ def oovd_score(v: Vocabulary, docs: DocTermMatrix) -> np.ndarray:
     if docs.weighting is not Weighting.COUNT:
         raise ValueError(f"oovd_score needs a Count matrix, got {docs.weighting.value}")
     _check_columns(v.n_terms, docs, "oovd_score")
-    return docs.doc_token_totals.astype(np.float64) - docs.row_sums()
+    return docs.per_doc(docs.doc_token_totals.astype(np.float64) - docs.row_sums())
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +83,7 @@ def rm_score(m: RarityModel, docs: DocTermMatrix) -> np.ndarray:
     _check_columns(len(m.rarity), docs, "rm_score")
     dots = docs.matrix @ m.rarity
     denom = docs.doc_token_totals.astype(np.float64)
-    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return docs.per_doc(np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +138,7 @@ def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
     Empty clusters are repaired by reseeding them to the point currently
     farthest from its own centroid.
     """
+    _check_unmapped(train, "kmeans_fit")
     n = train.n_docs
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n_docs], got k={k} for {n} docs")
@@ -158,7 +171,7 @@ def kmeans_score(m: KMeansModel, docs: DocTermMatrix) -> np.ndarray:
     _check_columns(m.centroids.shape[1], docs, "kmeans_score")
     X = docs.matrix
     d2 = _sq_distances(X, X.row_sq_norms(), m.centroids)
-    return np.sqrt(d2.min(axis=1))
+    return docs.per_doc(np.sqrt(d2.min(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +219,7 @@ def iforest_fit(
     the node's rows are candidates) at a uniform point between its min and
     max, and stops at isolation or the depth ceiling ceil(log2 subsample).
     """
+    _check_unmapped(train, "iforest_fit")
     n = train.n_docs
     if n < 2:
         raise ValueError(f"isolation forest needs at least 2 documents, got {n}")
@@ -273,15 +287,15 @@ def iforest_fit(
 # Dense scoring buffer budget (elements per chunk); keeps peak memory flat
 # when documents are wide.
 _CHUNK_ELEMENTS = 1 << 24
-# Node slots (trees x docs) per chunk: a walk over 2^20 slots falls out of
-# the cache and was slower than walking the trees one by one.
+# Node slots (trees x stored rows) per chunk: a walk over 2^20 slots falls
+# out of the cache and was slower than walking the trees one by one.
 _WALK_SLOTS = 1 << 16
 
 
 def iforest_score(m: IForestModel, docs: DocTermMatrix) -> np.ndarray:
     """2^(-E[path length] / c(subsample)); in (0, 1], larger = more anomalous."""
     _check_columns(m.n_terms, docs, "iforest_score")
-    n = docs.n_docs
+    n = docs.n_rows
     n_trees = len(m.roots)
     chunk = max(1, min(_CHUNK_ELEMENTS // max(1, m.n_terms), _WALK_SLOTS // n_trees))
     mean_h = np.zeros(n)
@@ -301,4 +315,4 @@ def iforest_score(m: IForestModel, docs: DocTermMatrix) -> np.ndarray:
         # Adds tree by tree, in tree order.  np.add.reduce would sum a
         # one-doc chunk pairwise, since its trees axis is contiguous.
         mean_h[start:stop] = np.cumsum(m.path[node], axis=0)[-1] / n_trees
-    return np.power(2.0, -mean_h / m.c_norm)
+    return docs.per_doc(np.power(2.0, -mean_h / m.c_norm))

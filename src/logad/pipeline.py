@@ -11,7 +11,8 @@ filter run once; representation, the vocabulary and the document-term
 matrices that its cells read once per representation, before its first
 cell runs; and fit, score and evaluation once per cell.
 Each distinct normalized message is tokenized once, and on the test side
-counted once: a unit's count row is the exact sum of its messages' rows.
+counted once: a sequence unit's count row is the exact sum of its messages'
+rows, and a line maps to its message's row, which is scored once.
 """
 
 from __future__ import annotations

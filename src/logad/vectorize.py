@@ -197,40 +197,65 @@ class Vocabulary:
 
 @dataclass
 class DocTermMatrix:
-    """Sparse document-term matrix plus per-document original token counts.
+    """Sparse document-term matrix plus per-row original token counts.
 
-    ``doc_token_totals[d]`` is the source_len of document d, i.e. it still
-    counts tokens that fell out of the vocabulary.
+    ``matrix`` and ``doc_token_totals`` hold one entry per stored row;
+    ``doc_token_totals[r]`` is the source_len of row r, i.e. it still counts
+    tokens that fell out of the vocabulary.  ``doc_rows`` holds one entry
+    per document: the stored row of each document, so documents may share a
+    row; None means document d is row d.
     """
 
     matrix: CSRMatrix
     weighting: Weighting
     doc_token_totals: np.ndarray
+    doc_rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        rows = self.doc_rows
+        if rows is None:
+            return
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"):
+            got = f"{rows.ndim}-D {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows)
+            raise ValueError(f"doc_rows must be a 1-D integer array, got {got}")
+        bad = np.flatnonzero((rows < 0) | (rows >= self.n_rows))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"doc_rows[{i}] = {rows[i]} is outside [0, {self.n_rows})")
+
+    @property
+    def n_rows(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def n_docs(self) -> int:
-        return self.matrix.shape[0]
+        return self.n_rows if self.doc_rows is None else len(self.doc_rows)
 
     @property
     def n_terms(self) -> int:
         return self.matrix.shape[1]
 
     def row_sums(self) -> np.ndarray:
+        """Each stored row's sum."""
         return self.matrix.row_sums()
 
+    def per_doc(self, row_values: np.ndarray) -> np.ndarray:
+        """Each document's entry of ``row_values``, which has one per stored row."""
+        return row_values if self.doc_rows is None else row_values[self.doc_rows]
+
     def sum_rows(self, rows: np.ndarray, groups: np.ndarray, n_groups: int) -> DocTermMatrix:
-        """The counts of ``n_groups`` groups, entry ``i`` adding the row
-        ``rows[i]`` to the group ``groups[i]``; the counts are integers, so
-        the sums are exact."""
-        records = self.matrix.take_rows(rows)
+        """The counts of ``n_groups`` groups, entry ``i`` adding the stored
+        row ``rows[i]`` to the group ``groups[i]``; the counts are integers,
+        so the sums are exact.  When each group is one entry, in group order
+        (lines), the groups share the stored rows: the result keeps them and
+        maps group ``i`` to ``rows[i]``."""
         if np.array_equal(groups, np.arange(n_groups)):
-            # One row per group, in group order (lines): the rows are the groups'.
-            counts = records
-        else:
-            n_cols = records.shape[1]
-            positions = np.repeat(groups.astype(np.int64) * n_cols, np.diff(records.indptr))
-            positions += records.indices
-            counts = _from_positions(positions, (n_groups, n_cols), records.data)
+            return DocTermMatrix(self.matrix, self.weighting, self.doc_token_totals, rows)
+        records = self.matrix.take_rows(rows)
+        n_cols = records.shape[1]
+        positions = np.repeat(groups.astype(np.int64) * n_cols, np.diff(records.indptr))
+        positions += records.indices
+        counts = _from_positions(positions, (n_groups, n_cols), records.data)
         totals = np.zeros(n_groups, dtype=np.int64)
         np.add.at(totals, groups, self.doc_token_totals[rows])
         return DocTermMatrix(counts, self.weighting, totals)
@@ -282,8 +307,8 @@ def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
 
 
 def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
-    """Tf-idf weighted copy of a count matrix, sharing its index arrays;
-    idf comes from training statistics only."""
+    """Tf-idf weighted copy of a count matrix, sharing its index arrays and
+    row map; idf comes from training statistics only."""
     matrix = counts.matrix
     data = matrix.data * v.idf()[matrix.indices]
     weighted = replace(matrix, data=data)
@@ -291,7 +316,7 @@ def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
     norms = np.sqrt(weighted.row_sq_norms())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     data *= np.repeat(scale, np.diff(matrix.indptr))
-    return DocTermMatrix(weighted, Weighting.TFIDF, counts.doc_token_totals)
+    return replace(counts, matrix=weighted, weighting=Weighting.TFIDF)
 
 
 def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:

@@ -1,10 +1,11 @@
-"""``CSRMatrix`` helpers for tests: build one from dense rows, and convert
-one to scipy.sparse, which tests use as an oracle only."""
+"""``CSRMatrix`` helpers for tests: build one from dense rows, convert one
+to scipy.sparse, which tests use as an oracle only, and expand a row-mapped
+``DocTermMatrix`` to one row per document."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from logad.vectorize import CSRMatrix
+from logad.vectorize import CSRMatrix, DocTermMatrix
 
 
 def from_dense(rows) -> CSRMatrix:
@@ -17,3 +18,12 @@ def from_dense(rows) -> CSRMatrix:
 
 def to_scipy(m: CSRMatrix) -> sp.csr_matrix:
     return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def expand(m: DocTermMatrix) -> DocTermMatrix:
+    """The matrix with each document in its own row: the stored rows and
+    totals gathered through ``doc_rows``."""
+    if m.doc_rows is None:
+        return m
+    return DocTermMatrix(m.matrix.take_rows(m.doc_rows), m.weighting,
+                         m.doc_token_totals[m.doc_rows])

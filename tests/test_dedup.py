@@ -1,10 +1,12 @@
 """Each distinct normalized message is represented and counted once.
 
 ``pipeline._represent`` tokenizes (or parses) every distinct message once,
-and ``pipeline._Features`` sums the distinct count rows into units.  These tests build the per-unit
+and ``pipeline._Features`` sums the distinct count rows into sequence units,
+or maps each line to its message's row.  These tests build the per-unit
 documents the long way, from the public tokenizers, ``DrainParser`` and
-``flatten_sequences``, and require the unit matrices to be bit-identical to
-transforming those documents.
+``flatten_sequences``, and require the unit matrices, expanded to one row per
+unit, to be bit-identical to transforming those documents.  A line test
+matrix stores one row per distinct message.
 """
 
 from collections import Counter
@@ -27,6 +29,7 @@ from logad.represent import (
 )
 from logad.synth import gen_synthetic
 from logad.vectorize import Weighting, count_transform, fit_vocabulary, tfidf_transform
+from csr import expand
 from rows import record_set
 
 # Empty messages, messages shorter than three characters, non-ASCII text and
@@ -82,6 +85,9 @@ def _reference_docs(config, train_rs, test_rs):
 
 
 def _assert_identical(got, want):
+    """``got``, expanded to one row per document, holds ``want``'s bytes."""
+    assert want.doc_rows is None
+    got = expand(got)
     assert got.weighting is want.weighting
     assert got.matrix.shape == want.matrix.shape
     for name in ("indptr", "indices", "data"):
@@ -107,6 +113,13 @@ def _check_features(representation, train_rs, test_rs):
     assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
     assert test_rs.n_units == len(ref_test)
     matrices = features.matrices
+    for weighting in Weighting:
+        test_m = matrices["test", weighting][0]
+        assert test_m.n_docs == test_rs.n_units
+        if test_rs.granularity is Granularity.LINE:
+            assert test_m.n_rows == len(set(test_rs.messages))
+            assert test_m.doc_rows.tobytes() == message_ids.tobytes()
+    assert matrices["train", Weighting.TFIDF][0].doc_rows is None
     _assert_identical(matrices["test", Weighting.TFIDF][0], tfidf_transform(vocab, ref_test))
     _assert_identical(matrices["test", Weighting.COUNT][0], count_transform(vocab, ref_test))
     _assert_identical(matrices["train", Weighting.TFIDF][0], tfidf_transform(vocab, ref_train))
