@@ -15,10 +15,14 @@ Adapters know the line layout of the supported benchmark formats:
 Files are read line by line with universal newlines ("\r\n" and a lone
 "\r" end a line, as "\n" does) and a lossy UTF-8 fallback: the public
 corpora contain invalid bytes, which become U+FFFD.  An adapter appends
-each record's fields to local column lists through bound ``append``
-methods, so no Python-level function runs per record, and builds the
-``RecordSet`` once at the end.  Records are stored by column in it;
-sampling, splitting and filtering are index and mask operations on it.
+each record's message to a local list, and its label code to a
+``bytearray``, through bound ``append`` methods, so no Python-level
+function runs per record.  Sequence ids and line numbers go into typed
+``array`` columns, or are derived at the end (a line-labeled file keeps
+only its blank lines' numbers), so no column holds a Python int object per
+record.  The ``RecordSet`` is built once at the end.  Records are stored by
+column in it; sampling, splitting and filtering are index and mask
+operations on it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -217,7 +222,8 @@ _HDFS_HEADER_FIELDS = 5
 
 def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
                 keys: dict[str, int], line_nos) -> RecordSet:
-    """The set of loaded columns, each given as a list or an array."""
+    """The set of loaded columns, each given as a ``bytearray``, a typed
+    ``array`` or a numpy array."""
     return RecordSet(granularity, messages, np.asarray(codes, dtype=np.int8),
                      np.asarray(seq_ids, dtype=np.int32), list(keys),
                      np.asarray(line_nos, dtype=np.int64))
@@ -225,18 +231,18 @@ def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
 
 def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
     messages: list[str] = []
-    codes: list[int] = []
-    line_nos: list[int] = []
-    add_message, add_code, add_line_no = messages.append, codes.append, line_nos.append
+    codes, blank_lines = bytearray(), array("q")
+    add_message, add_code = messages.append, codes.append
     for i, line in enumerate(_iter_lines(path)):
         parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
         if not parts:
-            continue  # blank line
+            blank_lines.append(i)
+            continue
         add_message(parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else "")
         add_code(_NORMAL if parts[0] == "-" else _ANOMALY)
-        add_line_no(i)
-    return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1), {},
-                       line_nos)
+    line_nos = np.delete(np.arange(len(messages) + len(blank_lines)), blank_lines)
+    return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1, np.int32),
+                       {}, line_nos)
 
 
 def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
@@ -244,10 +250,8 @@ def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
     messages: list[str] = []
-    codes: list[int] = []
-    seq_ids: list[int] = []
+    codes, seq_ids, line_nos = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
-    line_nos: list[int] = []
     add_message, add_code, add_seq_id, add_line_no = (
         messages.append, codes.append, seq_ids.append, line_nos.append)
     for i, line in enumerate(_iter_lines(path)):
@@ -271,8 +275,7 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
         raise LoadError(f"hadoop adapter expects a directory of per-application logs: {path}")
     seq_labels = _read_label_csv(labels)
     messages: list[str] = []
-    codes: list[int] = []
-    seq_ids: list[int] = []
+    file_codes, file_ids, file_lines = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}
     # Line numbers run on across the files, in file-name order; a file
     # without lines gets no key.
@@ -282,10 +285,11 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
         n = len(messages) - start
         if n:
             app = app_file.stem
-            codes += [seq_labels.get(app, _UNKNOWN)] * n
-            seq_ids += [keys.setdefault(app, len(keys))] * n
-    return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys,
-                       np.arange(len(messages)))
+            file_codes.append(seq_labels.get(app, _UNKNOWN))
+            file_ids.append(keys.setdefault(app, len(keys)))
+            file_lines.append(n)
+    return _record_set(Granularity.SEQUENCE, messages, np.repeat(file_codes, file_lines),
+                       np.repeat(file_ids, file_lines), keys, np.arange(len(messages)))
 
 
 def _load_plain(path: Path, labels: Path | None) -> RecordSet:

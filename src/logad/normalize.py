@@ -55,13 +55,18 @@ def normalize_records(rs: RecordSet) -> RecordSet:
     rewrites "\n", a zero run cannot span it, and the one context-dependent
     case mapping, a final sigma, does not look past it.  A message that
     contains "\n" itself comes back in as many pieces, which are joined
-    again.
+    again.  Within a block, equal normalized messages are one string object:
+    logs repeat their messages, so the set holds about one string per
+    distinct message and block, and a dict of at most one block's strings.
     """
     messages = rs.messages
     normalized: list[str] = []
     for start in range(0, len(messages), _BLOCK):
-        normalized += normalize_message("\n".join(messages[start:start + _BLOCK])).split("\n")
-    if len(normalized) != len(rs):
-        pieces = iter(normalized)
-        normalized = ["\n".join(islice(pieces, msg.count("\n") + 1)) for msg in messages]
+        block = messages[start:start + _BLOCK]
+        pieces = normalize_message("\n".join(block)).split("\n")
+        if len(pieces) != len(block):
+            rest = iter(pieces)
+            pieces = ["\n".join(islice(rest, msg.count("\n") + 1)) for msg in block]
+        first: dict[str, str] = {}
+        normalized += map(first.setdefault, pieces, pieces)
     return replace(rs, messages=normalized)

@@ -48,9 +48,10 @@ def _sum_repeats(
     Without values, ``positions`` is sorted in place."""
     if n_positions <= len(positions):
         # A count per possible position takes no more room than the entries.
-        # Sequence units summed from their records are this dense (634k
-        # entries over 272k positions on the grid_hdfs workload), and
-        # counting them is several times quicker than the sort below.
+        # Sequence units summed from their records are this dense (each run
+        # of about 65k trigram entries falls on about 28k positions on the
+        # grid_hdfs workload), and counting them is several times quicker
+        # than the sort below.
         counts = np.bincount(positions, minlength=n_positions)
         distinct = np.flatnonzero(counts)
         if values is None:
@@ -74,22 +75,46 @@ def _sum_repeats(
     return positions[first], sums
 
 
-def _from_positions(
-    positions: np.ndarray, shape: tuple[int, int], values: np.ndarray | None = None
-) -> CSRMatrix:
-    """The count matrix of the entries at the int64 row-major positions
-    ``row * n_cols + col`` (as ``np.ravel_multi_index`` gives them), each
-    counting its integer ``values`` entry, or 1 without them.  A repeated
+# Entries summed per step when record rows are summed into units or
+# documents are counted: it bounds the size of the transient position arrays.
+_CHUNK = 1 << 16
+
+
+def _from_row_chunks(shape: tuple[int, int], row_starts: np.ndarray, chunk_entries) -> CSRMatrix:
+    """The count matrix of entries given in row order.
+
+    ``chunk_entries(r0, r1)`` returns the entries of rows ``r0`` to
+    ``r1 - 1`` (entries ``row_starts[r0]`` to ``row_starts[r1]``) as int64
+    positions ``(row - r0) * n_cols + col`` and their integer counts, or
+    None when each counts 1.  The rows are taken in runs of about ``_CHUNK``
+    entries, a larger row in a run of its own, and each run is summed alone
+    into the output arrays, so no array spans all the entries.  A repeated
     position holds the sum of its counts, and each row's columns ascend, as
-    scipy's ``sum_duplicates`` leaves them.  Without values, ``positions``
-    is sorted in place.
+    scipy's ``sum_duplicates`` leaves them.  Index arrays are int32 while
+    the row and column counts and the number of entries fit, as scipy
+    chooses them.
     """
     n_rows, n_cols = shape
-    index = _index_dtype(max(n_rows, n_cols, len(positions)))
-    distinct, data = _sum_repeats(positions, values, n_rows * n_cols)
-    indptr = np.searchsorted(distinct, np.arange(n_rows + 1, dtype=np.int64) * n_cols)
-    np.remainder(distinct, n_cols, out=distinct)
-    return CSRMatrix(indptr.astype(index), distinct.astype(index), data, (n_rows, n_cols))
+    index = _index_dtype(max(n_rows, n_cols, int(row_starts[-1])))
+    # Cut after the first row that reaches each multiple of _CHUNK entries.
+    ends = np.searchsorted(row_starts[1:], np.arange(_CHUNK, row_starts[-1], _CHUNK)) + 1
+    cuts = sorted({0, n_rows, *ends.tolist()})
+    # A run sums to no more entries than it has, nor than its rows have columns.
+    room = int(np.minimum(np.diff(row_starts[cuts]), np.diff(cuts) * n_cols).sum())
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indices, data = np.empty(room, index), np.empty(room)
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        distinct, sums = _sum_repeats(*chunk_entries(r0, r1), (r1 - r0) * n_cols)
+        start = int(indptr[r0])
+        row_ends = np.searchsorted(distinct, np.arange(1, r1 - r0 + 1, dtype=np.int64) * n_cols)
+        indptr[r0 + 1:r1 + 1] = row_ends + start
+        np.remainder(distinct, n_cols, out=distinct)
+        indices[start:start + len(distinct)] = distinct
+        data[start:start + len(distinct)] = sums
+    # Shrink to the entries written; realloc frees the tail without a copy.
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    return CSRMatrix(indptr.astype(index), indices, data, shape)
 
 
 @dataclass(frozen=True)
@@ -248,16 +273,30 @@ class DocTermMatrix:
         row ``rows[i]`` to the group ``groups[i]``; the counts are integers,
         so the sums are exact.  When each group is one entry, in group order
         (lines), the groups share the stored rows: the result keeps them and
-        maps group ``i`` to ``rows[i]``."""
+        maps group ``i`` to ``rows[i]``.  Otherwise the entries are sorted
+        stably by group and the groups summed in runs of about ``_CHUNK``
+        gathered entries, so no array holds every entry's gathered row."""
         if np.array_equal(groups, np.arange(n_groups)):
             return DocTermMatrix(self.matrix, self.weighting, self.doc_token_totals, rows)
-        records = self.matrix.take_rows(rows)
-        n_cols = records.shape[1]
-        positions = np.repeat(groups.astype(np.int64) * n_cols, np.diff(records.indptr))
-        positions += records.indices
-        counts = _from_positions(positions, (n_groups, n_cols), records.data)
         totals = np.zeros(n_groups, dtype=np.int64)
         np.add.at(totals, groups, self.doc_token_totals[rows])
+        # The records in group order, so each group's entries are one run.
+        order = np.argsort(groups, kind="stable")
+        rows, groups = rows[order], groups[order]
+        n_cols = self.n_terms
+        record_starts = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.matrix.indptr)[rows], out=record_starts[1:])
+        first_record = np.searchsorted(groups, np.arange(n_groups + 1))
+
+        def chunk_entries(g0, g1):
+            b0, b1 = first_record[g0], first_record[g1]
+            part = self.matrix.take_rows(rows[b0:b1])
+            positions = np.repeat((groups[b0:b1] - g0).astype(np.int64) * n_cols,
+                                  np.diff(part.indptr))
+            positions += part.indices
+            return positions, part.data
+
+        counts = _from_row_chunks((n_groups, n_cols), record_starts[first_record], chunk_entries)
         return DocTermMatrix(counts, self.weighting, totals)
 
 
@@ -265,19 +304,26 @@ def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMat
     """Per-document counts of the terms in ``term_to_col``, the one counting
     routine; other terms contribute nothing to a row but still count in its
     ``doc_token_totals``."""
-    lengths, cols, totals = array("q"), array("q"), array("q")
+    # Columns are C ints, half the room of int64: a vocabulary never nears
+    # 2**31 terms, and a larger column would overflow loudly.
+    lengths, cols, totals = array("q"), array("i"), array("q")
     for doc in docs:
         start = len(cols)
         cols.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
         lengths.append(len(cols) - start)
         totals.append(doc.source_len)
     shape = (len(totals), len(term_to_col))
-    # Each column becomes its row-major position in place, so the buffer is
-    # the only per-entry array until the build.
-    positions = np.frombuffer(cols, np.int64)
-    row_starts = np.arange(shape[0], dtype=np.int64) * shape[1]
-    positions += np.repeat(row_starts, np.frombuffer(lengths, np.int64))
-    matrix = _from_positions(positions, shape)
+    lengths = np.frombuffer(lengths, np.int64)
+    doc_starts = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=doc_starts[1:])
+    cols = np.frombuffer(cols, np.intc)
+
+    def chunk_entries(d0, d1):
+        positions = np.repeat(np.arange(d1 - d0, dtype=np.int64) * shape[1], lengths[d0:d1])
+        positions += cols[doc_starts[d0]:doc_starts[d1]]
+        return positions, None
+
+    matrix = _from_row_chunks(shape, doc_starts, chunk_entries)
     return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logad.vectorize import (
-    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _from_positions, _index_dtype, tfidf_weighting,
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _from_row_chunks, _index_dtype,
+    tfidf_weighting,
 )
 
 from csr import expand, to_scipy
@@ -51,7 +52,16 @@ def entries(draw, max_rows=8, max_cols=8, max_entries=40):
 
 
 def _build(shape, rows, cols, values=None):
-    return _from_positions(np.ravel_multi_index((rows, cols), shape), shape, values)
+    """The count matrix of the entries, given to the build in row order."""
+    order = np.argsort(rows, kind="stable")
+    row_starts = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+
+    def chunk_entries(r0, r1):
+        taken = order[row_starts[r0]:row_starts[r1]]
+        positions = (rows[taken] - r0) * shape[1] + cols[taken]
+        return positions, None if values is None else values[taken]
+
+    return _from_row_chunks(shape, row_starts, chunk_entries)
 
 
 def _scipy_build(shape, rows, cols, values):

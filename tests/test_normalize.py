@@ -126,3 +126,20 @@ def test_normalizing_a_sample_normalizes_its_records(messages, fraction, seed):
     out = normalize_records(sampled)
     assert out.messages == [normalize_message(r.message) for r in sampled]
     assert out.messages == sample(normalize_records(rs), fraction, seed).messages
+
+
+# Raw messages that normalize alike, some across a "\n" they contain.
+_REPEATS = st.sampled_from(["Send 42", "send 7", "OK", "ok", "a\nB 1", "A\nb 22", "\n", "", "Σ 0"])
+
+
+@given(st.lists(_REPEATS, max_size=14), st.integers(1, 4))
+@example(["a\nB 1", "A\nb 22", "a\nB 1", "ok", "OK"], 4)
+def test_equal_messages_share_one_string_per_block(messages, block):
+    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
+    with mock.patch.object(normalize, "_BLOCK", block):
+        out = normalize_records(rs).messages
+    assert out == [normalize_message(m) for m in messages]
+    for start in range(0, len(out), block):
+        first: dict[str, str] = {}
+        for message in out[start:start + block]:
+            assert first.setdefault(message, message) is message
