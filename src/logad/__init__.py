@@ -25,6 +25,7 @@ from .evaluate import (
     auc_roc,
     best_f1,
     score_histogram,
+    score_table,
 )
 from .ingest import (
     Granularity,
@@ -39,7 +40,7 @@ from .ingest import (
     sample,
     split,
 )
-from .normalize import normalize_message, normalize_records
+from .normalize import normalize_block, normalize_message, normalize_records
 from .pipeline import (
     ConfigError,
     FittedArtifacts,
@@ -109,6 +110,7 @@ __all__ = [
     "kmeans_fit",
     "kmeans_score",
     "load",
+    "normalize_block",
     "normalize_message",
     "normalize_records",
     "oovd_score",
@@ -119,6 +121,7 @@ __all__ = [
     "run_repeats",
     "sample",
     "score_histogram",
+    "score_table",
     "split",
     "tfidf_transform",
     "tokenize_trigrams",

@@ -299,20 +299,41 @@ def iforest_score(m: IForestModel, docs: DocTermMatrix) -> np.ndarray:
     n_trees = len(m.roots)
     chunk = max(1, min(_CHUNK_ELEMENTS // max(1, m.n_terms), _WALK_SLOTS // n_trees))
     mean_h = np.zeros(n)
+    # Node-slot buffers (trees x a chunk's rows) that every step of every
+    # chunk writes into: a fresh array of this size per step would be a
+    # fresh mapping, whose cost depends on what earlier stages freed.
+    slots = n_trees * min(chunk, n)
+    int_bufs = [np.empty(slots, dtype=np.int64) for _ in range(4)]
+    float_bufs = [np.empty(slots) for _ in range(2)]
+    bool_bufs = [np.empty(slots, dtype=bool) for _ in range(2)]
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        dense = docs.matrix.take_rows(np.arange(start, stop)).toarray()
-        rows = np.arange(stop - start)
-        node = np.repeat(m.roots[:, None], stop - start, axis=1)
+        width = stop - start
+        node, feats, child, right, vals, acc, internal, go_left = (
+            buf[:n_trees * width].reshape(n_trees, width)
+            for buf in (*int_bufs, *float_bufs, *bool_bufs)
+        )
+        dense = docs.matrix.take_rows(np.arange(start, stop)).toarray().ravel()
+        row_start = np.arange(width) * m.n_terms  # each row's offset in ``dense``
+        np.copyto(node, m.roots[:, None])
         for _ in range(m.depth_cap + 1):
-            feats = m.feature[node]
-            internal = feats >= 0
+            # The indices are valid; mode="clip" keeps np.take from buffering.
+            np.take(m.feature, node, out=feats, mode="clip")
+            np.greater_equal(feats, 0, out=internal)
             if not internal.any():
                 break
-            vals = dense[rows, np.where(internal, feats, 0)]
-            go_left = vals < m.threshold[node]
-            node = np.where(internal, np.where(go_left, m.left[node], m.right[node]), node)
+            np.maximum(feats, 0, out=feats)  # a leaf reads column 0 and stays put
+            np.add(feats, row_start, out=feats)
+            np.take(dense, feats, out=vals, mode="clip")
+            np.take(m.threshold, node, out=acc, mode="clip")
+            np.less(vals, acc, out=go_left)
+            np.take(m.left, node, out=child, mode="clip")
+            np.take(m.right, node, out=right, mode="clip")
+            np.copyto(right, child, where=go_left)
+            np.copyto(node, right, where=internal)
         # Adds tree by tree, in tree order.  np.add.reduce would sum a
         # one-doc chunk pairwise, since its trees axis is contiguous.
-        mean_h[start:stop] = np.cumsum(m.path[node], axis=0)[-1] / n_trees
+        np.take(m.path, node, out=vals, mode="clip")
+        np.cumsum(vals, axis=0, out=acc)
+        mean_h[start:stop] = acc[-1] / n_trees
     return docs.per_doc(np.power(2.0, -mean_h / m.c_norm))

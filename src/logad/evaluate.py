@@ -12,9 +12,123 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+
+class ScoreTable(NamedTuple):
+    """The distinct scores of one evaluation, descending, with the number of
+    anomalous (``tps``) and normal (``fps``) documents scoring at or above
+    each: every candidate threshold with its cumulative true and false
+    positives.  Predicting anomalous means score >= threshold.
+
+    AUC-ROC, both best-F1 modes and the histogram read this one table.  All
+    its counts are integers, so a table built from stored rows gives every
+    output the bits of the per-document table.
+    """
+
+    thresholds: np.ndarray
+    tps: np.ndarray
+    fps: np.ndarray
+
+    def _totals(self) -> tuple[int, int]:
+        """(anomalous, normal) documents."""
+        return (int(self.tps[-1]), int(self.fps[-1])) if len(self.tps) else (0, 0)
+
+    def auc(self) -> float:
+        """Rank-based AUC-ROC with midranks for ties; NaN if any score is NaN.
+
+        Both classes must be present, otherwise the metric is undefined and
+        a ValueError is raised.  The normal documents of a tie run rank
+        below the anomalous documents of every higher run and tie with those
+        of their own run, so the Mann-Whitney statistic is
+        ``2U = sum(d_fp[i] * (tp[i - 1] + tp[i]))``.  2U and 2PN are exact
+        integers, so one division gives the bits of the midrank formula.
+        """
+        n_pos, n_neg = self._totals()
+        if n_pos == 0 or n_neg == 0:
+            raise ValueError("AUC-ROC is undefined for single-class labels")
+        if np.isnan(self.thresholds[-1]):
+            return float("nan")
+        tps, fps = self.tps, self.fps
+        two_u = int(np.diff(fps, prepend=0) @ (np.r_[0, tps[:-1]] + tps))
+        return two_u / (2 * n_pos * n_neg)
+
+    def best_f1(self, budget: int | None = None) -> tuple[float, float]:
+        """Best F1 over the thresholds, as (threshold, f1); see ``best_f1``."""
+        n_pos = self._totals()[0]
+        if n_pos == 0:
+            raise ValueError("F1 is undefined without positive labels")
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        if budget is None or budget >= len(self.thresholds) + 1:
+            return _best_f1_exact(self.thresholds, self.tps, self.fps, n_pos)
+        return _best_f1_budgeted(self.thresholds, self.tps, self.fps, n_pos, budget)
+
+    def histogram(self, n_bins: int) -> Histogram:
+        """The score histogram; see ``score_histogram``."""
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+        s = self.thresholds
+        if s.size == 0:
+            return Histogram(bins=[])
+        lo, hi = float(s.min()), float(s.max())
+        if lo == hi:
+            n_pos, n_neg = self._totals()
+            return Histogram(bins=[(lo, hi, n_neg, n_pos)])
+        width = (hi - lo) / n_bins
+        idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
+        normal, anomaly = np.zeros((2, n_bins), dtype=np.int64)
+        np.add.at(normal, idx, np.diff(self.fps, prepend=0))
+        np.add.at(anomaly, idx, np.diff(self.tps, prepend=0))
+        normal, anomaly = normal.tolist(), anomaly.tolist()
+        return Histogram(bins=[
+            (lo + b * width, hi if b == n_bins - 1 else lo + (b + 1) * width,
+             normal[b], anomaly[b])
+            for b in range(n_bins)
+        ])
+
+
+def score_table(
+    scores: Sequence[float], labels: Sequence[int], doc_rows: np.ndarray | None = None
+) -> ScoreTable:
+    """The threshold table of per-document ``scores`` and ``labels`` (1 for
+    anomalous, 0 for normal).
+
+    With ``doc_rows`` (a ``DocTermMatrix`` row map), the table is built over
+    the rows that some document uses, each with the count of its anomalous
+    and normal documents, at the cost of the rows; it is the per-document
+    table, because the documents of a row carry the row's score.  If they
+    do not (a faulty scorer), the table is built per document, so that no
+    document's score is hidden.  A score of -0.0 counts as 0.0, and all NaN
+    scores are one entry, the last, as equal infinities are one entry.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    if s.shape != y.shape:
+        raise ValueError(f"{s.shape[0]} scores but {y.shape[0]} labels")
+    rows = np.arange(len(s)) if doc_rows is None else np.asarray(doc_rows)
+    n_rows = int(rows.max()) + 1 if len(rows) else 0
+    row_scores = np.zeros(n_rows)
+    row_scores[rows] = s
+    if doc_rows is not None and not np.array_equal(row_scores[rows].view(np.int64),
+                                                   s.view(np.int64)):
+        return score_table(s, y)
+    docs = np.bincount(rows, minlength=n_rows)
+    used = docs > 0
+    # Adding 0.0 turns -0.0 into 0.0, so equal scores have equal bits.
+    row_scores = row_scores[used] + 0.0
+    order = np.argsort(-row_scores)
+    s = row_scores[order]
+    # A row's normal documents are all but those labelled otherwise, so the
+    # per-document gathers cover only the rare labels.
+    tps = np.cumsum(np.bincount(rows[y == 1], minlength=n_rows)[used][order])
+    fps = np.cumsum((docs - np.bincount(rows[y != 0], minlength=n_rows))[used][order])
+    # The last entry of each run of equal scores (NaNs sort last and are one
+    # run); the slice leaves none when there are no scores.
+    last = np.flatnonzero(np.r_[(s[1:] != s[:-1]) & ~np.isnan(s[:-1]), True][:len(s)])
+    return ScoreTable(s[last], tps[last], fps[last])
 
 
 def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -23,47 +137,14 @@ def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     ``labels`` are 1 for anomalous, 0 for normal; both classes must be
     present, otherwise the metric is undefined and a ValueError is raised.
-    The Mann-Whitney U comes from the best-F1 threshold table: the normal
-    items of a tie run rank below the anomalous items of every higher run
-    and tie with those of their own run, so
-    ``2U = sum(d_fp[i] * (tp[i - 1] + tp[i]))``.  2U and 2PN are exact
-    integers, so one division gives the bits of the midrank formula.
+    See ``ScoreTable.auc``.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape:
-        raise ValueError(f"{s.shape[0]} scores but {y.shape[0]} labels")
-    n_pos = int((y == 1).sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC-ROC is undefined for single-class labels")
-    if np.isnan(s).any():
-        return float("nan")
-    _, tps, fps = _threshold_table(s, y)
-    tp_before = np.r_[0, tps[:-1]]
-    two_u = int(np.diff(fps, prepend=0) @ (tp_before + tps))
-    return two_u / (2 * n_pos * n_neg)
+    return score_table(scores, labels).auc()
 
 
 def _f1_counts(tp: int, fp: int, n_pos: int) -> float:
     denom = 2 * tp + fp + (n_pos - tp)
     return 2.0 * tp / denom if denom else 0.0
-
-
-def _threshold_table(scores: np.ndarray, labels: np.ndarray):
-    """Unique candidate thresholds (descending) with cumulative tp/fp.
-
-    Predicting anomalous means score >= threshold, so each unique score is
-    one candidate decision boundary.
-    """
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    cum_tp = np.cumsum(y == 1)
-    cum_fp = np.cumsum(y == 0)
-    # The last index of each tie run; equal infinities are one run.
-    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
-    return s[last], cum_tp[last], cum_fp[last]
 
 
 def best_f1(
@@ -78,20 +159,7 @@ def best_f1(
     iterative refinement over score quantiles, mirroring a bounded
     optimization loop.  Requires at least one positive label.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape:
-        raise ValueError(f"{s.shape[0]} scores but {y.shape[0]} labels")
-    n_pos = int((y == 1).sum())
-    if n_pos == 0:
-        raise ValueError("F1 is undefined without positive labels")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-
-    thresholds, tps, fps = _threshold_table(s, y)
-    if budget is None or budget >= len(thresholds) + 1:
-        return _best_f1_exact(thresholds, tps, fps, n_pos)
-    return _best_f1_budgeted(thresholds, tps, fps, n_pos, budget)
+    return score_table(scores, labels).best_f1(budget)
 
 
 def _best_f1_exact(thresholds, tps, fps, n_pos) -> tuple[float, float]:
@@ -158,25 +226,7 @@ def score_histogram(
     Counts are split by label and conserved; a degenerate score range
     collapses to a single bin.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.size == 0:
-        return Histogram(bins=[])
-    lo, hi = float(s.min()), float(s.max())
-    if lo == hi:
-        nc = int((y == 0).sum())
-        ac = int((y == 1).sum())
-        return Histogram(bins=[(lo, hi, nc, ac)])
-    width = (hi - lo) / n_bins
-    idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
-    normal = np.bincount(idx[y == 0], minlength=n_bins).tolist()
-    anomaly = np.bincount(idx[y == 1], minlength=n_bins).tolist()
-    return Histogram(bins=[
-        (lo + b * width, hi if b == n_bins - 1 else lo + (b + 1) * width, normal[b], anomaly[b])
-        for b in range(n_bins)
-    ])
+    return score_table(scores, labels).histogram(n_bins)
 
 
 GRID_COLUMNS = [

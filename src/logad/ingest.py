@@ -12,12 +12,17 @@ Adapters know the line layout of the supported benchmark formats:
   keyed by file stem.
 * ``plain``: one record per line, labels unknown.
 
-Files are read line by line with universal newlines ("\r\n" and a lone
-"\r" end a line, as "\n" does) and a lossy UTF-8 fallback: the public
-corpora contain invalid bytes, which become U+FFFD.  An adapter appends
-each record's message to a local list, and its label code to a
-``bytearray``, through bound ``append`` methods, so no Python-level
-function runs per record.  Sequence ids and line numbers go into typed
+Files are read in blocks of ``normalize._BLOCK`` lines, with universal
+newlines ("\r\n" and a lone "\r" end a line, as "\n" does) and a lossy
+UTF-8 fallback: the public corpora contain invalid bytes, which become
+U+FFFD.  Given a normalizer (``normalize_block``), ``load`` normalizes each
+block as it reads it, so one block of raw lines is alive at a time; the
+set equals ``normalize_records`` of the raw set.  Within a block, each
+distinct line is parsed once, through a dict from the line to its message
+(and label code), and a dict that lives for the whole load hands equal
+messages back as one string object.  hdfs reads block ids from the raw
+line, because normalization turns their digits into "0".  The label codes
+go into a ``bytearray``, and sequence ids and line numbers into typed
 ``array`` columns, or are derived at the end (a line-labeled file keeps
 only its blank lines' numbers), so no column holds a Python int object per
 record.  The ``RecordSet`` is built once at the end.  Records are stored by
@@ -33,12 +38,15 @@ import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 # Loaded with the package, not on first use inside a run's timed work.
 import numpy.random  # noqa: F401
+
+from . import normalize
 
 
 class Label(Enum):
@@ -85,7 +93,8 @@ class RecordSet:
     """Ordered log records flowing through the pipeline, stored by column.
 
     ``messages`` is ``list[str]``: the raw messages as loaded, or their
-    normalized forms in the set ``normalize_records`` returns.
+    normalized forms in a set that ``load`` normalized while reading, or
+    that ``normalize_records`` returns.
     ``label_codes`` is ``int8`` (see ``LABEL_CODE``), ``seq_ids`` is
     ``int32`` and indexes ``seq_keys`` (-1 for no key), which lists the keys
     in first-appearance order, and ``line_nos`` is ``int64``.  Columns are
@@ -178,14 +187,23 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _iter_lines(path: Path) -> Iterator[str]:
+# A block normalizer: a list of lines to the list of their normalized forms.
+Normalizer = Callable[[list[str]], list[str]]
+
+
+def _line_blocks(
+    path: Path, normalizer: Normalizer | None
+) -> Iterator[tuple[list[str], list[str]]]:
+    """The lines of ``path`` in blocks of ``normalize._BLOCK``: each block's
+    raw lines, and the same lines normalized by ``normalizer`` (the raw
+    lines again without one)."""
     try:
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for line in fh:
-            yield line.rstrip("\n")
+        while raw := [line.rstrip("\n") for line in islice(fh, normalize._BLOCK)]:
+            yield raw, raw if normalizer is None else normalizer(raw)
 
 
 def _read_label_csv(path: Path) -> dict[str, int]:
@@ -229,46 +247,73 @@ def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
                      np.asarray(line_nos, dtype=np.int64))
 
 
-def _load_tagged(path: Path, labels: Path | None) -> RecordSet:
+def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
     messages: list[str] = []
     codes, blank_lines = bytearray(), array("q")
-    add_message, add_code = messages.append, codes.append
-    for i, line in enumerate(_iter_lines(path)):
-        parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
-        if not parts:
-            blank_lines.append(i)
-            continue
-        add_message(parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else "")
-        add_code(_NORMAL if parts[0] == "-" else _ANOMALY)
-    line_nos = np.delete(np.arange(len(messages) + len(blank_lines)), blank_lines)
+    shared: dict[str, str] = {}
+    n_lines = 0
+    for _, lines in _line_blocks(path, normalizer):
+        # Each distinct line split once; a blank line gets no entry.
+        body_of: dict[str, str] = {}
+        code_of: dict[str, int] = {}
+        distinct = dict.fromkeys(lines)
+        for line in distinct:
+            parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
+            if parts:
+                body = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
+                body_of[line] = shared.setdefault(body, body)
+                code_of[line] = _NORMAL if parts[0] == "-" else _ANOMALY
+        first, n_lines = n_lines, n_lines + len(lines)
+        if len(body_of) < len(distinct):  # the block has blank lines
+            blank_lines.extend(i for i, line in enumerate(lines, first) if line not in body_of)
+            lines = [line for line in lines if line in body_of]
+        messages += map(body_of.__getitem__, lines)
+        codes.extend(map(code_of.__getitem__, lines))
+    line_nos = np.delete(np.arange(n_lines), blank_lines)
     return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1, np.int32),
                        {}, line_nos)
 
 
-def _load_hdfs(path: Path, labels: Path | None) -> RecordSet:
+def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
     if labels is None:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
     messages: list[str] = []
     codes, seq_ids, line_nos = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
+    shared: dict[str, str] = {}
     add_message, add_code, add_seq_id, add_line_no = (
         messages.append, codes.append, seq_ids.append, line_nos.append)
-    for i, line in enumerate(_iter_lines(path)):
-        block_ids = _BLOCK_ID.findall(line)
-        if not block_ids:
-            continue  # no block reference, nothing to attribute the line to
-        parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
-        msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
-        for bid in dict.fromkeys(block_ids):
-            add_message(msg)
-            add_code(seq_labels.get(bid, _UNKNOWN))
-            add_seq_id(keys.setdefault(bid, len(keys)))
-            add_line_no(i)
+    n_lines = 0
+    for raw, lines in _line_blocks(path, normalizer):
+        body_of: dict[str, str] = {}  # each distinct line of the block split once
+        for i, (raw_line, line) in enumerate(zip(raw, lines), n_lines):
+            block_ids = _BLOCK_ID.findall(raw_line)
+            if not block_ids:
+                continue  # no block reference, nothing to attribute the line to
+            msg = body_of.get(line)
+            if msg is None:
+                parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
+                body = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
+                msg = body_of[line] = shared.setdefault(body, body)
+            for bid in dict.fromkeys(block_ids):
+                add_message(msg)
+                add_code(seq_labels.get(bid, _UNKNOWN))
+                add_seq_id(keys.setdefault(bid, len(keys)))
+                add_line_no(i)
+        n_lines += len(raw)
     return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys, line_nos)
 
 
-def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
+def _whole_lines(path: Path, normalizer: Normalizer | None, shared: dict[str, str]) -> list[str]:
+    """Every line of ``path`` as a message, an equal earlier one's object."""
+    messages: list[str] = []
+    for _, lines in _line_blocks(path, normalizer):
+        messages += map(shared.setdefault, lines, lines)
+    return messages
+
+
+def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
     if labels is None:
         raise LoadError("hadoop adapter requires a label file (seq_key,label CSV)")
     if not path.is_dir():
@@ -277,11 +322,12 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
     messages: list[str] = []
     file_codes, file_ids, file_lines = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}
+    shared: dict[str, str] = {}
     # Line numbers run on across the files, in file-name order; a file
     # without lines gets no key.
     for app_file in sorted(p for p in path.iterdir() if p.is_file()):
         start = len(messages)
-        messages += _iter_lines(app_file)
+        messages += _whole_lines(app_file, normalizer, shared)
         n = len(messages) - start
         if n:
             app = app_file.stem
@@ -292,8 +338,8 @@ def _load_hadoop(path: Path, labels: Path | None) -> RecordSet:
                        np.repeat(file_ids, file_lines), keys, np.arange(len(messages)))
 
 
-def _load_plain(path: Path, labels: Path | None) -> RecordSet:
-    messages = list(_iter_lines(path))
+def _load_plain(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
+    messages = _whole_lines(path, normalizer, {})
     n = len(messages)
     return _record_set(Granularity.LINE, messages, np.full(n, _UNKNOWN), np.full(n, -1), {},
                        np.arange(n))
@@ -308,14 +354,18 @@ ADAPTERS = {
 }
 
 
-def load(path: str | Path, adapter: str, labels: str | Path | None = None) -> RecordSet:
+def load(path: str | Path, adapter: str, labels: str | Path | None = None,
+         normalizer: Normalizer | None = None) -> RecordSet:
     """Load a log file (or directory, for hadoop) into a RecordSet.
 
-    Every line is kept; ``sample`` draws a subset afterwards.
+    Every line is kept; ``sample`` draws a subset afterwards.  Equal
+    messages are one string object.  With ``normalizer`` (``normalize_block``)
+    each block of lines is normalized as it is read, and the set equals
+    ``normalize_records(load(path, adapter, labels))``.
     """
     if adapter not in ADAPTERS:
         raise LoadError(f"unknown adapter {adapter!r}; expected one of {sorted(ADAPTERS)}")
-    return ADAPTERS[adapter](Path(path), None if labels is None else Path(labels))
+    return ADAPTERS[adapter](Path(path), None if labels is None else Path(labels), normalizer)
 
 
 def sample(rs: RecordSet, fraction: float, seed: int) -> RecordSet:

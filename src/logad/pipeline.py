@@ -1,15 +1,17 @@
 """End-to-end experiment pipeline: configuration, one run, grid runs.
 
-A run executes load, sample, normalize, split, optional normal-only
-filtering, representation, vectorization, model fit and scoring, and
-evaluation.  Everything fitted (vocabulary, templates, idf statistics,
-models) sees training data only; the template miner in particular is
-trained on the train side and applied read-only to the test side.
+A run executes load (which normalizes each block of lines as it reads
+it), sample, split, optional normal-only filtering, representation,
+vectorization, model fit and scoring, and evaluation.  Everything fitted
+(vocabulary, templates, idf statistics, models) sees training data only;
+the template miner in particular is trained on the train side and applied
+read-only to the test side.
 
 One chain of stages serves a single run and a grid alike: load through
 filter run once; representation, the vocabulary and the document-term
 matrices that its cells read once per representation, before its first
-cell runs; and fit, score and evaluation once per cell.
+cell runs; and fit, score and evaluation once per cell.  Evaluation reads
+one threshold table per cell, built from the scores of the stored rows.
 Each distinct normalized message is tokenized once, and on the test side
 counted once: a sequence unit's count row is the exact sum of its messages'
 rows, and a line maps to its message's row, which is scored once.
@@ -41,13 +43,7 @@ from .detect import (
     rm_fit,
     rm_score,
 )
-from .evaluate import (
-    GRID_COLUMNS,
-    EvalReport,
-    auc_roc,
-    best_f1,
-    score_histogram,
-)
+from .evaluate import GRID_COLUMNS, EvalReport, score_table
 from .ingest import (
     ADAPTERS,
     LABEL_CODE,
@@ -61,7 +57,7 @@ from .ingest import (
     sample,
     split,
 )
-from .normalize import normalize_records
+from .normalize import normalize_block
 from .represent import (
     DrainParser,
     TokenSeq,
@@ -309,17 +305,26 @@ class _Split:
 
 
 def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
-    """Load, sample, normalize, split and filter, then check the split.
+    """Load and normalize, sample, split and filter, then check the split.
 
     Label and class errors, and fewer train units than ``train_units``
     (from a model's ``min_train``) asks for, are raised here, before
     representation.
     """
-    timings: dict[str, float] = {}
-    rs = _timed(timings, "load", load, config.input, config.adapter, config.labels)
+    timings: dict[str, float] = {"normalize": 0.0}
+
+    def normalizer(lines: list[str]) -> list[str]:
+        t0 = time.perf_counter()
+        out = normalize_block(lines)
+        timings["normalize"] += time.perf_counter() - t0
+        return out
+
+    # Lines are normalized as they are read: "normalize" is the seconds
+    # spent in the normalizer, and "load" the rest of the load.
+    rs = _timed(timings, "load", load, config.input, config.adapter, config.labels, normalizer)
+    timings["load"] -= timings["normalize"]
     if config.sample_fraction < 1.0:
         rs = _timed(timings, "sample", sample, rs, config.sample_fraction, config.seed)
-    rs = _timed(timings, "normalize", normalize_records, rs)
     spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
     train_rs, test_rs = _timed(timings, "split", split, rs, spec)
     y = _test_labels(test_rs)
@@ -398,16 +403,17 @@ def _run_cell(
         model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
     scores = _timed(timings, "score", entry.score, features.vocab, model, test_m)
 
-    auc = auc_roc(scores, shared.y)
-    threshold, f1 = best_f1(scores, shared.y, budget=config.f1_budget)
-    hist = score_histogram(scores, shared.y, config.n_bins)
+    # One threshold table per cell; on a line test matrix it holds the
+    # stored rows that some line uses, with their lines' label counts.
+    table = score_table(scores, shared.y, test_m.doc_rows)
+    threshold, f1 = table.best_f1(config.f1_budget)
 
     report = EvalReport(
-        auc=auc,
+        auc=table.auc(),
         best_f1=f1,
         best_threshold=threshold,
         timings=timings,
-        histogram=hist,
+        histogram=table.histogram(config.n_bins),
         meta={
             "dataset": Path(config.input).stem,
             "representation": config.representation,

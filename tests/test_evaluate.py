@@ -12,6 +12,7 @@ from logad.evaluate import (
     auc_roc,
     best_f1,
     score_histogram,
+    score_table,
 )
 
 
@@ -255,6 +256,102 @@ class TestScoreHistogram:
         bins = score_histogram(scores, labels, n_bins).bins
         assert bins == self._reference_bins(scores, labels, n_bins)
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
+
+
+def _repr(values):
+    """Floats as their repr, which tells -0.0 from 0.0 and any NaN is 'nan'."""
+    return [tuple(repr(v) if isinstance(v, float) else v for v in item) for item in values]
+
+
+@st.composite
+def row_mapped(draw):
+    """Per-row scores, a row map whose lines leave some rows unused and use
+    some once, and 0/1 labels with both classes present."""
+    n_rows = draw(st.integers(1, 10))
+    row_scores = draw(st.lists(
+        st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]) | st.floats(),
+        min_size=n_rows, max_size=n_rows))
+    used = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows, unique=True))
+    doc_rows = np.array(draw(st.lists(st.sampled_from(used), min_size=2, max_size=40)))
+    _, labels = _labeled(draw, doc_rows)
+    return np.asarray(row_scores, dtype=np.float64), doc_rows, labels
+
+
+def _stable_sort_table(scores, labels):
+    """The per-document table that the shared table replaced: a stable sort
+    of every document, one entry per run of equal scores."""
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
+    return s[last], np.cumsum(y == 1)[last], np.cumsum(y == 0)[last]
+
+
+class TestScoreTable:
+    """One table over the stored rows evaluates as the per-document functions."""
+
+    @given(row_mapped(), st.integers(1, 12), st.integers(1, 8))
+    def test_row_table_equals_per_document_evaluation(self, case, budget, n_bins):
+        row_scores, doc_rows, labels = case
+        scores = row_scores[doc_rows]
+        table = score_table(scores, labels, doc_rows)
+        if np.isnan(scores).any():
+            assert np.isnan(table.auc()) and np.isnan(auc_roc(scores, labels))
+        else:
+            assert table.auc() == auc_roc(scores, labels)
+            assert repr(table.auc()) == repr(auc_roc(scores, labels))
+        for cap in (None, budget):
+            assert _repr([table.best_f1(cap)]) == _repr([best_f1(scores, labels, cap)])
+        with np.errstate(invalid="ignore"):  # infinite or NaN bounds
+            assert (_repr(table.histogram(n_bins).bins)
+                    == _repr(score_histogram(scores, labels, n_bins).bins))
+
+    @given(row_mapped())
+    def test_per_document_table_equals_the_stable_sort(self, case):
+        # NaNs are one entry now, where the stable sort had one per document.
+        row_scores, doc_rows, labels = case
+        scores = row_scores[doc_rows]
+        no_nan = not np.isnan(scores).any()
+        for table in (score_table(scores, labels), score_table(scores, labels, doc_rows)):
+            if no_nan:
+                thresholds, tps, fps = _stable_sort_table(scores, labels)
+                # The zeros are one score; the stable sort kept the last one's sign.
+                assert table.thresholds.tolist() == thresholds.tolist()
+                assert table.tps.tolist() == tps.tolist() and table.fps.tolist() == fps.tolist()
+            else:
+                assert np.isnan(table.thresholds[-1])
+                assert np.isnan(table.thresholds).sum() == 1
+                assert (table.tps[-1], table.fps[-1]) == ((labels == 1).sum(), (labels == 0).sum())
+
+    def test_unused_rows_stay_out_of_the_histogram_range(self):
+        # No line uses row 1, so no score of it may stretch the bins to 0.
+        scores = np.array([3.0, 1.0, 1.0, 3.0])
+        doc_rows = np.array([0, 2, 2, 0])
+        labels = np.array([0, 1, 1, 0])
+        table = score_table(scores, labels, doc_rows)
+        assert table.histogram(2).bins == [(1.0, 2.0, 0, 2), (2.0, 3.0, 2, 0)]
+        assert table.thresholds.tolist() == [3.0, 1.0]
+
+    def test_documents_that_disagree_with_their_row_are_evaluated_alone(self):
+        # A faulty scorer's NaN for one line of a shared row is not hidden.
+        scores = np.array([1.0, np.nan, 1.0, 0.5])
+        doc_rows = np.array([0, 0, 0, 1])
+        labels = np.array([0, 1, 0, 1])
+        table = score_table(scores, labels, doc_rows)
+        assert np.isnan(table.auc())
+        for got, want in zip(table, score_table(scores, labels)):
+            np.testing.assert_array_equal(got, want)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(table.histogram(4).bins[0][0])
+
+    def test_single_document_rows_and_ties_across_rows(self):
+        # Rows 0 and 2 hold equal scores: one threshold with both rows' counts.
+        row_scores = np.array([0.5, 2.0, 0.5])
+        doc_rows = np.array([0, 1, 2, 2])
+        labels = np.array([1, 1, 0, 0])
+        table = score_table(row_scores[doc_rows], labels, doc_rows)
+        assert table.thresholds.tolist() == [2.0, 0.5]
+        assert table.tps.tolist() == [1, 2] and table.fps.tolist() == [0, 2]
+        assert table.auc() == auc_roc(row_scores[doc_rows], labels) == 0.75
 
 
 class TestEvalReport:

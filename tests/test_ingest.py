@@ -1,9 +1,15 @@
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from logad import normalize
 from logad.ingest import (
     Granularity,
     Label,
@@ -17,6 +23,7 @@ from logad.ingest import (
     sample,
     split,
 )
+from logad.normalize import normalize_block, normalize_message, normalize_records
 from rows import record_set
 
 BGL_NORMAL = (
@@ -360,3 +367,89 @@ class TestLoaderLines:
         assert rs.label_codes.dtype == np.int8
         assert rs.seq_ids.dtype == np.int32
         assert rs.line_nos.dtype == np.int64
+
+
+# Field text: characters whose lowercase changes length or depends on
+# context (final sigma, with case-ignorable marks), ASCII and non-ASCII
+# digits, and the "blk_" of an hdfs block id.
+_FIELD = st.lists(st.sampled_from(["İ", "Σ", "σ", "A", "b", "'", "\u0301", "-", ":", "0", "0",
+                                   "7", "9", "٣", "blk_", "BLK_", "é"]),
+                  min_size=1, max_size=6).map("".join)
+_BLOCK_IDS = st.builds(lambda n, tail: f"blk_{n}{tail}", st.integers(-30, 30),
+                       st.sampled_from(["", "", ",", "x", "Σ"]))
+# Whitespace that str.split() splits on; only "\n" and "\r" end a line.
+_SPACE = st.sampled_from([" ", " ", "  ", "\t", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"])
+
+
+@st.composite
+def _log_lines(draw):
+    """Up to 13 whitespace-separated fields, some of them hdfs block ids, or
+    a tag field first, with leading and trailing whitespace at times."""
+    fields = draw(st.lists(_FIELD | _BLOCK_IDS, max_size=13))
+    if fields and draw(st.booleans()):
+        fields[0] = draw(st.sampled_from(["-", "-", "KERNDTLB", "Σ0"]))
+    text = "".join(field + draw(_SPACE) for field in fields)
+    return draw(st.sampled_from(["", " "])) + (text if draw(st.booleans()) else text.rstrip())
+
+
+# Bytes that are not UTF-8, each read as U+FFFD.
+_BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80 0"])
+
+
+@st.composite
+def _file_bytes(draw):
+    """A file of lines drawn from a small pool, so lines repeat in runs, each
+    ended by "\n", "\r\n" or a lone "\r", the last one at times by nothing."""
+    pool = draw(st.lists(_log_lines(), min_size=1, max_size=6))
+    out = []
+    for line in draw(st.lists(st.sampled_from(pool), max_size=25)):
+        data = line.encode("utf-8")
+        if draw(st.integers(0, 9)) == 0:
+            cut = draw(st.integers(0, len(data)))
+            data = data[:cut] + draw(_BAD_BYTES) + data[cut:]
+        out.append(data + draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])))
+    if out and draw(st.booleans()):
+        out[-1] = out[-1].rstrip(b"\r\n")
+    return out
+
+
+def _columns_of(rs):
+    return (rs.granularity, rs.messages, rs.label_codes.tolist(), rs.seq_ids.tolist(),
+            rs.seq_keys, rs.line_nos.tolist())
+
+
+class TestFusedLoad:
+    """Normalizing each block as it is read gives ``normalize_records`` of
+    the raw load, column for column, and each message is its raw message
+    normalized alone."""
+
+    @given(_file_bytes(), st.sampled_from(["bgl", "hdfs", "hadoop", "plain"]), st.integers(1, 4),
+           st.integers(1, 3))
+    @example([b"a b\r\n", b"c\rd\n", b"\re"], "plain", 2, 1)
+    @example([b"- 1 2 3 4 5 6 7 8 \xce\xa3 \xc4\xb00\n", b"\n", b" \t \n",
+              b"KERNDTLB 1 2 3\n"], "bgl", 1, 1)
+    @example([b"0 00 blk_1 x Id Blk_2 blk_1 blk_-3\n"] * 3 + [b"081109 1 2 a: no block\n"],
+             "hdfs", 2, 1)
+    @example([b"00 A\n", b"00 A\n", b"\xff\n", b"00 A"], "hadoop", 3, 2)
+    def test_fused_load_equals_normalize_records(self, lines, adapter, block, n_files):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            labels = tmp / "labels.csv"
+            labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_-3,Normal\n"
+                              "blk_0,Anomaly\napp_0,Normal\napp_1,Anomaly\n")
+            path = tmp / "log"
+            if adapter == "hadoop":
+                path.mkdir()
+                for i in range(n_files):
+                    (path / f"app_{i}.log").write_bytes(b"".join(lines[i::n_files]))
+            else:
+                path.write_bytes(b"".join(lines))
+            with mock.patch.object(normalize, "_BLOCK", block):
+                raw = load(path, adapter, labels)
+                fused = load(path, adapter, labels, normalize_block)
+                reference = normalize_records(raw)
+        assert _columns_of(fused) == _columns_of(reference)
+        assert fused.messages == [normalize_message(m) for m in raw.messages]
+        # Equal messages are one string object across the whole set.
+        first: dict[str, str] = {}
+        assert all(first.setdefault(m, m) is m for m in fused.messages)

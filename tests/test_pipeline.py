@@ -49,6 +49,40 @@ def hdfs_corpus(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def hadoop_corpus(tmp_path_factory):
+    """A hadoop directory: synthetic messages dealt to 60 application logs
+    under a timestamped header, and a label CSV keyed by file stem.
+
+    An application is anomalous iff any of its lines is.
+    """
+    d = tmp_path_factory.mktemp("hadoop")
+    source = gen_synthetic(d / "source.log", n_normal=1192, n_anomalies=8, n_templates=10,
+                           anomaly_kind="unseen_token", seed=9)
+    apps = d / "apps"
+    apps.mkdir()
+    lines = source.read_text().splitlines()
+    n_apps = 60
+    logs = [[] for _ in range(n_apps)]
+    anomalous = np.zeros(n_apps, dtype=bool)
+    for i, line in enumerate(lines):
+        parts = line.split(maxsplit=9)
+        anomalous[i % n_apps] |= parts[0] != "-"
+        logs[i % n_apps].append(f"2015-10-17 15:37:{i % 60:02d},{i % 997:03d} INFO [main] "
+                                f"org.apache.hadoop.mapreduce.v2.app.MRAppMaster: {parts[9]}\n")
+    for app, log in enumerate(logs):
+        (apps / f"application_{app:04d}.log").write_text("".join(log))
+    with open(d / "labels.csv", "w") as fh:
+        fh.write("application,label\n")
+        for app in range(n_apps):
+            fh.write(f"application_{app:04d},{'Anomaly' if anomalous[app] else 'Normal'}\n")
+    return d
+
+
+def _hadoop_config(corpus_dir, **overrides):
+    return _hdfs_config(corpus_dir, input=corpus_dir / "apps", adapter="hadoop", **overrides)
+
+
 def _hdfs_config(corpus_dir, **overrides):
     defaults = dict(
         input=corpus_dir / "hdfs.log",
@@ -337,20 +371,26 @@ class TestSharedStages:
         ("lines", "unfiltered"),
         ("lines", "normal_only"),
         ("blocks", "normal_only"),
+        ("apps", "normal_only"),
     ])
     def test_grid_cells_equal_standalone_runs(
-        self, unseen_corpus, hdfs_corpus, monkeypatch, corpus, scenario
+        self, unseen_corpus, hdfs_corpus, hadoop_corpus, monkeypatch, corpus, scenario
     ):
         if corpus == "lines":
             config = _config(unseen_corpus, scenario=scenario)
-        else:
+        elif corpus == "blocks":
             config = _hdfs_config(hdfs_corpus, scenario=scenario)
+        else:
+            config = _hadoop_config(hadoop_corpus, scenario=scenario)
         scores = _capture_scores(monkeypatch)
         reports = run_grid(config)
         grid_scores = list(scores)
         cells = grid_cells(scenario)
         assert len(reports) == len(grid_scores) == len(cells)
         for (rep, model), report, grid_s in zip(cells, reports, grid_scores):
+            # The histogram holds every test unit once.
+            docs = sum(normal + anomaly for _, _, normal, anomaly in report.histogram.bins)
+            assert docs == report.meta["n_test_docs"] == len(grid_s)
             scores.clear()
             alone, _ = execute(replace(config, representation=rep, model=model))
             [alone_s] = scores
@@ -360,23 +400,27 @@ class TestSharedStages:
 
     # Per representation: the test counts once, and the train tf-idf matrix
     # that kmeans and iforest read; the test tf-idf is weighted from the
-    # test counts without another transform.
+    # test counts without another transform.  Load normalizes the lines as
+    # it reads them: the corpus's 630 lines are one block.
     @pytest.mark.parametrize("entry,expected", [
-        (run_grid, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 3,
+        (run_grid, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 3,
                     "fit_vocabulary": 3, "count_transform": 3, "tfidf_transform": 3}),
-        (run, {"load": 1, "normalize_records": 1, "split": 1, "_represent": 1,
+        (run, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 1,
                "fit_vocabulary": 1, "count_transform": 1}),
     ])
     def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
         calls = Counter()
-        for name in ("load", "normalize_records", "split", "_represent", "fit_vocabulary",
+        for name in ("load", "normalize_block", "split", "_represent", "fit_vocabulary",
                      "count_transform", "tfidf_transform"):
             def counted(*args, _fn=getattr(pipeline, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(pipeline, name, counted)
-        entry(_config(unseen_corpus, scenario="normal_only", model="rm"))
+        out = entry(_config(unseen_corpus, scenario="normal_only", model="rm"))
         assert calls == expected
+        for report in out if entry is run_grid else [out]:
+            assert report.timings["normalize"] > 0.0
+            assert report.timings["load"] > 0.0
 
     def test_grid_timings_report_each_shared_stage_once_computed(self, unseen_corpus):
         reports = run_grid(_config(unseen_corpus, scenario="normal_only"))
