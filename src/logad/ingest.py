@@ -12,22 +12,22 @@ Adapters know the line layout of the supported benchmark formats:
   keyed by file stem.
 * ``plain``: one record per line, labels unknown.
 
-Files are read in blocks of ``normalize._BLOCK`` lines, with universal
-newlines ("\r\n" and a lone "\r" end a line, as "\n" does) and a lossy
-UTF-8 fallback: the public corpora contain invalid bytes, which become
-U+FFFD.  Given a normalizer (``normalize_block``), ``load`` normalizes each
-block as it reads it, so one block of raw lines is alive at a time; the
-set equals ``normalize_records`` of the raw set.  Within a block, each
-distinct line is parsed once, through a dict from the line to its message
-(and label code), and a dict that lives for the whole load hands equal
-messages back as one string object.  hdfs reads block ids from the raw
-line, because normalization turns their digits into "0".  The label codes
-go into a ``bytearray``, and sequence ids and line numbers into typed
-``array`` columns, or are derived at the end (a line-labeled file keeps
-only its blank lines' numbers), so no column holds a Python int object per
-record.  The ``RecordSet`` is built once at the end.  Records are stored by
-column in it; sampling, splitting and filtering are index and mask
-operations on it.
+Files are read in blocks of ``BLOCK_LINES`` lines, with universal newlines
+("\r\n" and a lone "\r" end a line, as "\n" does) and a lossy UTF-8
+fallback: the public corpora contain invalid bytes, which become U+FFFD.
+Given a normalizer (``normalize_block``), ``load`` normalizes each block as
+it reads it, so one block of raw lines is alive at a time; the set equals
+``normalize_records`` of the raw set.  Within a block, each distinct line
+is parsed once, through a dict from the line to its message (and label
+code) that lives for one block, so equal lines of a block share one
+message string.  hdfs reads block ids from the raw line, because
+normalization turns their digits into "0".  The label codes go into a
+``bytearray``, and sequence ids and line numbers into typed ``array``
+columns, or are derived at the end (a line-labeled file keeps only its
+blank lines' numbers), so no column holds a Python int object per record.
+The ``RecordSet`` is built once at the end.  Records are stored by column
+in it; sampling, splitting and filtering are index and mask operations on
+it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from typing import Callable, Iterator
 import numpy as np
 # Loaded with the package, not on first use inside a run's timed work.
 import numpy.random  # noqa: F401
-
-from . import normalize
 
 
 class Label(Enum):
@@ -187,6 +185,10 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+# Lines that load reads, and messages that normalize_records takes, per
+# block.  It bounds one block's transient strings and byte arrays: with
+# 8,192-line blocks a 100,000-line BGL run peaked 4 MB higher.
+BLOCK_LINES = 1024
 # A block normalizer: a list of lines to the list of their normalized forms.
 Normalizer = Callable[[list[str]], list[str]]
 
@@ -194,7 +196,7 @@ Normalizer = Callable[[list[str]], list[str]]
 def _line_blocks(
     path: Path, normalizer: Normalizer | None
 ) -> Iterator[tuple[list[str], list[str]]]:
-    """The lines of ``path`` in blocks of ``normalize._BLOCK``: each block's
+    """The lines of ``path`` in blocks of ``BLOCK_LINES``: each block's
     raw lines, and the same lines normalized by ``normalizer`` (the raw
     lines again without one)."""
     try:
@@ -202,7 +204,7 @@ def _line_blocks(
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     with fh:
-        while raw := [line.rstrip("\n") for line in islice(fh, normalize._BLOCK)]:
+        while raw := [line.rstrip("\n") for line in islice(fh, BLOCK_LINES)]:
             yield raw, raw if normalizer is None else normalizer(raw)
 
 
@@ -250,25 +252,22 @@ def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
 def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
     messages: list[str] = []
     codes, blank_lines = bytearray(), array("q")
-    shared: dict[str, str] = {}
+    add_message, add_code = messages.append, codes.append
     n_lines = 0
     for _, lines in _line_blocks(path, normalizer):
-        # Each distinct line split once; a blank line gets no entry.
-        body_of: dict[str, str] = {}
-        code_of: dict[str, int] = {}
-        distinct = dict.fromkeys(lines)
-        for line in distinct:
-            parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
-            if parts:
+        parsed: dict[str, tuple[str, int]] = {}  # each distinct line split once
+        for i, line in enumerate(lines, n_lines):
+            row = parsed.get(line)
+            if row is None:
+                parts = line.split(maxsplit=_TAG_HEADER_FIELDS)
+                if not parts:
+                    blank_lines.append(i)
+                    continue
                 body = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
-                body_of[line] = shared.setdefault(body, body)
-                code_of[line] = _NORMAL if parts[0] == "-" else _ANOMALY
-        first, n_lines = n_lines, n_lines + len(lines)
-        if len(body_of) < len(distinct):  # the block has blank lines
-            blank_lines.extend(i for i, line in enumerate(lines, first) if line not in body_of)
-            lines = [line for line in lines if line in body_of]
-        messages += map(body_of.__getitem__, lines)
-        codes.extend(map(code_of.__getitem__, lines))
+                row = parsed[line] = body, _NORMAL if parts[0] == "-" else _ANOMALY
+            add_message(row[0])
+            add_code(row[1])
+        n_lines += len(lines)
     line_nos = np.delete(np.arange(n_lines), blank_lines)
     return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1, np.int32),
                        {}, line_nos)
@@ -281,7 +280,6 @@ def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None) -
     messages: list[str] = []
     codes, seq_ids, line_nos = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
-    shared: dict[str, str] = {}
     add_message, add_code, add_seq_id, add_line_no = (
         messages.append, codes.append, seq_ids.append, line_nos.append)
     n_lines = 0
@@ -294,8 +292,8 @@ def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None) -
             msg = body_of.get(line)
             if msg is None:
                 parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
-                body = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
-                msg = body_of[line] = shared.setdefault(body, body)
+                msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
+                body_of[line] = msg
             for bid in dict.fromkeys(block_ids):
                 add_message(msg)
                 add_code(seq_labels.get(bid, _UNKNOWN))
@@ -305,11 +303,13 @@ def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None) -
     return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys, line_nos)
 
 
-def _whole_lines(path: Path, normalizer: Normalizer | None, shared: dict[str, str]) -> list[str]:
-    """Every line of ``path`` as a message, an equal earlier one's object."""
+def _whole_lines(path: Path, normalizer: Normalizer | None) -> list[str]:
+    """Every line of ``path`` as a message; equal lines of a block are one
+    string object."""
     messages: list[str] = []
     for _, lines in _line_blocks(path, normalizer):
-        messages += map(shared.setdefault, lines, lines)
+        first: dict[str, str] = {}
+        messages += map(first.setdefault, lines, lines)
     return messages
 
 
@@ -322,12 +322,11 @@ def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None)
     messages: list[str] = []
     file_codes, file_ids, file_lines = bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}
-    shared: dict[str, str] = {}
     # Line numbers run on across the files, in file-name order; a file
     # without lines gets no key.
     for app_file in sorted(p for p in path.iterdir() if p.is_file()):
         start = len(messages)
-        messages += _whole_lines(app_file, normalizer, shared)
+        messages += _whole_lines(app_file, normalizer)
         n = len(messages) - start
         if n:
             app = app_file.stem
@@ -339,7 +338,7 @@ def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None)
 
 
 def _load_plain(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
-    messages = _whole_lines(path, normalizer, {})
+    messages = _whole_lines(path, normalizer)
     n = len(messages)
     return _record_set(Granularity.LINE, messages, np.full(n, _UNKNOWN), np.full(n, -1), {},
                        np.arange(n))
@@ -358,9 +357,10 @@ def load(path: str | Path, adapter: str, labels: str | Path | None = None,
          normalizer: Normalizer | None = None) -> RecordSet:
     """Load a log file (or directory, for hadoop) into a RecordSet.
 
-    Every line is kept; ``sample`` draws a subset afterwards.  Equal
-    messages are one string object.  With ``normalizer`` (``normalize_block``)
-    each block of lines is normalized as it is read, and the set equals
+    Every line is kept; ``sample`` draws a subset afterwards.  Equal lines
+    within a block of ``BLOCK_LINES`` lines share one message string.
+    With ``normalizer`` (``normalize_block``) each block of lines is
+    normalized as it is read, and the set equals
     ``normalize_records(load(path, adapter, labels))``.
     """
     if adapter not in ADAPTERS:

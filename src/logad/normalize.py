@@ -22,23 +22,15 @@ reads it, when given ``normalize_block``; ``normalize_records`` normalizes
 a loaded set's messages in the same blocks, and the two give equal sets.
 """
 
-from __future__ import annotations
-
 from dataclasses import replace
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .ingest import RecordSet
+from . import ingest
 
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _ZERO = ord("0")
-# Lines that load reads, and messages that normalize_records takes, per
-# block.  It bounds one block's transient strings and byte arrays: with
-# 8,192-line blocks a 100,000-line BGL run peaked 5 MB higher.
-_BLOCK = 1024
 
 
 def normalize_message(raw: str) -> str:
@@ -72,17 +64,19 @@ def normalize_block(messages: list[str]) -> list[str]:
     return pieces
 
 
-def normalize_records(rs: RecordSet) -> RecordSet:
+def normalize_records(rs: ingest.RecordSet) -> ingest.RecordSet:
     """The set with every message normalized; ``rs`` keeps its own.
 
-    The messages are normalized in blocks of ``_BLOCK`` (``normalize_block``),
-    and equal normalized messages are one string object: logs repeat their
-    messages, so the set holds about one string per distinct message.
+    The messages are normalized in blocks of ``ingest.BLOCK_LINES``
+    (``normalize_block``).  Within a block, equal normalized messages are
+    one string object: logs repeat their messages, so the set holds about
+    one string per distinct message and block, and a dict of at most one
+    block's strings.
     """
-    messages = rs.messages
-    shared: dict[str, str] = {}
+    messages, block = rs.messages, ingest.BLOCK_LINES
     normalized: list[str] = []
-    for start in range(0, len(messages), _BLOCK):
-        pieces = normalize_block(messages[start:start + _BLOCK])
-        normalized += map(shared.setdefault, pieces, pieces)
+    for start in range(0, len(messages), block):
+        pieces = normalize_block(messages[start:start + block])
+        first: dict[str, str] = {}
+        normalized += map(first.setdefault, pieces, pieces)
     return replace(rs, messages=normalized)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logad import normalize
+from logad import ingest
 from logad.ingest import (
     Granularity,
     Label,
@@ -418,16 +418,39 @@ def _columns_of(rs):
             rs.seq_keys, rs.line_nos.tolist())
 
 
+def _read_block_of_each(rs, adapter, block):
+    """The block of lines that each message was read from: a hadoop file's
+    line numbers run on from the previous file's, and each file starts a
+    block."""
+    line_nos = rs.line_nos
+    if adapter != "hadoop":
+        return (line_nos // block).tolist()
+    _, first = np.unique(rs.seq_ids, return_index=True)
+    offsets = line_nos - line_nos[first][rs.seq_ids]
+    return list(zip(rs.seq_ids.tolist(), (offsets // block).tolist()))
+
+
+def _normalized_line_of_each(rs, path, adapter):
+    """The normalized line that each message was read from; a hadoop
+    message is its whole line."""
+    if adapter == "hadoop":
+        return rs.messages
+    lines = load(path, "plain", None, normalize_block).messages
+    return [lines[i] for i in rs.line_nos.tolist()]
+
+
 class TestFusedLoad:
     """Normalizing each block as it is read gives ``normalize_records`` of
-    the raw load, column for column, and each message is its raw message
-    normalized alone."""
+    the raw load, column for column, each message is its raw message
+    normalized alone, and equal lines of a block share one message."""
 
     @given(_file_bytes(), st.sampled_from(["bgl", "hdfs", "hadoop", "plain"]), st.integers(1, 4),
            st.integers(1, 3))
     @example([b"a b\r\n", b"c\rd\n", b"\re"], "plain", 2, 1)
     @example([b"- 1 2 3 4 5 6 7 8 \xce\xa3 \xc4\xb00\n", b"\n", b" \t \n",
               b"KERNDTLB 1 2 3\n"], "bgl", 1, 1)
+    @example([b"- 1 2 3 4 5 6 7 8 Send 42\n"] * 3 + [b"KERNDTLB 1 2 3 4 5 6 7 8 Send 42\n"],
+             "bgl", 2, 1)
     @example([b"0 00 blk_1 x Id Blk_2 blk_1 blk_-3\n"] * 3 + [b"081109 1 2 a: no block\n"],
              "hdfs", 2, 1)
     @example([b"00 A\n", b"00 A\n", b"\xff\n", b"00 A"], "hadoop", 3, 2)
@@ -444,12 +467,14 @@ class TestFusedLoad:
                     (path / f"app_{i}.log").write_bytes(b"".join(lines[i::n_files]))
             else:
                 path.write_bytes(b"".join(lines))
-            with mock.patch.object(normalize, "_BLOCK", block):
+            with mock.patch.object(ingest, "BLOCK_LINES", block):
                 raw = load(path, adapter, labels)
                 fused = load(path, adapter, labels, normalize_block)
                 reference = normalize_records(raw)
+            keys = list(zip(_read_block_of_each(fused, adapter, block),
+                            _normalized_line_of_each(fused, path, adapter)))
         assert _columns_of(fused) == _columns_of(reference)
         assert fused.messages == [normalize_message(m) for m in raw.messages]
-        # Equal messages are one string object across the whole set.
-        first: dict[str, str] = {}
-        assert all(first.setdefault(m, m) is m for m in fused.messages)
+        # Equal lines of one block give one message string object.
+        first: dict[tuple, str] = {}
+        assert all(first.setdefault(key, m) is m for key, m in zip(keys, fused.messages))

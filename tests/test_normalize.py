@@ -4,7 +4,7 @@ from unittest import mock
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logad import normalize
+from logad import ingest
 from logad.ingest import LogRecord, sample
 from logad.normalize import normalize_message, normalize_records
 from rows import record_set
@@ -101,7 +101,7 @@ def test_normalize_message_matches_reference(s):
 @example([], 1)
 def test_batched_normalize_equals_per_message(messages, block):
     rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    with mock.patch.object(normalize, "_BLOCK", block):
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
         out = normalize_records(rs)
     assert out.messages == [normalize_message(m) for m in messages]
     assert out.messages == [_reference_normalize(m) for m in messages]
@@ -109,10 +109,10 @@ def test_batched_normalize_equals_per_message(messages, block):
 
 
 def test_records_longer_than_one_block():
-    n = 2 * normalize._BLOCK + 3
+    n = 2 * ingest.BLOCK_LINES + 3
     messages = [f"Line {i:07d} at 0x00{i}" for i in range(n)]
     # Messages with "\n" on both sides of the first block boundary and last.
-    for i in (normalize._BLOCK - 1, normalize._BLOCK, n - 1):
+    for i in (ingest.BLOCK_LINES - 1, ingest.BLOCK_LINES, n - 1):
         messages[i] = f"Σ 00{i}\n\n0{i}Σ\n"
     rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
     assert normalize_records(rs).messages == [_reference_normalize(m) for m in messages]
@@ -136,7 +136,7 @@ _REPEATS = st.sampled_from(["Send 42", "send 7", "OK", "ok", "a\nB 1", "A\nb 22"
 @example(["a\nB 1", "A\nb 22", "a\nB 1", "ok", "OK"], 4)
 def test_equal_messages_share_one_string_per_block(messages, block):
     rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    with mock.patch.object(normalize, "_BLOCK", block):
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
         out = normalize_records(rs).messages
     assert out == [normalize_message(m) for m in messages]
     for start in range(0, len(out), block):
