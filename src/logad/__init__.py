@@ -55,7 +55,6 @@ from .represent import (
     WILDCARD,
     DrainParser,
     TokenSeq,
-    flatten_sequences,
     tokenize_trigrams,
     tokenize_words,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "execute",
     "filter_normal",
     "fit_vocabulary",
-    "flatten_sequences",
     "gen_synthetic",
     "iforest_fit",
     "iforest_score",

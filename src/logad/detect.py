@@ -136,7 +136,7 @@ def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
 
     Runs until the assignment reaches a fixpoint or ``_KMEANS_MAX_ITER`` rounds.
     Empty clusters are repaired by reseeding them to the point currently
-    farthest from its own centroid.
+    farthest from its own centroid among the clusters with another member.
     """
     _check_unmapped(train, "kmeans_fit")
     n = train.n_docs
@@ -151,12 +151,14 @@ def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
     for _ in range(_KMEANS_MAX_ITER):
         d2 = _sq_distances(X, x_sq, centroids)
         assign = d2.argmin(axis=1)
-        own = d2[np.arange(n), assign].copy()
-        for j in range(k):
-            if not np.any(assign == j):
-                far = int(own.argmax())
-                assign[far] = j
-                own[far] = -1.0  # keep later repairs from stealing the same point
+        own = d2[np.arange(n), assign]
+        sizes = np.bincount(assign, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            # Taking a cluster's only member would leave it empty.
+            far = int(np.where(sizes[assign] > 1, own, -1.0).argmax())
+            sizes[assign[far]] -= 1
+            sizes[j] = 1
+            assign[far] = j
         if prev is not None and np.array_equal(assign, prev):
             break
         for j in range(k):

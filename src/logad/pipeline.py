@@ -12,7 +12,7 @@ filter run once; representation, the vocabulary and the document-term
 matrices that its cells read once per representation, before its first
 cell runs; and fit, score and evaluation once per cell.  Evaluation reads
 one threshold table per cell, built from the scores of the stored rows.
-Each distinct normalized message is tokenized once, and on the test side
+Each distinct normalized message is tokenized once and, on both sides,
 counted once: a sequence unit's count row is the exact sum of its messages'
 rows, and a line maps to its message's row, which is scored once.
 """
@@ -47,7 +47,6 @@ from .evaluate import GRID_COLUMNS, EvalReport, score_table
 from .ingest import (
     ADAPTERS,
     LABEL_CODE,
-    Granularity,
     Label,
     RecordSet,
     SplitMode,
@@ -58,16 +57,9 @@ from .ingest import (
     split,
 )
 from .normalize import normalize_block
-from .represent import (
-    DrainParser,
-    TokenSeq,
-    flatten_sequences,
-    tokenize_trigrams,
-    tokenize_words,
-)
+from .represent import DrainParser, TokenSeq, tokenize_trigrams, tokenize_words
 from .vectorize import (
-    DocTermMatrix, Vocabulary, Weighting, count_transform, fit_vocabulary, tfidf_transform,
-    tfidf_weighting,
+    DocTermMatrix, Vocabulary, Weighting, _counts, _fit_units, tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
@@ -257,23 +249,22 @@ def _test_labels(test_rs: RecordSet) -> np.ndarray:
     return y
 
 
-def _distinct(messages: list[str]) -> tuple[list[str], list[int]]:
-    """The distinct messages in first-appearance order, and the index of
-    each message among them."""
-    ids: dict[str, int] = {}
-    message_ids = [ids.setdefault(msg, len(ids)) for msg in messages]
-    return list(ids), message_ids
+def _distinct(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items in first-appearance order, and each item's index among them."""
+    ids: dict = {}
+    item_ids = [ids.setdefault(item, len(ids)) for item in items]
+    return list(ids), np.array(item_ids, dtype=np.int64)
 
 
-def _represent(
-    config: RunConfig, train_rs: RecordSet, test_rs: RecordSet
-) -> tuple[list[TokenSeq], tuple[list[TokenSeq], np.ndarray], DrainParser | None]:
+def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tuple[
+    tuple[list[TokenSeq], np.ndarray], tuple[list[TokenSeq], np.ndarray], DrainParser | None
+]:
     """Tokenize each distinct message once; template mining fits on every
     train line and parses the test side read-only.
 
-    Returns the train documents (one per train unit); the distinct test
-    documents with the index of each test record's document among them; and
-    the parser.
+    Returns each side's distinct documents with the index of each record's
+    document among them (train events: the distinct ids the fit gave the
+    lines), and the parser.
     """
     drain = None
     test_msgs, test_ids = _distinct(test_rs.messages)
@@ -281,17 +272,15 @@ def _represent(
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
         # Drain's similarity counts exact matches only, so a repeated message
         # can miss a template it helped to wildcard: the fit sees every line.
-        train_docs = [TokenSeq.of([drain.fit_line(msg)]) for msg in train_rs.messages]
+        events, train_ids = _distinct([drain.fit_line(msg) for msg in train_rs.messages])
+        train_docs = [TokenSeq.of([event]) for event in events]
         test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_msgs]
     else:
         tokenize = _TOKENIZERS[config.representation]
         train_msgs, train_ids = _distinct(train_rs.messages)
-        distinct_docs = [tokenize(msg) for msg in train_msgs]
-        train_docs = [distinct_docs[i] for i in train_ids]
+        train_docs = [tokenize(msg) for msg in train_msgs]
         test_docs = [tokenize(msg) for msg in test_msgs]
-    if train_rs.granularity is Granularity.SEQUENCE:
-        train_docs = flatten_sequences(train_rs, train_docs)
-    return train_docs, (test_docs, np.array(test_ids, dtype=np.int64)), drain
+    return (train_docs, train_ids), (test_docs, test_ids), drain
 
 
 @dataclass
@@ -348,31 +337,33 @@ class _Features:
     """One representation: its train vocabulary and the matrices its cells read.
 
     ``matrices`` maps (side, ``Weighting``) to a matrix and the seconds its
-    build took; the test tf-idf is weighted from the test counts, and its
-    seconds include theirs.  The test counts are kept only if a cell reads
-    them.
+    build took; a tf-idf is weighted from its side's unit counts, and the
+    test tf-idf's seconds include the counts'.  The test counts are kept
+    only if a cell reads them.
     """
 
     def __init__(self, cells: list[RunConfig], train_rs: RecordSet, test_rs: RecordSet):
         t: dict[str, float] = {}
-        train_docs, (test_docs, message_ids), self.drain = _timed(
+        (train_docs, train_ids), (test_docs, test_ids), self.drain = _timed(
             t, "represent", _represent, cells[0], train_rs, test_rs
         )
-        # The vocabulary fit and the train transform get the same list
-        # object, by which a tracer tells the train side from the test side.
-        self.vocab = _timed(t, "vocabulary", fit_vocabulary, train_docs)
+        self.vocab, train_counts = _timed(
+            t, "vocabulary", _fit_units, train_docs, train_ids, train_rs.unit_ids, train_rs.n_units
+        )
         self.represent_s, self.vocabulary_s = t["represent"], t["vocabulary"]
-        self.n_train_docs = len(train_docs)
+        self.n_train_docs = self.vocab.train_doc_count
         entries = [_MODEL_TABLE[cell.model] for cell in cells]
         test_reads = {entry.test for entry in entries}
         self.matrices: dict[tuple[str, Weighting], tuple[DocTermMatrix, float]] = {}
         if any(entry.train is not None for entry in entries):
-            # Every train matrix in _MODEL_TABLE is tf-idf.
-            train_m = _timed(t, "train", tfidf_transform, self.vocab, train_docs)
+            # Every train matrix in _MODEL_TABLE is tf-idf, and every fit
+            # needs each document in its own stored row.
+            train_m = _timed(t, "train", lambda: tfidf_weighting(
+                self.vocab, train_counts).one_row_per_doc())
             self.matrices["train", Weighting.TFIDF] = train_m, t["train"]
         # Each distinct test document counted once, then summed into units.
-        counts = _timed(t, "counts", lambda: count_transform(self.vocab, test_docs).sum_rows(
-            message_ids, test_rs.unit_ids, test_rs.n_units
+        counts = _timed(t, "counts", lambda: _counts(self.vocab.term_to_col, test_docs).sum_rows(
+            test_ids, test_rs.unit_ids, test_rs.n_units
         ))
         if Weighting.COUNT in test_reads:
             self.matrices["test", Weighting.COUNT] = counts, t["counts"]

@@ -12,8 +12,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ingest import Granularity, RecordSet
-
 WILDCARD = "<*>"
 UNSEEN_EVENT = "e_unseen"
 # Children per routing node; a full node routes new tokens to its wildcard.
@@ -200,18 +198,3 @@ class DrainParser:
             for g in self._groups:
                 writer.writerow([g.event_id, " ".join(g.template), g.count])
 
-
-def flatten_sequences(rs: RecordSet, token_seqs: list[TokenSeq]) -> list[TokenSeq]:
-    """Merge per-record token sequences into one document per sequence key.
-
-    Member sequences are concatenated in line order, so the total token
-    count is preserved.  The documents are in the order of ``rs.seq_keys``.
-    """
-    if rs.granularity is not Granularity.SEQUENCE:
-        raise ValueError("flattening requires sequence granularity")
-    if len(rs) != len(token_seqs):
-        raise ValueError(f"{len(rs)} records but {len(token_seqs)} token sequences")
-    merged: list[list[str]] = [[] for _ in rs.seq_keys]
-    for seq_id, ts in zip(rs.seq_ids.tolist(), token_seqs):
-        merged[seq_id].extend(ts.terms)
-    return [TokenSeq.of(terms) for terms in merged]

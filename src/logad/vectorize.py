@@ -268,6 +268,12 @@ class DocTermMatrix:
         """Each document's entry of ``row_values``, which has one per stored row."""
         return row_values if self.doc_rows is None else row_values[self.doc_rows]
 
+    def one_row_per_doc(self) -> DocTermMatrix:
+        """A copy with each document in its own stored row, as fits need."""
+        rows = self.per_doc(np.arange(self.n_rows))
+        totals = self.doc_token_totals[rows]
+        return DocTermMatrix(self.matrix.take_rows(rows), self.weighting, totals)
+
     def sum_rows(self, rows: np.ndarray, groups: np.ndarray, n_groups: int) -> DocTermMatrix:
         """The counts of ``n_groups`` groups, entry ``i`` adding the stored
         row ``rows[i]`` to the group ``groups[i]``; the counts are integers,
@@ -327,24 +333,37 @@ def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMat
     return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
 
 
+def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary, DocTermMatrix]:
+    """The vocabulary and counts of units that sum the distinct ``docs``:
+    record ``i`` adds document ``ids[i]`` to unit ``unit_ids[i]``.  Columns
+    are in first appearance over the units' documents, unit by unit."""
+    by_unit = dict.fromkeys(ids[np.argsort(unit_ids, kind="stable")].tolist())
+    terms = dict.fromkeys(term for i in by_unit for term in docs[i].terms)
+    if not terms:
+        raise ValueError("cannot fit a vocabulary: all documents are empty")
+    term_to_col = dict(zip(terms, range(len(terms))))
+    counts = _counts(term_to_col, docs).sum_rows(ids, unit_ids, n_units)
+    m, n_terms = counts.matrix, len(term_to_col)
+    # A stored row counts once for each unit that maps to it.
+    units_per_row = np.bincount(counts.per_doc(np.arange(counts.n_rows)), minlength=counts.n_rows)
+    weights = np.repeat(units_per_row, np.diff(m.indptr))
+    term_total = _weighted_bincount(m.indices, m.data * weights, n_terms).astype(np.int64)
+    return Vocabulary(
+        term_to_col=term_to_col,
+        doc_freq=_weighted_bincount(m.indices, weights, n_terms).astype(np.int64),
+        term_total=term_total,
+        train_doc_count=n_units,
+        corpus_total=int(term_total.sum()),
+    ), counts
+
+
 def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
     """Collect the distinct terms of the training documents and their stats."""
     docs = list(train_docs)
     if not docs:
         raise ValueError("cannot fit a vocabulary on zero documents")
-    terms = dict.fromkeys(term for doc in docs for term in doc.terms)
-    if not terms:
-        raise ValueError("cannot fit a vocabulary: all documents are empty")
-    term_to_col = dict(zip(terms, range(len(terms))))
-    counts = _counts(term_to_col, docs).matrix
-    term_total = counts.column_sums().astype(np.int64)
-    return Vocabulary(
-        term_to_col=term_to_col,
-        doc_freq=np.bincount(counts.indices).astype(np.int64, copy=False),
-        term_total=term_total,
-        train_doc_count=len(docs),
-        corpus_total=int(term_total.sum()),
-    )
+    ids = np.arange(len(docs))
+    return _fit_units(docs, ids, ids, len(docs))[0]
 
 
 def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:

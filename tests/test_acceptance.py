@@ -29,9 +29,11 @@ from logad.evaluate import auc_roc, best_f1
 from logad.ingest import Label, LogRecord, Granularity, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message, normalize_records
 from logad.pipeline import ConfigError, RunConfig, execute, run
-from logad.represent import DrainParser, TokenSeq, WILDCARD, flatten_sequences, tokenize_trigrams
+from logad.represent import DrainParser, TokenSeq, WILDCARD, tokenize_trigrams
 from logad.synth import gen_synthetic
-from logad.vectorize import DocTermMatrix, Weighting, count_transform, fit_vocabulary, tfidf_transform
+from logad.vectorize import (
+    DocTermMatrix, Weighting, _counts, count_transform, fit_vocabulary, tfidf_transform,
+)
 from csr import from_dense, to_scipy
 from rows import record_set
 
@@ -315,9 +317,12 @@ def test_c6c_flatten_token_conservation():
                                      seq_key=f"s{rng.integers(6)}"))
             seqs.append(TokenSeq.of([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
         rs = record_set(records, Granularity.SEQUENCE)
-        flat = flatten_sequences(rs, seqs)
-        ok &= sum(d.source_len for d in flat) == sum(s.source_len for s in seqs)
-    verdict("C6c flatten preserves token counts", ok)
+        # Every record's terms summed into its sequence's row, as the pipeline counts.
+        units = _counts({f"t{i}": i for i in range(9)}, seqs).sum_rows(
+            np.arange(n), rs.unit_ids, rs.n_units)
+        total = sum(s.source_len for s in seqs)
+        ok &= int(units.doc_token_totals.sum()) == total == int(units.row_sums().sum())
+    verdict("C6c sequence units preserve token counts", ok)
 
 
 def test_c6d_tfidf_unit_norms():

@@ -24,7 +24,8 @@ from logad.ingest import (
     sample,
     split,
 )
-from logad.represent import TokenSeq, flatten_sequences
+from logad.represent import TokenSeq
+from logad.vectorize import _counts
 from rows import record_set
 
 KEYS = [f"s{i}" for i in range(6)]
@@ -190,10 +191,15 @@ def test_flatten_matches_reference(case, data):
         for _ in records
     ]
     rs = record_set(records, Granularity.SEQUENCE)
-    docs = flatten_sequences(rs, token_seqs)
+    # The pipeline sums each record's counts into its sequence's row.
+    term_to_col = {"a": 0, "b": 1, "c": 2}
+    units = _counts(term_to_col, token_seqs).sum_rows(
+        np.arange(len(records)), rs.unit_ids, rs.n_units)
     ref_keys, ref_terms, ref_labels = _ref_flatten(records, token_seqs)
+    ref = _counts(term_to_col, [TokenSeq.of(terms) for terms in ref_terms])
     assert rs.seq_keys == ref_keys
-    assert [d.terms for d in docs] == ref_terms
+    assert (units.matrix.toarray() == ref.matrix.toarray()).all()
+    assert units.doc_token_totals.tolist() == ref.doc_token_totals.tolist()
     assert list(_sequence_labels(rs).values()) == ref_labels
 
 

@@ -2,11 +2,12 @@
 
 ``pipeline._represent`` tokenizes (or parses) every distinct message once,
 and ``pipeline._Features`` sums the distinct count rows into sequence units,
-or maps each line to its message's row.  These tests build the per-unit
-documents the long way, from the public tokenizers, ``DrainParser`` and
-``flatten_sequences``, and require the unit matrices, expanded to one row per
-unit, to be bit-identical to transforming those documents.  A line test
-matrix stores one row per distinct message.
+or maps each line to its message's row, on both sides.  These tests build
+the per-unit documents the long way, from the public tokenizers,
+``DrainParser`` and a per-sequence merge, and require the vocabulary to equal
+``fit_vocabulary`` of those documents and the unit matrices, expanded to one
+row per unit, to be bit-identical to transforming them.  A line test matrix
+stores one row per distinct message.
 """
 
 from collections import Counter
@@ -20,17 +21,11 @@ from hypothesis import strategies as st
 from logad import pipeline
 from logad.ingest import Granularity, Label, LogRecord
 from logad.pipeline import RunConfig, _Features, execute
-from logad.represent import (
-    DrainParser,
-    TokenSeq,
-    flatten_sequences,
-    tokenize_trigrams,
-    tokenize_words,
-)
+from logad.represent import DrainParser, TokenSeq, tokenize_trigrams, tokenize_words
 from logad.synth import gen_synthetic
 from logad.vectorize import Weighting, count_transform, fit_vocabulary, tfidf_transform
 from csr import expand
-from rows import record_set
+from rows import flatten_sequences, record_set
 
 # Empty messages, messages shorter than three characters, non-ASCII text and
 # messages containing "\n", next to word messages that Drain can merge.
@@ -109,8 +104,14 @@ def _check_features(representation, train_rs, test_rs):
     ref_train, ref_test = _reference_docs(config, train_rs, test_rs)
     vocab = fit_vocabulary(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
-    assert features.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
-    assert features.vocab.term_total.tobytes() == vocab.term_total.tobytes()
+    for name in ("doc_freq", "term_total"):
+        got, want = getattr(features.vocab, name), getattr(vocab, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    for name in ("train_doc_count", "corpus_total"):
+        got, want = getattr(features.vocab, name), getattr(vocab, name)
+        assert type(got) is type(want) and got == want, name
+    assert features.n_train_docs == len(ref_train) == train_rs.n_units
     assert test_rs.n_units == len(ref_test)
     matrices = features.matrices
     for weighting in Weighting:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -236,6 +237,19 @@ class TestKMeans:
     def test_empty_row_against_origin_centroid(self):
         model = kmeans_fit(dtm([[0.0, 0.0], [0.0, 0.0]]), k=1, seed=0)
         assert kmeans_score(model, dtm([[0.0, 0.0]]))[0] == 0.0
+
+    def test_repair_never_empties_a_cluster(self):
+        # Three equal points leave clusters empty.  The farthest point from
+        # its centroid is the only member of its cluster; moving it would
+        # leave a 0/0 centroid, so the repair takes an equal point instead.
+        train = dtm([[0, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 0], [0, 1, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = kmeans_fit(train, k=5, seed=0)
+        assert np.isfinite(model.centroids).all()
+        assert sorted(map(tuple, model.centroids.tolist())) == [
+            (0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0), (1, 1, 0)
+        ]
 
     def test_k_larger_than_n_errors(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logad import pipeline
+from logad import pipeline, vectorize
 from logad.cli import main
 from logad.ingest import LogRecord, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message
@@ -398,26 +398,32 @@ class TestSharedStages:
             assert alone_s.tobytes() == grid_s.tobytes(), (rep, model)
             assert _without_timings(alone) == _without_timings(report), (rep, model)
 
-    # Per representation: the test counts once, and the train tf-idf matrix
-    # that kmeans and iforest read; the test tf-idf is weighted from the
-    # test counts without another transform.  Load normalizes the lines as
+    # Per representation: each side's distinct documents are counted once
+    # (`_counts`, the one counting routine, called by the pipeline or by
+    # `vectorize`) and summed into units.  The vocabulary is read from the
+    # train counts, and the train tf-idf that kmeans and iforest read and the
+    # test tf-idf are weighted from the counts.  Load normalizes the lines as
     # it reads them: the corpus's 630 lines are one block.
     @pytest.mark.parametrize("entry,expected", [
         (run_grid, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 3,
-                    "fit_vocabulary": 3, "count_transform": 3, "tfidf_transform": 3}),
+                    "_counts": 6, "tfidf_weighting": 6}),
         (run, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 1,
-               "fit_vocabulary": 1, "count_transform": 1}),
+               "_counts": 2, "tfidf_weighting": 1}),
     ])
     def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
         calls = Counter()
-        for name in ("load", "normalize_block", "split", "_represent", "fit_vocabulary",
-                     "count_transform", "tfidf_transform"):
-            def counted(*args, _fn=getattr(pipeline, name), _name=name):
+        hooks = [(pipeline, name) for name in (
+            "load", "normalize_block", "split", "_represent", "_counts", "tfidf_weighting"
+        )] + [(vectorize, "_counts")]
+        for owner, name in hooks:
+            def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(pipeline, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         out = entry(_config(unseen_corpus, scenario="normal_only", model="rm"))
         assert calls == expected
+        # One count per side and representation.
+        assert calls["_counts"] == 2 * calls["_represent"]
         for report in out if entry is run_grid else [out]:
             assert report.timings["normalize"] > 0.0
             assert report.timings["load"] > 0.0

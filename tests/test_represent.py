@@ -8,11 +8,10 @@ from logad.represent import (
     WILDCARD,
     DrainParser,
     TokenSeq,
-    flatten_sequences,
     tokenize_trigrams,
     tokenize_words,
 )
-from rows import record_set
+from rows import flatten_sequences, record_set
 
 
 class TestWords:
@@ -172,6 +171,8 @@ def _sequence_labels(rs):
 
 
 class TestFlatten:
+    """The per-sequence merge that the oracles of the unit counts use as reference."""
+
     def test_concatenation_in_line_order(self):
         rs = _seq_records([("s1", Label.NORMAL), ("s1", Label.NORMAL)])
         docs = flatten_sequences(rs, [TokenSeq.of(["a", "b"]), TokenSeq.of(["c"])])
