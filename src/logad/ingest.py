@@ -17,17 +17,13 @@ Files are read in blocks of ``BLOCK_LINES`` lines, with universal newlines
 fallback: the public corpora contain invalid bytes, which become U+FFFD.
 Given a normalizer (``normalize_block``), ``load`` normalizes each block as
 it reads it, so one block of raw lines is alive at a time; the set equals
-``normalize_records`` of the raw set.  Within a block, each distinct line
-is parsed once, through a dict from the line to its message (and label
-code) that lives for one block, so equal lines of a block share one
-message string.  hdfs reads block ids from the raw line, because
-normalization turns their digits into "0".  The label codes go into a
-``bytearray``, and sequence ids and line numbers into typed ``array``
-columns, or are derived at the end (a line-labeled file keeps only its
-blank lines' numbers), so no column holds a Python int object per record.
-The ``RecordSet`` is built once at the end.  Records are stored by column
-in it; sampling, splitting and filtering are index and mask operations on
-it.
+``normalize_records`` of the raw set.  hdfs reads block ids from the raw
+line, because normalization turns their digits into "0".
+
+A load keeps one table of its distinct messages and its records hold int32
+ids into it, so ingest alone decides which messages are equal.  Each block
+parses its distinct lines once; no column holds a Python object per
+record, and the sets that sample, split and filter derive share the table.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import csv
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -90,34 +86,35 @@ class LogRecord:
 class RecordSet:
     """Ordered log records flowing through the pipeline, stored by column.
 
-    ``messages`` is ``list[str]``: the raw messages as loaded, or their
-    normalized forms in a set that ``load`` normalized while reading, or
-    that ``normalize_records`` returns.
-    ``label_codes`` is ``int8`` (see ``LABEL_CODE``), ``seq_ids`` is
-    ``int32`` and indexes ``seq_keys`` (-1 for no key), which lists the keys
-    in first-appearance order, and ``line_nos`` is ``int64``.  Columns are
-    shared between sets and never modified in place.
+    ``texts`` lists the load's distinct messages in first-appearance order
+    (raw, or normalized by ``load`` or ``normalize_records``), and the
+    ``int32`` ``message_ids`` index it.  ``label_codes`` is ``int8`` (see
+    ``LABEL_CODE``); ``seq_ids`` is ``int32`` into ``seq_keys``, the keys in
+    first-appearance order (-1 for none); ``line_nos`` is ``int64``.  Sets
+    share columns and ``texts``, and never modify them in place.
     Iterating yields the records as ``LogRecord`` rows, built on every pass.
     """
 
     granularity: Granularity
-    messages: list[str]
+    texts: list[str]
+    message_ids: np.ndarray
     label_codes: np.ndarray
     seq_ids: np.ndarray
     seq_keys: list[str]
     line_nos: np.ndarray
 
     def __post_init__(self):
-        n = len(self.messages)
+        n = len(self.message_ids)
         if not len(self.label_codes) == len(self.seq_ids) == len(self.line_nos) == n:
             raise ValueError(
-                f"column lengths differ: {n} messages, {len(self.label_codes)} label codes, "
+                f"column lengths differ: {n} message ids, {len(self.label_codes)} label codes, "
                 f"{len(self.seq_ids)} seq ids, {len(self.line_nos)} line numbers"
             )
         if self.granularity is Granularity.SEQUENCE and (keyless := self.seq_ids < 0).any():
             line_no = self.line_nos[np.argmax(keyless)]
             raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
-        for name, column, low, high in (("label code", self.label_codes, 0, _ANOMALY),
+        for name, column, low, high in (("message id", self.message_ids, 0, len(self.texts) - 1),
+                                        ("label code", self.label_codes, 0, _ANOMALY),
                                         ("seq id", self.seq_ids, -1, len(self.seq_keys) - 1)):
             if (bad := (column < low) | (column > high)).any():
                 i = np.argmax(bad)
@@ -125,7 +122,12 @@ class RecordSet:
                                  f"outside {low}..{high}")
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.message_ids)
+
+    @property
+    def messages(self) -> list[str]:
+        """Each record's message, as a list built on every call."""
+        return list(map(self.texts.__getitem__, self.message_ids.tolist()))
 
     def __iter__(self) -> Iterator[LogRecord]:
         keys = self.seq_keys
@@ -149,6 +151,17 @@ class RecordSet:
         np.maximum.at(codes, self.unit_ids, self.label_codes)
         return codes
 
+    def distinct_messages(self) -> tuple[list[str], np.ndarray]:
+        """The distinct messages in first appearance, and each record's index among them."""
+        order, index = _first_seen(self.message_ids, len(self.texts))
+        return [self.texts[i] for i in order.tolist()], index
+
+    def with_texts(self, texts: list[str]) -> RecordSet:
+        """The set with text ``i`` replaced by ``texts[i]``; equal texts merge into one."""
+        table: dict[str, int] = {}
+        new_id = np.array([table.setdefault(text, len(table)) for text in texts], dtype=np.int32)
+        return replace(self, texts=list(table), message_ids=new_id[self.message_ids])
+
     def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
         """The records of the units where ``unit_mask`` is true."""
         return self._take(np.flatnonzero(unit_mask[self.unit_ids]))
@@ -158,14 +171,21 @@ class RecordSet:
         are renumbered in their first appearance among them."""
         seq_ids, seq_keys = self.seq_ids[index], self.seq_keys
         if seq_keys:
-            present, first = np.unique(seq_ids[seq_ids >= 0], return_index=True)
-            kept = present[np.argsort(first)]
-            # The slot past the last id stays -1, so an id of -1 maps to -1.
-            new_id = np.full(len(seq_keys) + 1, -1, dtype=np.int32)
-            new_id[kept] = np.arange(len(kept))
-            seq_ids, seq_keys = new_id[seq_ids], [seq_keys[k] for k in kept.tolist()]
-        return RecordSet(self.granularity, [self.messages[i] for i in index.tolist()],
+            kept, seq_ids = _first_seen(seq_ids, len(seq_keys))
+            seq_keys = [seq_keys[k] for k in kept.tolist()]
+        return RecordSet(self.granularity, self.texts, self.message_ids[index],
                          self.label_codes[index], seq_ids, seq_keys, self.line_nos[index])
+
+
+def _first_seen(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values in ``0..n-1`` of ``ids`` in first-appearance order, and the
+    int32 index of each id's value among them (an id of -1 stays -1)."""
+    first = np.full(n + 1, len(ids), dtype=np.int64)  # slot n takes the -1s
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    order = np.argsort(first[:n])[:np.count_nonzero(first[:n] < len(ids))]
+    new_id = np.full(n + 1, -1, dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    return order, new_id[ids]
 
 
 @dataclass(frozen=True)
@@ -240,22 +260,13 @@ _BLOCK_ID = re.compile(r"blk_-?\d+")
 _HDFS_HEADER_FIELDS = 5
 
 
-def _record_set(granularity: Granularity, messages: list[str], codes, seq_ids,
-                keys: dict[str, int], line_nos) -> RecordSet:
-    """The set of loaded columns, each given as a ``bytearray``, a typed
-    ``array`` or a numpy array."""
-    return RecordSet(granularity, messages, np.asarray(codes, dtype=np.int8),
-                     np.asarray(seq_ids, dtype=np.int32), list(keys),
-                     np.asarray(line_nos, dtype=np.int64))
-
-
-def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
-    messages: list[str] = []
-    codes, blank_lines = bytearray(), array("q")
-    add_message, add_code = messages.append, codes.append
+def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None,
+                 texts: dict[str, int]) -> tuple:
+    message_ids, codes, blank_lines = array("i"), bytearray(), array("q")
+    add_id, add_code = message_ids.append, codes.append
     n_lines = 0
     for _, lines in _line_blocks(path, normalizer):
-        parsed: dict[str, tuple[str, int]] = {}  # each distinct line split once
+        parsed: dict[str, tuple[int, int]] = {}  # each distinct line of the block split once
         for i, line in enumerate(lines, n_lines):
             row = parsed.get(line)
             if row is None:
@@ -264,86 +275,85 @@ def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None)
                     blank_lines.append(i)
                     continue
                 body = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
-                row = parsed[line] = body, _NORMAL if parts[0] == "-" else _ANOMALY
-            add_message(row[0])
+                row = parsed[line] = (texts.setdefault(body, len(texts)),
+                                      _NORMAL if parts[0] == "-" else _ANOMALY)
+            add_id(row[0])
             add_code(row[1])
         n_lines += len(lines)
     line_nos = np.delete(np.arange(n_lines), blank_lines)
-    return _record_set(Granularity.LINE, messages, codes, np.full(len(messages), -1, np.int32),
-                       {}, line_nos)
+    return Granularity.LINE, message_ids, codes, np.full(len(message_ids), -1), {}, line_nos
 
 
-def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
+def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None,
+               texts: dict[str, int]) -> tuple:
     if labels is None:
         raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
     seq_labels = _read_label_csv(labels)
-    messages: list[str] = []
-    codes, seq_ids, line_nos = bytearray(), array("i"), array("q")
-    keys: dict[str, int] = {}  # seq key -> id, in first-appearance order
-    add_message, add_code, add_seq_id, add_line_no = (
-        messages.append, codes.append, seq_ids.append, line_nos.append)
+    keys: dict[str, int] = {}
+    message_ids, codes, seq_ids, line_nos = array("i"), bytearray(), array("i"), array("q")
+    add_id, add_code, add_seq_id, add_line_no = (
+        message_ids.append, codes.append, seq_ids.append, line_nos.append)
     n_lines = 0
     for raw, lines in _line_blocks(path, normalizer):
-        body_of: dict[str, str] = {}  # each distinct line of the block split once
+        parsed: dict[str, int] = {}  # each distinct line of the block split once
         for i, (raw_line, line) in enumerate(zip(raw, lines), n_lines):
             block_ids = _BLOCK_ID.findall(raw_line)
             if not block_ids:
                 continue  # no block reference, nothing to attribute the line to
-            msg = body_of.get(line)
-            if msg is None:
+            msg_id = parsed.get(line)
+            if msg_id is None:
                 parts = line.split(maxsplit=_HDFS_HEADER_FIELDS)
                 msg = parts[_HDFS_HEADER_FIELDS] if len(parts) > _HDFS_HEADER_FIELDS else line
-                body_of[line] = msg
+                msg_id = parsed[line] = texts.setdefault(msg, len(texts))
             for bid in dict.fromkeys(block_ids):
-                add_message(msg)
+                add_id(msg_id)
                 add_code(seq_labels.get(bid, _UNKNOWN))
                 add_seq_id(keys.setdefault(bid, len(keys)))
                 add_line_no(i)
         n_lines += len(raw)
-    return _record_set(Granularity.SEQUENCE, messages, codes, seq_ids, keys, line_nos)
+    return Granularity.SEQUENCE, message_ids, codes, seq_ids, keys, line_nos
 
 
-def _whole_lines(path: Path, normalizer: Normalizer | None) -> list[str]:
-    """Every line of ``path`` as a message; equal lines of a block are one
-    string object."""
-    messages: list[str] = []
+def _whole_lines(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> array:
+    """The message id in ``texts`` of every line of ``path``, each line a message."""
+    ids = array("i")
     for _, lines in _line_blocks(path, normalizer):
-        first: dict[str, str] = {}
-        messages += map(first.setdefault, lines, lines)
-    return messages
+        ids.extend([texts.setdefault(line, len(texts)) for line in lines])
+    return ids
 
 
-def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
+def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None,
+                 texts: dict[str, int]) -> tuple:
     if labels is None:
         raise LoadError("hadoop adapter requires a label file (seq_key,label CSV)")
     if not path.is_dir():
         raise LoadError(f"hadoop adapter expects a directory of per-application logs: {path}")
     seq_labels = _read_label_csv(labels)
-    messages: list[str] = []
-    file_codes, file_ids, file_lines = bytearray(), array("i"), array("q")
+    message_ids, file_codes, file_ids, file_lines = array("i"), bytearray(), array("i"), array("q")
     keys: dict[str, int] = {}
     # Line numbers run on across the files, in file-name order; a file
     # without lines gets no key.
     for app_file in sorted(p for p in path.iterdir() if p.is_file()):
-        start = len(messages)
-        messages += _whole_lines(app_file, normalizer)
-        n = len(messages) - start
-        if n:
-            app = app_file.stem
-            file_codes.append(seq_labels.get(app, _UNKNOWN))
-            file_ids.append(keys.setdefault(app, len(keys)))
+        ids = _whole_lines(app_file, normalizer, texts)
+        message_ids += ids
+        if n := len(ids):
+            file_codes.append(seq_labels.get(app_file.stem, _UNKNOWN))
+            file_ids.append(keys.setdefault(app_file.stem, len(keys)))
             file_lines.append(n)
-    return _record_set(Granularity.SEQUENCE, messages, np.repeat(file_codes, file_lines),
-                       np.repeat(file_ids, file_lines), keys, np.arange(len(messages)))
+    return (Granularity.SEQUENCE, message_ids, np.repeat(file_codes, file_lines),
+            np.repeat(file_ids, file_lines), keys, np.arange(len(message_ids)))
 
 
-def _load_plain(path: Path, labels: Path | None, normalizer: Normalizer | None) -> RecordSet:
-    messages = _whole_lines(path, normalizer)
-    n = len(messages)
-    return _record_set(Granularity.LINE, messages, np.full(n, _UNKNOWN), np.full(n, -1), {},
-                       np.arange(n))
+def _load_plain(path: Path, labels: Path | None, normalizer: Normalizer | None,
+                texts: dict[str, int]) -> tuple:
+    message_ids = _whole_lines(path, normalizer, texts)
+    n = len(message_ids)
+    return Granularity.LINE, message_ids, np.full(n, _UNKNOWN), np.full(n, -1), {}, np.arange(n)
 
 
+# An adapter returns the granularity and the columns of its records: message
+# ids, label codes, seq ids, the key -> id dict and line numbers.  A message's
+# id is its entry in ``texts``, the load's one table, which gains new ones.
 ADAPTERS = {
     "bgl": _load_tagged,
     "thunderbird": _load_tagged,
@@ -357,15 +367,18 @@ def load(path: str | Path, adapter: str, labels: str | Path | None = None,
          normalizer: Normalizer | None = None) -> RecordSet:
     """Load a log file (or directory, for hadoop) into a RecordSet.
 
-    Every line is kept; ``sample`` draws a subset afterwards.  Equal lines
-    within a block of ``BLOCK_LINES`` lines share one message string.
-    With ``normalizer`` (``normalize_block``) each block of lines is
-    normalized as it is read, and the set equals
-    ``normalize_records(load(path, adapter, labels))``.
+    Every line is kept; ``sample`` draws a subset afterwards.  With
+    ``normalizer`` (``normalize_block``) each block is normalized as it is
+    read: the set equals ``normalize_records(load(path, adapter, labels))``.
     """
     if adapter not in ADAPTERS:
         raise LoadError(f"unknown adapter {adapter!r}; expected one of {sorted(ADAPTERS)}")
-    return ADAPTERS[adapter](Path(path), None if labels is None else Path(labels), normalizer)
+    texts: dict[str, int] = {}  # message -> id, in first-appearance order
+    granularity, message_ids, codes, seq_ids, keys, line_nos = ADAPTERS[adapter](
+        Path(path), None if labels is None else Path(labels), normalizer, texts)
+    return RecordSet(granularity, list(texts), np.asarray(message_ids, dtype=np.int32),
+                     np.asarray(codes, dtype=np.int8), np.asarray(seq_ids, dtype=np.int32),
+                     list(keys), np.asarray(line_nos, dtype=np.int64))
 
 
 def sample(rs: RecordSet, fraction: float, seed: int) -> RecordSet:

@@ -19,10 +19,9 @@ Python strings may hold, round-trip through the ``surrogatepass`` handler.
 Messages are normalized a block at a time (``normalize_block``), each block
 as one "\\n"-joined text.  ``load`` normalizes each block of lines as it
 reads it, when given ``normalize_block``; ``normalize_records`` normalizes
-a loaded set's messages in the same blocks, and the two give equal sets.
+the distinct messages of a loaded set's table, and the two give equal sets.
 """
 
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -65,18 +64,11 @@ def normalize_block(messages: list[str]) -> list[str]:
 
 
 def normalize_records(rs: ingest.RecordSet) -> ingest.RecordSet:
-    """The set with every message normalized; ``rs`` keeps its own.
-
-    The messages are normalized in blocks of ``ingest.BLOCK_LINES``
-    (``normalize_block``).  Within a block, equal normalized messages are
-    one string object: logs repeat their messages, so the set holds about
-    one string per distinct message and block, and a dict of at most one
-    block's strings.
-    """
-    messages, block = rs.messages, ingest.BLOCK_LINES
+    """The set with every message normalized; ``rs`` keeps its own.  Each text
+    of its table is normalized once, in blocks of ``ingest.BLOCK_LINES``, and
+    texts that normalize alike merge (``RecordSet.with_texts``)."""
+    texts, block = rs.texts, ingest.BLOCK_LINES
     normalized: list[str] = []
-    for start in range(0, len(messages), block):
-        pieces = normalize_block(messages[start:start + block])
-        first: dict[str, str] = {}
-        normalized += map(first.setdefault, pieces, pieces)
-    return replace(rs, messages=normalized)
+    for start in range(0, len(texts), block):
+        normalized += normalize_block(texts[start:start + block])
+    return rs.with_texts(normalized)

@@ -249,13 +249,6 @@ def _test_labels(test_rs: RecordSet) -> np.ndarray:
     return y
 
 
-def _distinct(items: list) -> tuple[list, np.ndarray]:
-    """The distinct items in first-appearance order, and each item's index among them."""
-    ids: dict = {}
-    item_ids = [ids.setdefault(item, len(ids)) for item in items]
-    return list(ids), np.array(item_ids, dtype=np.int64)
-
-
 def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tuple[
     tuple[list[TokenSeq], np.ndarray], tuple[list[TokenSeq], np.ndarray], DrainParser | None
 ]:
@@ -267,17 +260,19 @@ def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tu
     lines), and the parser.
     """
     drain = None
-    test_msgs, test_ids = _distinct(test_rs.messages)
+    test_msgs, test_ids = test_rs.distinct_messages()
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
         # Drain's similarity counts exact matches only, so a repeated message
         # can miss a template it helped to wildcard: the fit sees every line.
-        events, train_ids = _distinct([drain.fit_line(msg) for msg in train_rs.messages])
+        events: dict[str, int] = {}
+        train_ids = np.array([events.setdefault(drain.fit_line(msg), len(events))
+                              for msg in train_rs.messages], dtype=np.int64)
         train_docs = [TokenSeq.of([event]) for event in events]
         test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_msgs]
     else:
         tokenize = _TOKENIZERS[config.representation]
-        train_msgs, train_ids = _distinct(train_rs.messages)
+        train_msgs, train_ids = train_rs.distinct_messages()
         train_docs = [tokenize(msg) for msg in train_msgs]
         test_docs = [tokenize(msg) for msg in test_msgs]
     return (train_docs, train_ids), (test_docs, test_ids), drain

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -247,7 +248,8 @@ def _columns(n_messages=2, n_codes=2, n_ids=2, n_line_nos=2, seq_ids=None,
              granularity=Granularity.LINE):
     return RecordSet(
         granularity,
-        [f"m{i}" for i in range(n_messages)],
+        ["m0", "m1"],
+        np.arange(n_messages, dtype=np.int32) % 2,
         np.zeros(n_codes, dtype=np.int8),
         np.array(seq_ids if seq_ids is not None else [-1] * n_ids, dtype=np.int32),
         ["s0"],
@@ -264,11 +266,13 @@ class TestColumnChecks:
             _columns(**lengths)
 
     def test_replaced_messages_length_checked(self):
-        assert replace(_columns(), messages=["a", "b"]).messages == ["a", "b"]
-        with pytest.raises(ValueError, match="2 messages, 1 label codes"):
-            replace(_columns(n_codes=1, n_ids=1, n_line_nos=1), messages=["a", "b"])
-        with pytest.raises(ValueError, match="1 messages, 2 label codes"):
-            replace(_columns(), messages=["a"])
+        replaced = replace(_columns(), message_ids=np.array([1, 1], dtype=np.int32))
+        assert replaced.messages == ["m1", "m1"]
+        with pytest.raises(ValueError, match="2 message ids, 1 label codes"):
+            replace(_columns(n_codes=1, n_ids=1, n_line_nos=1),
+                    message_ids=np.array([0, 1], dtype=np.int32))
+        with pytest.raises(ValueError, match="1 message ids, 2 label codes"):
+            replace(_columns(), message_ids=np.array([0], dtype=np.int32))
 
     def test_keyless_sequence_record_named_by_line(self):
         assert len(_columns(seq_ids=[0, 0], granularity=Granularity.SEQUENCE)) == 2
@@ -280,12 +284,33 @@ class TestColumnChecks:
         ("label_codes", np.array([-1, 2], dtype=np.int8), "line 10 has label code -1"),
         ("seq_ids", np.array([0, 5], dtype=np.int32), "line 11 has seq id 5"),
         ("seq_ids", np.array([-2, 0], dtype=np.int32), "line 10 has seq id -2"),
+        ("message_ids", np.array([0, 2], dtype=np.int32), "line 11 has message id 2"),
+        ("message_ids", np.array([-1, 1], dtype=np.int32), "line 10 has message id -1"),
     ])
     def test_out_of_range_code_or_seq_id_named_by_line(self, column, values, match):
         # A code of 7 would be scored as normal but dropped by filter_normal;
-        # a seq id past the keys would fail later in unit_codes.
+        # a seq id past the keys would fail later in unit_codes, and a
+        # message id of -1 would read the last text.
         with pytest.raises(ValueError, match=match):
             replace(_columns(seq_ids=[0, 0]), **{column: values})
+
+
+def test_split_memory_follows_ids_not_messages(tmp_path):
+    # Both sides gather their int32 message ids with numpy, so a
+    # 100,000-line split peaks under 40 bytes per record.
+    n = 100_000
+    path = tmp_path / "x.log"
+    path.write_text("".join(f"message {i % 1000} of the log\n" for i in range(n)))
+    rs = load(path, "plain")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sides = split(rs, SplitSpec(0.05, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, sides)) == n
+    assert peak / n < 40
 
 
 BGL_SHORT = "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 RAS KERNEL INFO"
@@ -414,35 +439,30 @@ def _file_bytes(draw):
 
 
 def _columns_of(rs):
-    return (rs.granularity, rs.messages, rs.label_codes.tolist(), rs.seq_ids.tolist(),
-            rs.seq_keys, rs.line_nos.tolist())
+    return (rs.granularity, rs.texts, rs.message_ids.tolist(), rs.label_codes.tolist(),
+            rs.seq_ids.tolist(), rs.seq_keys, rs.line_nos.tolist())
 
 
-def _read_block_of_each(rs, adapter, block):
-    """The block of lines that each message was read from: a hadoop file's
-    line numbers run on from the previous file's, and each file starts a
-    block."""
-    line_nos = rs.line_nos
-    if adapter != "hadoop":
-        return (line_nos // block).tolist()
-    _, first = np.unique(rs.seq_ids, return_index=True)
-    offsets = line_nos - line_nos[first][rs.seq_ids]
-    return list(zip(rs.seq_ids.tolist(), (offsets // block).tolist()))
-
-
-def _normalized_line_of_each(rs, path, adapter):
-    """The normalized line that each message was read from; a hadoop
-    message is its whole line."""
+def _write_corpus(tmp, lines, adapter, n_files):
+    """The input path and label file of ``lines`` for ``adapter``: one log
+    file, or ``n_files`` application logs dealt the lines in turn."""
+    labels = tmp / "labels.csv"
+    labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_-3,Normal\n"
+                      "blk_0,Anomaly\napp_0,Normal\napp_1,Anomaly\n")
+    path = tmp / "log"
     if adapter == "hadoop":
-        return rs.messages
-    lines = load(path, "plain", None, normalize_block).messages
-    return [lines[i] for i in rs.line_nos.tolist()]
+        path.mkdir()
+        for i in range(n_files):
+            (path / f"app_{i}.log").write_bytes(b"".join(lines[i::n_files]))
+    else:
+        path.write_bytes(b"".join(lines))
+    return path, labels
 
 
 class TestFusedLoad:
     """Normalizing each block as it is read gives ``normalize_records`` of
-    the raw load, column for column, each message is its raw message
-    normalized alone, and equal lines of a block share one message."""
+    the raw load, column for column, and each message is its raw message
+    normalized alone."""
 
     @given(_file_bytes(), st.sampled_from(["bgl", "hdfs", "hadoop", "plain"]), st.integers(1, 4),
            st.integers(1, 3))
@@ -456,25 +476,41 @@ class TestFusedLoad:
     @example([b"00 A\n", b"00 A\n", b"\xff\n", b"00 A"], "hadoop", 3, 2)
     def test_fused_load_equals_normalize_records(self, lines, adapter, block, n_files):
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            labels = tmp / "labels.csv"
-            labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_-3,Normal\n"
-                              "blk_0,Anomaly\napp_0,Normal\napp_1,Anomaly\n")
-            path = tmp / "log"
-            if adapter == "hadoop":
-                path.mkdir()
-                for i in range(n_files):
-                    (path / f"app_{i}.log").write_bytes(b"".join(lines[i::n_files]))
-            else:
-                path.write_bytes(b"".join(lines))
+            path, labels = _write_corpus(Path(tmp), lines, adapter, n_files)
             with mock.patch.object(ingest, "BLOCK_LINES", block):
                 raw = load(path, adapter, labels)
                 fused = load(path, adapter, labels, normalize_block)
                 reference = normalize_records(raw)
-            keys = list(zip(_read_block_of_each(fused, adapter, block),
-                            _normalized_line_of_each(fused, path, adapter)))
         assert _columns_of(fused) == _columns_of(reference)
         assert fused.messages == [normalize_message(m) for m in raw.messages]
-        # Equal lines of one block give one message string object.
-        first: dict[tuple, str] = {}
-        assert all(first.setdefault(key, m) is m for key, m in zip(keys, fused.messages))
+
+
+class TestMessageTable:
+    """Each load holds one table of its distinct messages, which every set
+    derived from it shares."""
+
+    @given(_file_bytes(), st.sampled_from(["bgl", "hdfs", "hadoop", "plain"]), st.integers(1, 4),
+           st.integers(1, 3), st.booleans())
+    @example([b"- 1 2 3 4 5 6 7 8 Send 42\n", b"- 1 2 3 4 5 6 7 8 Send 7\n",
+              b"KERNDTLB 1 2 3 4 5 6 7 8 Send 42\n", b"- 9 Send 42\n"], "bgl", 1, 1, True)
+    @example([b"0 00 blk_1 x Id Blk_2 blk_1 blk_-3\n"] * 3 + [b"081109 1 2 3 4 x blk_2\n"],
+             "hdfs", 2, 1, False)
+    @example([b"a\n", b"b\n", b"a\n", b"c\n"], "hadoop", 1, 3, False)
+    def test_one_table_per_load(self, lines, adapter, block, n_files, normalized):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, labels = _write_corpus(Path(tmp), lines, adapter, n_files)
+            with mock.patch.object(ingest, "BLOCK_LINES", block):
+                rs = load(path, adapter, labels, normalize_block if normalized else None)
+        messages = rs.messages
+        # The table holds each message once, in first-appearance order...
+        assert rs.texts == list(dict.fromkeys(messages))
+        # ...so two records have equal ids exactly when their messages are equal.
+        ids = rs.message_ids.tolist()
+        assert all((ids[i] == ids[j]) == (messages[i] == messages[j])
+                   for i in range(len(ids)) for j in range(i))
+        derived = [sample(rs, 0.5, seed=3)]
+        if rs.n_units >= 2:
+            derived += split(rs, SplitSpec(0.5, seed=3))
+        if len(rs) and not (rs.label_codes == ingest.LABEL_CODE[Label.UNKNOWN]).any():
+            derived.append(filter_normal(rs))
+        assert all(part.texts is rs.texts for part in derived)

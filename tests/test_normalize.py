@@ -1,6 +1,7 @@
 import re
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -134,12 +135,11 @@ _REPEATS = st.sampled_from(["Send 42", "send 7", "OK", "ok", "a\nB 1", "A\nb 22"
 
 @given(st.lists(_REPEATS, max_size=14), st.integers(1, 4))
 @example(["a\nB 1", "A\nb 22", "a\nB 1", "ok", "OK"], 4)
-def test_equal_messages_share_one_string_per_block(messages, block):
+def test_messages_that_normalize_alike_share_one_id(messages, block):
     rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
     with mock.patch.object(ingest, "BLOCK_LINES", block):
-        out = normalize_records(rs).messages
-    assert out == [normalize_message(m) for m in messages]
-    for start in range(0, len(out), block):
-        first: dict[str, str] = {}
-        for message in out[start:start + block]:
-            assert first.setdefault(message, message) is message
+        out = normalize_records(rs)
+    assert out.messages == [normalize_message(m) for m in messages]
+    # One table entry per distinct normalized message, in first appearance.
+    assert out.texts == list(dict.fromkeys(out.messages))
+    assert out.message_ids.dtype == np.int32
