@@ -5,7 +5,8 @@ finite score per document where larger means more anomalous.  Fitted
 models are immutable; scoring a document never looks at other documents.
 A scorer scores each stored row of the matrix once and maps the row scores
 to the documents (``DocTermMatrix.per_doc``), so documents that share a row
-cost one score.  Fits need one stored row per document.
+cost one score.  Fits read documents through the map too, gathering the
+stored rows of the documents they take (``DocTermMatrix.take_docs``).
 
 The isolation forest keeps all its trees in one node table with each
 tree's root, and scores by walking every tree at once, one level per step.
@@ -24,15 +25,6 @@ from .vectorize import CSRMatrix, DocTermMatrix, Vocabulary, Weighting
 def _check_columns(expected: int, docs: DocTermMatrix, what: str) -> None:
     if docs.n_terms != expected:
         raise ValueError(f"{what}: matrix has {docs.n_terms} columns, expected {expected}")
-
-
-def _check_unmapped(train: DocTermMatrix, what: str) -> None:
-    """A fit samples documents, so it needs each document in its own row."""
-    if train.doc_rows is not None:
-        raise ValueError(
-            f"{what} needs one stored row per document, got {train.n_docs} "
-            f"documents in {train.n_rows} rows"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +98,13 @@ def _sq_distances(X: CSRMatrix, x_sq: np.ndarray, centroids: np.ndarray) -> np.n
 
 
 def _plus_plus_init(
-    X: CSRMatrix, x_sq: np.ndarray, k: int, rng: np.random.Generator
+    train: DocTermMatrix, x_sq: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    n = X.shape[0]
+    n, X = train.n_docs, train.matrix
     chosen = [int(rng.integers(n))]
-    centroids = np.zeros((k, X.shape[1]))
-    centroids[0] = X.take_rows([chosen[0]]).toarray()[0]
-    d2 = _sq_distances(X, x_sq, centroids[:1]).ravel()
+    centroids = np.zeros((k, train.n_terms))
+    centroids[0] = train.take_docs([chosen[0]]).toarray()[0]
+    d2 = train.per_doc(_sq_distances(X, x_sq, centroids[:1])).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -122,8 +114,8 @@ def _plus_plus_init(
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
         chosen.append(idx)
-        centroids[j] = X.take_rows([idx]).toarray()[0]
-        d2 = np.minimum(d2, _sq_distances(X, x_sq, centroids[j : j + 1]).ravel())
+        centroids[j] = train.take_docs([idx]).toarray()[0]
+        d2 = np.minimum(d2, train.per_doc(_sq_distances(X, x_sq, centroids[j : j + 1])).ravel())
     return centroids
 
 
@@ -138,18 +130,17 @@ def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
     Empty clusters are repaired by reseeding them to the point currently
     farthest from its own centroid among the clusters with another member.
     """
-    _check_unmapped(train, "kmeans_fit")
     n = train.n_docs
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n_docs], got k={k} for {n} docs")
     X = train.matrix
     x_sq = X.row_sq_norms()
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(X, x_sq, k, rng)
+    centroids = _plus_plus_init(train, x_sq, k, rng)
 
     prev = None
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sq_distances(X, x_sq, centroids)
+        d2 = train.per_doc(_sq_distances(X, x_sq, centroids))
         assign = d2.argmin(axis=1)
         own = d2[np.arange(n), assign]
         sizes = np.bincount(assign, minlength=k)
@@ -163,7 +154,7 @@ def kmeans_fit(train: DocTermMatrix, k: int = 8, seed: int = 0) -> KMeansModel:
             break
         for j in range(k):
             members = np.flatnonzero(assign == j)
-            centroids[j] = X.take_rows(members).column_sums() / len(members)
+            centroids[j] = train.take_docs(members).column_sums() / len(members)
         prev = assign
     return KMeansModel(k=k, centroids=centroids, seed=seed)
 
@@ -216,12 +207,11 @@ def iforest_fit(
 ) -> IForestModel:
     """Grow isolation trees on random subsamples into one node table.
 
-    Each tree takes a subsample of up to ``subsample`` rows, recursively
+    Each tree takes a subsample of up to ``subsample`` documents, recursively
     splits a randomly chosen feature (only features that actually vary in
     the node's rows are candidates) at a uniform point between its min and
     max, and stops at isolation or the depth ceiling ceil(log2 subsample).
     """
-    _check_unmapped(train, "iforest_fit")
     n = train.n_docs
     if n < 2:
         raise ValueError(f"isolation forest needs at least 2 documents, got {n}")
@@ -238,6 +228,9 @@ def iforest_fit(
     left: list[int] = []
     right: list[int] = []
     path: list[float] = []
+    # Each node is done with its rows before its children run, so all gather
+    # here: a fresh copy past glibc's mmap threshold faults in fresh pages.
+    gathered = np.empty((psi, train.n_terms))
 
     def grow(dense: np.ndarray, rng: np.random.Generator, rows: np.ndarray, d: int) -> int:
         node = len(feature)
@@ -248,7 +241,8 @@ def iforest_fit(
         path.append(d + c[rows.size])
         if d >= depth_cap or rows.size <= 1:
             return node
-        sub = dense[rows]
+        # mode="clip" keeps np.take from buffering; the indices are valid.
+        sub = np.take(dense, rows, axis=0, out=gathered[:rows.size], mode="clip")
         mins = sub.min(axis=0)
         maxs = sub.max(axis=0)
         candidates = np.flatnonzero(maxs > mins)
@@ -269,8 +263,8 @@ def iforest_fit(
     roots = []
     for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
-        rows = rng.choice(n, size=psi, replace=False)
-        dense = train.matrix.take_rows(rows).toarray()
+        docs = rng.choice(n, size=psi, replace=False)
+        dense = train.take_docs(docs).toarray()
         roots.append(grow(dense, rng, np.arange(psi), 0))
     return IForestModel(
         feature=np.asarray(feature, dtype=np.int64),

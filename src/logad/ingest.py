@@ -141,12 +141,15 @@ class RecordSet:
         return len(self) if self.granularity is Granularity.LINE else len(self.seq_keys)
 
     @property
-    def unit_ids(self) -> np.ndarray:
-        """The unit of each record: its position, or its sequence id."""
-        return np.arange(len(self)) if self.granularity is Granularity.LINE else self.seq_ids
+    def unit_ids(self) -> np.ndarray | None:
+        """The unit of each record: its sequence id, or None in a line set,
+        where each record is its own unit."""
+        return None if self.granularity is Granularity.LINE else self.seq_ids
 
     def unit_codes(self) -> np.ndarray:
         """Label code of each unit: the largest code among its records."""
+        if self.unit_ids is None:
+            return self.label_codes.copy()
         codes = np.zeros(self.n_units, dtype=np.int8)
         np.maximum.at(codes, self.unit_ids, self.label_codes)
         return codes
@@ -164,7 +167,8 @@ class RecordSet:
 
     def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
         """The records of the units where ``unit_mask`` is true."""
-        return self._take(np.flatnonzero(unit_mask[self.unit_ids]))
+        ids = self.unit_ids
+        return self._take(np.flatnonzero(unit_mask if ids is None else unit_mask[ids]))
 
     def _take(self, index: np.ndarray) -> RecordSet:
         """The records at the ascending positions ``index``; the keys left

@@ -59,7 +59,7 @@ from .ingest import (
 from .normalize import normalize_block
 from .represent import DrainParser, TokenSeq, tokenize_trigrams, tokenize_words
 from .vectorize import (
-    DocTermMatrix, Vocabulary, Weighting, _counts, _fit_units, tfidf_weighting,
+    DocTermMatrix, Vocabulary, Weighting, _fit_units, _unit_counts, tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
@@ -351,15 +351,11 @@ class _Features:
         test_reads = {entry.test for entry in entries}
         self.matrices: dict[tuple[str, Weighting], tuple[DocTermMatrix, float]] = {}
         if any(entry.train is not None for entry in entries):
-            # Every train matrix in _MODEL_TABLE is tf-idf, and every fit
-            # needs each document in its own stored row.
-            train_m = _timed(t, "train", lambda: tfidf_weighting(
-                self.vocab, train_counts).one_row_per_doc())
+            # Every train matrix in _MODEL_TABLE is tf-idf.
+            train_m = _timed(t, "train", tfidf_weighting, self.vocab, train_counts)
             self.matrices["train", Weighting.TFIDF] = train_m, t["train"]
-        # Each distinct test document counted once, then summed into units.
-        counts = _timed(t, "counts", lambda: _counts(self.vocab.term_to_col, test_docs).sum_rows(
-            test_ids, test_rs.unit_ids, test_rs.n_units
-        ))
+        counts = _timed(t, "counts", _unit_counts, self.vocab.term_to_col, test_docs, test_ids,
+                        test_rs.unit_ids, test_rs.n_units)
         if Weighting.COUNT in test_reads:
             self.matrices["test", Weighting.COUNT] = counts, t["counts"]
         if Weighting.TFIDF in test_reads:

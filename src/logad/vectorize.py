@@ -268,22 +268,16 @@ class DocTermMatrix:
         """Each document's entry of ``row_values``, which has one per stored row."""
         return row_values if self.doc_rows is None else row_values[self.doc_rows]
 
-    def one_row_per_doc(self) -> DocTermMatrix:
-        """A copy with each document in its own stored row, as fits need."""
-        rows = self.per_doc(np.arange(self.n_rows))
-        totals = self.doc_token_totals[rows]
-        return DocTermMatrix(self.matrix.take_rows(rows), self.weighting, totals)
+    def take_docs(self, docs: np.ndarray) -> CSRMatrix:
+        """The stored rows of the documents ``docs``, one per listed document."""
+        return self.matrix.take_rows(docs if self.doc_rows is None else self.doc_rows[docs])
 
     def sum_rows(self, rows: np.ndarray, groups: np.ndarray, n_groups: int) -> DocTermMatrix:
         """The counts of ``n_groups`` groups, entry ``i`` adding the stored
         row ``rows[i]`` to the group ``groups[i]``; the counts are integers,
-        so the sums are exact.  When each group is one entry, in group order
-        (lines), the groups share the stored rows: the result keeps them and
-        maps group ``i`` to ``rows[i]``.  Otherwise the entries are sorted
-        stably by group and the groups summed in runs of about ``_CHUNK``
-        gathered entries, so no array holds every entry's gathered row."""
-        if np.array_equal(groups, np.arange(n_groups)):
-            return DocTermMatrix(self.matrix, self.weighting, self.doc_token_totals, rows)
+        so the sums are exact.  The entries are sorted stably by group and
+        the groups summed in runs of about ``_CHUNK`` gathered entries, so no
+        array holds every entry's gathered row."""
         totals = np.zeros(n_groups, dtype=np.int64)
         np.add.at(totals, groups, self.doc_token_totals[rows])
         # The records in group order, so each group's entries are one run.
@@ -333,16 +327,27 @@ def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMat
     return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
 
 
+def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.ndarray,
+                 unit_ids: np.ndarray | None, n_units: int) -> DocTermMatrix:
+    """The counts of units made of the distinct ``docs``, each counted once:
+    record ``i`` adds document ``ids[i]`` to unit ``unit_ids[i]``.  Without
+    ``unit_ids`` each record is its own unit (a line), which maps to its
+    document's stored row; otherwise each unit's row sums its records' rows."""
+    counts = _counts(term_to_col, docs)
+    if unit_ids is None:
+        return replace(counts, doc_rows=ids)
+    return counts.sum_rows(ids, unit_ids, n_units)
+
+
 def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary, DocTermMatrix]:
-    """The vocabulary and counts of units that sum the distinct ``docs``:
-    record ``i`` adds document ``ids[i]`` to unit ``unit_ids[i]``.  Columns
-    are in first appearance over the units' documents, unit by unit."""
-    by_unit = dict.fromkeys(ids[np.argsort(unit_ids, kind="stable")].tolist())
-    terms = dict.fromkeys(term for i in by_unit for term in docs[i].terms)
+    """The vocabulary and the ``_unit_counts`` of the distinct ``docs``.
+    Columns are in first appearance over the units' documents, unit by unit."""
+    by_unit = ids if unit_ids is None else ids[np.argsort(unit_ids, kind="stable")]
+    terms = dict.fromkeys(term for i in dict.fromkeys(by_unit.tolist()) for term in docs[i].terms)
     if not terms:
         raise ValueError("cannot fit a vocabulary: all documents are empty")
     term_to_col = dict(zip(terms, range(len(terms))))
-    counts = _counts(term_to_col, docs).sum_rows(ids, unit_ids, n_units)
+    counts = _unit_counts(term_to_col, docs, ids, unit_ids, n_units)
     m, n_terms = counts.matrix, len(term_to_col)
     # A stored row counts once for each unit that maps to it.
     units_per_row = np.bincount(counts.per_doc(np.arange(counts.n_rows)), minlength=counts.n_rows)
@@ -362,8 +367,7 @@ def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
     docs = list(train_docs)
     if not docs:
         raise ValueError("cannot fit a vocabulary on zero documents")
-    ids = np.arange(len(docs))
-    return _fit_units(docs, ids, ids, len(docs))[0]
+    return _fit_units(docs, np.arange(len(docs)), None, len(docs))[0]
 
 
 def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:

@@ -3,7 +3,8 @@
 ``DocTermMatrix.sum_rows`` sums sequence units, and ``count_transform``
 counts documents, in runs of about ``vectorize._CHUNK`` entries.  Both must
 give the bytes and index dtypes of building every entry at once, whatever
-the chunk size, and the unit sum must hold no entry-sized array.
+the chunk size, and the unit sum must hold no entry-sized array.  A line
+set's units map to their messages' rows, with no array per line.
 """
 
 import tracemalloc
@@ -14,12 +15,24 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from logad import vectorize
+from logad.ingest import Granularity, RecordSet
 from logad.represent import TokenSeq
 from logad.vectorize import (
-    DocTermMatrix, Weighting, _index_dtype, _sum_repeats, count_transform, fit_vocabulary,
+    DocTermMatrix, Weighting, _index_dtype, _sum_repeats, _unit_counts, count_transform,
+    fit_vocabulary,
 )
 
-from csr import from_dense
+from csr import expand, from_dense
+
+
+def peak_of(fn):
+    """``fn()`` and the peak of the memory that tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_from_positions(positions, shape, values=None):
@@ -105,14 +118,6 @@ class TestChunkedSumRows:
         entries = int(np.diff(m.matrix.indptr)[rows].sum())
         assert entries > 500_000
 
-        def peak_of(fn):
-            tracemalloc.start()
-            try:
-                result = fn()
-                return result, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         chunk = 4096
         with mock.patch.object(vectorize, "_CHUNK", chunk):
             got, peak = peak_of(lambda: m.sum_rows(rows, units, 200))
@@ -126,6 +131,28 @@ class TestChunkedSumRows:
         bound = output + 5 * 8 * len(rows) + 3 * 6 * 8 * chunk
         assert peak < bound
         assert one_shot_peak > bound
+
+
+def test_line_units_map_to_their_messages_without_a_per_line_array():
+    # 500,000 lines over 40 distinct messages, as the test side's count
+    # build sees them: each line's index among the distinct messages.
+    n_lines, rng = 500_000, np.random.default_rng(0)
+    docs = [TokenSeq.of([f"t{j}" for j in rng.integers(0, 30, 5)]) for _ in range(40)]
+    ids = rng.integers(0, len(docs), n_lines).astype(np.int32)
+    rs = RecordSet(Granularity.LINE, [f"m{i}" for i in range(len(docs))], ids,
+                   np.zeros(n_lines, dtype=np.int8), np.full(n_lines, -1, dtype=np.int32), [],
+                   np.arange(n_lines))
+    term_to_col = {f"t{j}": j for j in range(25)}
+    got, peak = peak_of(lambda: _unit_counts(term_to_col, docs, ids, rs.unit_ids, rs.n_units))
+    assert got.doc_rows is ids
+    assert got.n_docs == n_lines and got.n_rows == len(docs)
+    want = count_transform(fit_vocabulary([TokenSeq.of(term_to_col)]), [docs[i] for i in ids])
+    got = expand(got)
+    _assert_same_build(got.matrix, (want.matrix.indptr, want.matrix.indices, want.matrix.data))
+    _assert_same(got.doc_token_totals, want.doc_token_totals)
+    # Under one int32 per line: an int64 array per line (the units as line
+    # positions, say) would not fit.
+    assert peak < 4 * n_lines
 
 
 _TERMS = [f"t{i}" for i in range(6)]

@@ -95,7 +95,7 @@ def _assert_identical(got, want):
 
 def _check_features(representation, train_rs, test_rs):
     config = RunConfig(input=Path("unused.log"), representation=representation)
-    _, (test_docs, message_ids), _ = pipeline._represent(config, train_rs, test_rs)
+    (_, train_ids), (test_docs, message_ids), _ = pipeline._represent(config, train_rs, test_rs)
     assert len(test_docs) == len(set(test_rs.messages))
     assert len(message_ids) == len(test_rs)
     # Cells that read every matrix, so the test counts are kept.
@@ -120,7 +120,12 @@ def _check_features(representation, train_rs, test_rs):
         if test_rs.granularity is Granularity.LINE:
             assert test_m.n_rows == len(set(test_rs.messages))
             assert test_m.doc_rows.tobytes() == message_ids.tobytes()
-    assert matrices["train", Weighting.TFIDF][0].doc_rows is None
+    # The fits read the train tf-idf through its counts' row map.
+    train_rows = matrices["train", Weighting.TFIDF][0].doc_rows
+    if train_rs.granularity is Granularity.LINE:
+        assert train_rows.tobytes() == train_ids.tobytes()
+    else:
+        assert train_rows is None
     _assert_identical(matrices["test", Weighting.TFIDF][0], tfidf_transform(vocab, ref_test))
     _assert_identical(matrices["test", Weighting.COUNT][0], count_transform(vocab, ref_test))
     _assert_identical(matrices["train", Weighting.TFIDF][0], tfidf_transform(vocab, ref_train))

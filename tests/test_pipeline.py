@@ -399,10 +399,10 @@ class TestSharedStages:
             assert _without_timings(alone) == _without_timings(report), (rep, model)
 
     # Per representation: each side's distinct documents are counted once
-    # (`_counts`, the one counting routine, called by the pipeline or by
-    # `vectorize`) and summed into units.  The vocabulary is read from the
-    # train counts, and the train tf-idf that kmeans and iforest read and the
-    # test tf-idf are weighted from the counts.  Load normalizes the lines as
+    # (`_counts`, the one counting routine, which both sides reach through
+    # `vectorize._unit_counts`) and summed into units.  The vocabulary is
+    # read from the train counts, and the train tf-idf that kmeans and
+    # iforest read and the test tf-idf are weighted from the counts.  Load normalizes the lines as
     # it reads them: the corpus's 630 lines are one block.
     @pytest.mark.parametrize("entry,expected", [
         (run_grid, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 3,
@@ -413,7 +413,7 @@ class TestSharedStages:
     def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
         calls = Counter()
         hooks = [(pipeline, name) for name in (
-            "load", "normalize_block", "split", "_represent", "_counts", "tfidf_weighting"
+            "load", "normalize_block", "split", "_represent", "tfidf_weighting"
         )] + [(vectorize, "_counts")]
         for owner, name in hooks:
             def counted(*args, _fn=getattr(owner, name), _name=name):

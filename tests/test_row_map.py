@@ -3,16 +3,17 @@
 A line test matrix keeps one stored row per distinct message, and its
 ``doc_rows`` names each document's row.  Every scorer must return, per
 document, the bytes it returns on the expanded matrix, where each document
-has its own row; a bad row map must fail when the matrix is built, and the
-fits, which sample documents, must refuse a row-mapped matrix.
+has its own row, and every fit the model it fits there; a bad row map must
+fail when the matrix is built.
 """
 
+import dataclasses
 from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logad import detect
@@ -53,10 +54,61 @@ def mapped_counts(draw):
     return DocTermMatrix(from_dense(dense), Weighting.COUNT, totals, doc_rows), seed
 
 
+# Stored rows repeated, out of order and unused (row 2), next to an empty row.
+MIXED_MAP = (DocTermMatrix(from_dense([[1, 0, 2], [0, 3, 0], [1, 1, 1], [0, 0, 0]]),
+                           Weighting.COUNT, np.array([3, 4, 3, 1]),
+                           np.array([3, 0, 1, 0, 3, 1, 1], dtype=np.int32)), 7)
+
+
 def _assert_same(got, want):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_model(got, want):
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            _assert_same(a, b)
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+class TestFitsThroughRowMap:
+    """A fit draws documents and gathers their stored rows through the map."""
+
+    @staticmethod
+    def _train(counts, seed):
+        return tfidf_weighting(_vocabulary(counts.n_terms, np.random.default_rng(seed)), counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mapped_counts(), st.integers(1, 4))
+    @example(MIXED_MAP, 2)
+    def test_kmeans_equals_the_fit_on_the_expanded_matrix(self, case, k):
+        counts, seed = case
+        train = self._train(counts, seed)
+        if k > train.n_docs:
+            for m in (train, expand(train)):
+                with pytest.raises(ValueError, match=r"k must be in \[1, n_docs\]"):
+                    kmeans_fit(m, k, seed)
+            return
+        _assert_same_model(kmeans_fit(train, k, seed), kmeans_fit(expand(train), k, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mapped_counts(), st.integers(2, 6))
+    @example(MIXED_MAP, 4)
+    def test_iforest_equals_the_fit_on_the_expanded_matrix(self, case, subsample):
+        counts, seed = case
+        train = self._train(counts, seed)
+        if train.n_docs < 2:
+            for m in (train, expand(train)):
+                with pytest.raises(ValueError, match="needs at least 2 documents"):
+                    iforest_fit(m, N_TREES, subsample, seed)
+            return
+        _assert_same_model(iforest_fit(train, N_TREES, subsample, seed),
+                           iforest_fit(expand(train), N_TREES, subsample, seed))
 
 
 class TestScoresThroughRowMap:
@@ -115,13 +167,3 @@ class TestBadRowMap:
     def test_good_map(self):
         m = self._counts(np.array([2, 0, 0, 1], dtype=np.int32))
         assert (m.n_rows, m.n_docs) == (3, 4)
-
-    @pytest.mark.parametrize("fit", [
-        lambda train: kmeans_fit(train, k=1),
-        lambda train: iforest_fit(train, n_trees=2, subsample=2),
-    ], ids=["kmeans_fit", "iforest_fit"])
-    def test_fits_refuse_a_row_mapped_matrix(self, fit):
-        train = DocTermMatrix(from_dense([[1, 0], [0, 2], [0, 0]]), Weighting.TFIDF,
-                              np.array([1, 2, 0]), np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="needs one stored row per document"):
-            fit(train)
