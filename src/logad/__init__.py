@@ -40,7 +40,7 @@ from .ingest import (
     sample,
     split,
 )
-from .normalize import normalize_block, normalize_message, normalize_records
+from .normalize import normalize_block, normalize_message
 from .pipeline import (
     ConfigError,
     FittedArtifacts,
@@ -110,7 +110,6 @@ __all__ = [
     "load",
     "normalize_block",
     "normalize_message",
-    "normalize_records",
     "oovd_score",
     "rm_fit",
     "rm_score",

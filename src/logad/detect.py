@@ -110,9 +110,15 @@ def _plus_plus_init(
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
-            # all remaining mass sits on already-chosen points
-            remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
-            idx = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
+            # All the mass sits on chosen points: take the idx-th unchosen
+            # document, which draws what rng.choice over the unchosen
+            # documents draws (kmeans_fit's k <= n leaves one).
+            taken = sorted(set(chosen))
+            idx = int(rng.integers(n - len(taken)))
+            for c in taken:
+                if c > idx:
+                    break
+                idx += 1
         chosen.append(idx)
         centroids[j] = train.take_docs([idx]).toarray()[0]
         d2 = np.minimum(d2, train.per_doc(_sq_distances(X, x_sq, centroids[j : j + 1])).ravel())

@@ -16,9 +16,9 @@ Files are read in blocks of ``BLOCK_LINES`` lines, with universal newlines
 ("\r\n" and a lone "\r" end a line, as "\n" does) and a lossy UTF-8
 fallback: the public corpora contain invalid bytes, which become U+FFFD.
 Given a normalizer (``normalize_block``), ``load`` normalizes each block as
-it reads it, so one block of raw lines is alive at a time; the set equals
-``normalize_records`` of the raw set.  hdfs reads block ids from the raw
-line, because normalization turns their digits into "0".
+it reads it, so one block of raw lines is alive at a time.  hdfs reads
+block ids from the raw line, because normalization turns their digits
+into "0".
 
 A load keeps one table of its distinct messages and its records hold int32
 ids into it, so ingest alone decides which messages are equal.  Each block
@@ -32,7 +32,7 @@ import csv
 import math
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -87,7 +87,7 @@ class RecordSet:
     """Ordered log records flowing through the pipeline, stored by column.
 
     ``texts`` lists the load's distinct messages in first-appearance order
-    (raw, or normalized by ``load`` or ``normalize_records``), and the
+    (raw, or normalized by ``load``'s normalizer), and the
     ``int32`` ``message_ids`` index it.  ``label_codes`` is ``int8`` (see
     ``LABEL_CODE``); ``seq_ids`` is ``int32`` into ``seq_keys``, the keys in
     first-appearance order (-1 for none); ``line_nos`` is ``int64``.  Sets
@@ -159,12 +159,6 @@ class RecordSet:
         order, index = _first_seen(self.message_ids, len(self.texts))
         return [self.texts[i] for i in order.tolist()], index
 
-    def with_texts(self, texts: list[str]) -> RecordSet:
-        """The set with text ``i`` replaced by ``texts[i]``; equal texts merge into one."""
-        table: dict[str, int] = {}
-        new_id = np.array([table.setdefault(text, len(table)) for text in texts], dtype=np.int32)
-        return replace(self, texts=list(table), message_ids=new_id[self.message_ids])
-
     def _take_units(self, unit_mask: np.ndarray) -> RecordSet:
         """The records of the units where ``unit_mask`` is true."""
         ids = self.unit_ids
@@ -209,9 +203,9 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-# Lines that load reads, and messages that normalize_records takes, per
-# block.  It bounds one block's transient strings and byte arrays: with
-# 8,192-line blocks a 100,000-line BGL run peaked 4 MB higher.
+# Lines that load reads per block.  It bounds one block's transient strings
+# and byte arrays: with 8,192-line blocks a 100,000-line BGL run peaked
+# 4 MB higher.
 BLOCK_LINES = 1024
 # A block normalizer: a list of lines to the list of their normalized forms.
 Normalizer = Callable[[list[str]], list[str]]
@@ -373,7 +367,7 @@ def load(path: str | Path, adapter: str, labels: str | Path | None = None,
 
     Every line is kept; ``sample`` draws a subset afterwards.  With
     ``normalizer`` (``normalize_block``) each block is normalized as it is
-    read: the set equals ``normalize_records(load(path, adapter, labels))``.
+    read, and messages that normalize alike share one id.
     """
     if adapter not in ADAPTERS:
         raise LoadError(f"unknown adapter {adapter!r}; expected one of {sorted(ADAPTERS)}")

@@ -18,15 +18,12 @@ Python strings may hold, round-trip through the ``surrogatepass`` handler.
 
 Messages are normalized a block at a time (``normalize_block``), each block
 as one "\\n"-joined text.  ``load`` normalizes each block of lines as it
-reads it, when given ``normalize_block``; ``normalize_records`` normalizes
-the distinct messages of a loaded set's table, and the two give equal sets.
+reads it, when given ``normalize_block``.
 """
 
 from itertools import islice
 
 import numpy as np
-
-from . import ingest
 
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _ZERO = ord("0")
@@ -62,13 +59,3 @@ def normalize_block(messages: list[str]) -> list[str]:
         pieces = ["\n".join(islice(rest, msg.count("\n") + 1)) for msg in messages]
     return pieces
 
-
-def normalize_records(rs: ingest.RecordSet) -> ingest.RecordSet:
-    """The set with every message normalized; ``rs`` keeps its own.  Each text
-    of its table is normalized once, in blocks of ``ingest.BLOCK_LINES``, and
-    texts that normalize alike merge (``RecordSet.with_texts``)."""
-    texts, block = rs.texts, ingest.BLOCK_LINES
-    normalized: list[str] = []
-    for start in range(0, len(texts), block):
-        normalized += normalize_block(texts[start:start + block])
-    return rs.with_texts(normalized)

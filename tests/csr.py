@@ -1,9 +1,9 @@
 """``CSRMatrix`` helpers for tests: build one from dense rows, convert one
 to scipy.sparse, which tests use as an oracle only, and expand a row-mapped
-``DocTermMatrix`` to one row per document."""
+``DocTermMatrix`` to one row per document.  Only ``to_scipy`` imports scipy,
+so the reference pipeline runs without it."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from logad.vectorize import CSRMatrix, DocTermMatrix
 
@@ -16,7 +16,9 @@ def from_dense(rows) -> CSRMatrix:
     return CSRMatrix(indptr.astype(np.int32), cols.astype(np.int32), arr[row_of, cols], arr.shape)
 
 
-def to_scipy(m: CSRMatrix) -> sp.csr_matrix:
+def to_scipy(m: CSRMatrix):
+    import scipy.sparse as sp
+
     return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 

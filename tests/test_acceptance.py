@@ -27,7 +27,7 @@ from logad.detect import (
 )
 from logad.evaluate import auc_roc, best_f1
 from logad.ingest import Label, LogRecord, Granularity, SplitMode, SplitSpec, load, split
-from logad.normalize import normalize_message, normalize_records
+from logad.normalize import normalize_block, normalize_message
 from logad.pipeline import ConfigError, RunConfig, execute, run
 from logad.represent import DrainParser, TokenSeq, WILDCARD, tokenize_trigrams
 from logad.synth import gen_synthetic
@@ -35,6 +35,7 @@ from logad.vectorize import (
     DocTermMatrix, Weighting, _counts, count_transform, fit_vocabulary, tfidf_transform,
 )
 from csr import from_dense, to_scipy
+from reference import pairwise_auc
 from rows import record_set
 
 
@@ -137,11 +138,7 @@ def test_c1_oracle_equivalence():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, 10, size=n) / 5.0  # coarse grid forces ties
-        pos, neg = scores[labels == 1], scores[labels == 0]
-        pairwise = (
-            (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-        ) / (len(pos) * len(neg))
-        assert abs(auc_roc(scores, labels) - pairwise) < 1e-12
+        assert abs(auc_roc(scores, labels) - pairwise_auc(scores, labels)) < 1e-12
 
     elapsed = time.perf_counter() - t0
     verdict("C1 oracle equivalence (oovd/rm/auc x200)", elapsed < 10.0,
@@ -225,7 +222,7 @@ def test_c4_speed_ordering(tmp_path):
     t0 = time.perf_counter()
     corpus = gen_synthetic(tmp_path / "big.log", 1_000_000, 2_000, 20,
                            "rare_token", seed=11)
-    rs = normalize_records(load(corpus, "bgl"))
+    rs = load(corpus, "bgl", normalizer=normalize_block)
     train_rs, test_rs = split(rs, SplitSpec(0.05, seed=1))
     train_docs = [tokenize_trigrams(msg) for msg in train_rs.messages]
     vocab = fit_vocabulary(train_docs)

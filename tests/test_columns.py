@@ -1,12 +1,10 @@
 """The column operations of RecordSet against per-record references.
 
-The references below apply the sampling, split, label and filter rules one
-``LogRecord`` at a time, as a list of rows; the column operations must give
-the same records in the same order, and number sequence keys in their first
-appearance among the records they keep.
+The references (``reference.py``) apply the sampling, split, label and
+filter rules one ``LogRecord`` at a time, as a list of rows; the column
+operations must give the same records in the same order, and number
+sequence keys in their first appearance among the records they keep.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -26,68 +24,16 @@ from logad.ingest import (
 )
 from logad.represent import TokenSeq
 from logad.vectorize import _counts
+from reference import (
+    flatten_sequences,
+    ref_filter_normal,
+    ref_sample,
+    ref_sequence_labels,
+    ref_split,
+)
 from rows import record_set
 
 KEYS = [f"s{i}" for i in range(6)]
-
-
-def _ref_sample(records, fraction, seed):
-    n = len(records)
-    count = math.floor(fraction * n + 0.5)
-    if count >= n:
-        return list(records)
-    keep = np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
-    return [records[i] for i in keep]
-
-
-def _ref_unit(granularity):
-    if granularity is Granularity.LINE:
-        return lambda i, r: i
-    return lambda i, r: r.seq_key
-
-
-def _ref_split(records, granularity, spec):
-    """(train, test) rows, or None where a side would be empty."""
-    unit = _ref_unit(granularity)
-    units = list(dict.fromkeys(unit(i, r) for i, r in enumerate(records)))
-    train_count = math.floor(spec.train_fraction * len(units) + 0.5)
-    if train_count in (0, len(units)):
-        return None
-    if spec.mode is SplitMode.RANDOM:
-        order = np.random.default_rng(spec.seed).permutation(len(units))
-        chosen = {units[i] for i in order[:train_count]}
-    else:
-        chosen = set(units[:train_count])
-    train = [r for i, r in enumerate(records) if unit(i, r) in chosen]
-    test = [r for i, r in enumerate(records) if unit(i, r) not in chosen]
-    return train, test
-
-
-def _ref_sequence_labels(records):
-    labels = {}
-    for r in records:
-        current = labels.setdefault(r.seq_key, r.label)
-        if current is not Label.ANOMALY and r.label is not Label.NORMAL:
-            labels[r.seq_key] = r.label
-    return labels
-
-
-def _ref_filter_normal(records, granularity):
-    """The kept rows, or None where an unknown label makes it an error."""
-    if any(r.label is Label.UNKNOWN for r in records):
-        return None
-    if granularity is Granularity.LINE:
-        return [r for r in records if r.label is Label.NORMAL]
-    labels = _ref_sequence_labels(records)
-    return [r for r in records if labels[r.seq_key] is Label.NORMAL]
-
-
-def _ref_flatten(records, token_seqs):
-    labels = _ref_sequence_labels(records)
-    merged = {key: [] for key in labels}
-    for r, ts in zip(records, token_seqs):
-        merged[r.seq_key].extend(ts.terms)
-    return list(labels), list(merged.values()), list(labels.values())
 
 
 def _sequence_labels(rs):
@@ -140,7 +86,7 @@ def test_rows_round_trip(case):
 def test_sample_matches_reference(case, fraction, seed):
     records, granularity = case
     out = sample(record_set(records, granularity), fraction, seed)
-    _assert_rows(out, _ref_sample(records, fraction, seed))
+    _assert_rows(out, ref_sample(records, fraction, seed))
 
 
 @given(record_lists(), st.floats(0.01, 0.99), st.integers(0, 2**16),
@@ -150,9 +96,9 @@ def test_split_matches_reference(case, train_fraction, seed, mode, sample_fracti
     # their first appearance: the random split permutes keys in that order.
     records, granularity = case
     rs = sample(record_set(records, granularity), sample_fraction, seed)
-    rows = _ref_sample(records, sample_fraction, seed)
+    rows = ref_sample(records, sample_fraction, seed)
     spec = SplitSpec(train_fraction, seed, mode)
-    expected = _ref_split(rows, granularity, spec)
+    expected = ref_split(rows, granularity, spec)
     if expected is None:
         with pytest.raises(ValueError, match="empty"):
             split(rs, spec)
@@ -167,7 +113,7 @@ def test_split_matches_reference(case, train_fraction, seed, mode, sample_fracti
 def test_filter_normal_matches_reference(case):
     records, granularity = case
     rs = record_set(records, granularity)
-    expected = _ref_filter_normal(records, granularity)
+    expected = ref_filter_normal(records, granularity)
     if expected is None:
         with pytest.raises(ValueError, match="unknown label"):
             filter_normal(rs)
@@ -179,8 +125,8 @@ def test_filter_normal_matches_reference(case):
 def test_sequence_labels_match_reference(case, fraction, seed):
     records, _ = case
     rs = sample(record_set(records, Granularity.SEQUENCE), fraction, seed)
-    rows = _ref_sample(records, fraction, seed)
-    assert list(_sequence_labels(rs).items()) == list(_ref_sequence_labels(rows).items())
+    rows = ref_sample(records, fraction, seed)
+    assert list(_sequence_labels(rs).items()) == list(ref_sequence_labels(rows).items())
 
 
 @given(record_lists(Granularity.SEQUENCE), st.data())
@@ -195,12 +141,12 @@ def test_flatten_matches_reference(case, data):
     term_to_col = {"a": 0, "b": 1, "c": 2}
     units = _counts(term_to_col, token_seqs).sum_rows(
         np.arange(len(records)), rs.unit_ids, rs.n_units)
-    ref_keys, ref_terms, ref_labels = _ref_flatten(records, token_seqs)
-    ref = _counts(term_to_col, [TokenSeq.of(terms) for terms in ref_terms])
-    assert rs.seq_keys == ref_keys
+    ref = _counts(term_to_col, flatten_sequences(records, token_seqs))
+    ref_labels = ref_sequence_labels(records)
+    assert rs.seq_keys == list(ref_labels)
     assert (units.matrix.toarray() == ref.matrix.toarray()).all()
     assert units.doc_token_totals.tolist() == ref.doc_token_totals.tolist()
-    assert list(_sequence_labels(rs).values()) == ref_labels
+    assert list(_sequence_labels(rs).values()) == list(ref_labels.values())
 
 
 def test_sample_without_a_sequences_first_record_reorders_keys():
@@ -214,9 +160,9 @@ def test_sample_without_a_sequences_first_record_reorders_keys():
     rs = record_set(records, Granularity.SEQUENCE)
     seed = next(
         s for s in range(1000)
-        if [r.line_no for r in _ref_sample(records, 0.5, s)][:2] == [1, 2]
+        if [r.line_no for r in ref_sample(records, 0.5, s)][:2] == [1, 2]
     )
     out = sample(rs, 0.5, seed)
     assert out.seq_keys[:2] == ["s1", "s0"]
     assert out.seq_ids.tolist()[:2] == [0, 1]
-    _assert_rows(out, _ref_sample(records, 0.5, seed))
+    _assert_rows(out, ref_sample(records, 0.5, seed))

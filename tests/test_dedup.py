@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from logad import pipeline
 from logad.ingest import Granularity, Label, LogRecord
 from logad.pipeline import RunConfig, _Features, execute
-from logad.represent import DrainParser, TokenSeq, tokenize_trigrams, tokenize_words
+from logad.represent import DrainParser
 from logad.synth import gen_synthetic
 from logad.vectorize import Weighting, count_transform, fit_vocabulary, tfidf_transform
 from csr import expand
-from rows import flatten_sequences, record_set
+from reference import reference_docs
+from rows import record_set
 
 # Empty messages, messages shorter than three characters, non-ASCII text and
 # messages containing "\n", next to word messages that Drain can merge.
@@ -63,22 +64,6 @@ def corpora(draw, granularity, all_distinct=False):
             record_set(records[n_train:], granularity))
 
 
-def _reference_docs(config, train_rs, test_rs):
-    """Per-unit documents, one tokenizer or parser call per record."""
-    if config.representation == "events":
-        drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
-        train_docs = [TokenSeq.of([drain.fit_line(m)]) for m in train_rs.messages]
-        test_docs = [TokenSeq.of([drain.parse_line(m)]) for m in test_rs.messages]
-    else:
-        tokenize = {"words": tokenize_words, "trigrams": tokenize_trigrams}[config.representation]
-        train_docs = [tokenize(m) for m in train_rs.messages]
-        test_docs = [tokenize(m) for m in test_rs.messages]
-    if train_rs.granularity is Granularity.SEQUENCE:
-        train_docs = flatten_sequences(train_rs, train_docs)
-        test_docs = flatten_sequences(test_rs, test_docs)
-    return train_docs, test_docs
-
-
 def _assert_identical(got, want):
     """``got``, expanded to one row per document, holds ``want``'s bytes."""
     assert want.doc_rows is None
@@ -101,7 +86,7 @@ def _check_features(representation, train_rs, test_rs):
     # Cells that read every matrix, so the test counts are kept.
     cells = [replace(config, model="kmeans"), replace(config, model="oovd")]
     features = _Features(cells, train_rs, test_rs)
-    ref_train, ref_test = _reference_docs(config, train_rs, test_rs)
+    ref_train, ref_test = reference_docs(config, train_rs, test_rs, train_rs.granularity)
     vocab = fit_vocabulary(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
     for name in ("doc_freq", "term_total"):

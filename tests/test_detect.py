@@ -27,6 +27,7 @@ from logad.vectorize import (
     tfidf_transform,
 )
 from csr import from_dense, to_scipy
+from reference import reference_iforest_score, reference_iforest_trees
 
 
 def docs(*term_lists):
@@ -251,6 +252,29 @@ class TestKMeans:
             (0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0), (1, 1, 0)
         ]
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n,k", [(2, 2), (5, 3), (9, 9)])
+    def test_init_without_distance_draws_as_before(self, n, k, seed):
+        # Every document maps to one stored row, so every distance is 0 and
+        # each draw after the first is uniform among the unchosen documents.
+        class Recording(DocTermMatrix):
+            def take_docs(self, docs):
+                taken.extend(np.asarray(docs).tolist())
+                return super().take_docs(docs)
+
+        taken = []
+        row = [[1.0, 2.0]]
+        train = Recording(from_dense(row), Weighting.TFIDF, np.array([3]), np.zeros(n, np.int64))
+        centroids = detect._plus_plus_init(train, train.matrix.row_sq_norms(), k,
+                                           np.random.default_rng(seed))
+        # The draws of the former rng.choice over np.setdiff1d.
+        rng = np.random.default_rng(seed)
+        chosen = [int(rng.integers(n))]
+        for _ in range(1, k):
+            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+        assert taken == chosen
+        assert centroids.tobytes() == np.repeat(row, k, axis=0).tobytes()
+
     def test_k_larger_than_n_errors(self):
         with pytest.raises(ValueError):
             kmeans_fit(dtm([[1.0], [2.0]]), k=3, seed=0)
@@ -357,75 +381,6 @@ class TestIForest:
         np.testing.assert_allclose(shuffled, base[perm])
 
 
-def _reference_build_tree(dense, rng, depth_cap):
-    """The tree builder before the fit-wide c(n) table and the cheaper draw."""
-    features, thresholds, left, right, depth, adjust = [], [], [], [], [], []
-
-    def new_node(d):
-        for column, value in ((features, -1), (thresholds, 0.0), (left, -1), (right, -1),
-                              (depth, d), (adjust, 0.0)):
-            column.append(value)
-        return len(features) - 1
-
-    def grow(rows, d):
-        node = new_node(d)
-        if d >= depth_cap or rows.size <= 1:
-            adjust[node] = average_path_length(rows.size)
-            return node
-        sub = dense[rows]
-        mins = sub.min(axis=0)
-        maxs = sub.max(axis=0)
-        candidates = np.flatnonzero(maxs > mins)
-        if candidates.size == 0:
-            adjust[node] = average_path_length(rows.size)
-            return node
-        f = int(rng.choice(candidates))
-        t = float(rng.uniform(mins[f], maxs[f]))
-        if t <= mins[f]:
-            t = (float(mins[f]) + float(maxs[f])) / 2.0
-        mask = sub[:, f] < t
-        features[node] = f
-        thresholds[node] = t
-        left[node] = grow(rows[mask], d + 1)
-        right[node] = grow(rows[~mask], d + 1)
-        return node
-
-    grow(np.arange(dense.shape[0]), 0)
-    return [np.asarray(features, dtype=np.int64), np.asarray(thresholds, dtype=np.float64),
-            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-            np.asarray(depth, dtype=np.int64), np.asarray(adjust, dtype=np.float64)]
-
-
-def _reference_iforest_trees(X, n_trees, subsample, seed):
-    """The trees of the fit before, on a scipy matrix ``X``."""
-    n = X.shape[0]
-    psi = min(subsample, n)
-    depth_cap = max(1, math.ceil(math.log2(psi)))
-    trees = []
-    for ss in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(ss)
-        rows = rng.choice(n, size=psi, replace=False)
-        trees.append(_reference_build_tree(np.asarray(X[rows].todense()), rng, depth_cap))
-    return trees
-
-
-def _reference_iforest_score(trees, c_norm, X):
-    """The per-tree walk before the node table, on reference trees."""
-    dense = np.asarray(X.todense())
-    rows = np.arange(dense.shape[0])
-    acc = np.zeros(dense.shape[0])
-    for feature, threshold, left, right, depth, adjust in trees:
-        node = np.zeros(dense.shape[0], dtype=np.int64)
-        while (feature[node] >= 0).any():
-            feats = feature[node]
-            internal = feats >= 0
-            vals = dense[rows, np.where(internal, feats, 0)]
-            go_left = vals < threshold[node]
-            node = np.where(internal, np.where(go_left, left[node], right[node]), node)
-        acc += depth[node] + adjust[node]
-    return np.power(2.0, -(acc / len(trees)) / c_norm)
-
-
 def _forest_matrix(kind, seed):
     """A tf-idf matrix, dense rows with constant columns, or 4 distinct rows."""
     rng = np.random.default_rng(seed)
@@ -461,7 +416,7 @@ class TestIForestSameTrees:
     def test_trees_equal_reference(self, seed, subsample, matrix):
         train = _forest_matrix(matrix, seed)
         model = iforest_fit(train, n_trees=12, subsample=subsample, seed=seed)
-        want = _reference_iforest_trees(to_scipy(train.matrix), 12, subsample, seed)
+        want = reference_iforest_trees(to_scipy(train.matrix).toarray(), 12, subsample, seed)
         assert model.roots[0] == 0
         got = list(_packed_trees(model))
         assert len(got) == len(want)
@@ -491,8 +446,9 @@ class TestIForestScoreWalk:
             monkeypatch.setattr(detect, "_WALK_SLOTS", 7 * n_trees)
         else:
             assert detect._WALK_SLOTS // n_trees >= train.n_docs  # one chunk holds all
-        trees = _reference_iforest_trees(to_scipy(train.matrix), n_trees, 16, seed)
-        want = _reference_iforest_score(trees, average_path_length(16), to_scipy(train.matrix))
+        dense = to_scipy(train.matrix).toarray()
+        trees = reference_iforest_trees(dense, n_trees, 16, seed)
+        want = reference_iforest_score(trees, average_path_length(16), dense)
         assert iforest_score(model, train).tobytes() == want.tobytes()
 
 

@@ -14,16 +14,7 @@ from logad.evaluate import (
     score_histogram,
     score_table,
 )
-
-
-def pairwise_auc(scores, labels):
-    """O(n^2) oracle: fraction of (positive, negative) pairs ordered right."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-    return wins / (len(pos) * len(neg))
+from reference import pairwise_auc, reference_bins
 
 
 def _labeled(draw, scores):
@@ -213,23 +204,6 @@ class TestScoreHistogram:
         with pytest.raises(ValueError):
             score_histogram([1.0], [1], 0)
 
-    @staticmethod
-    def _reference_bins(scores, labels, n_bins):
-        """One boolean-mask pass over every score per bin."""
-        s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
-        lo, hi = float(s.min()), float(s.max())
-        if lo == hi:
-            return [(lo, hi, int((y == 0).sum()), int((y == 1).sum()))]
-        width = (hi - lo) / n_bins
-        idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
-        bins = []
-        for b in range(n_bins):
-            in_bin = idx == b
-            low = lo + b * width
-            high = hi if b == n_bins - 1 else lo + (b + 1) * width
-            bins.append((low, high, int((y[in_bin] == 0).sum()), int((y[in_bin] == 1).sum())))
-        return bins
-
     @given(
         st.lists(
             st.tuples(
@@ -245,7 +219,7 @@ class TestScoreHistogram:
     def test_bins_equal_the_per_bin_reference(self, pairs, n_bins):
         scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
         bins = score_histogram(scores, labels, n_bins).bins
-        assert bins == self._reference_bins(scores, labels, n_bins)
+        assert bins == reference_bins(scores, labels, n_bins)
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
 
     @pytest.mark.parametrize("scores,n_bins", [
@@ -254,7 +228,7 @@ class TestScoreHistogram:
     def test_edge_cases_equal_the_reference(self, scores, n_bins):
         labels = [i % 2 for i in range(len(scores))]
         bins = score_histogram(scores, labels, n_bins).bins
-        assert bins == self._reference_bins(scores, labels, n_bins)
+        assert bins == reference_bins(scores, labels, n_bins)
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
 
 

@@ -24,7 +24,8 @@ from logad.ingest import (
     sample,
     split,
 )
-from logad.normalize import normalize_block, normalize_message, normalize_records
+from logad.normalize import normalize_block
+from reference import reference_normalize
 from rows import record_set
 
 BGL_NORMAL = (
@@ -438,11 +439,6 @@ def _file_bytes(draw):
     return out
 
 
-def _columns_of(rs):
-    return (rs.granularity, rs.texts, rs.message_ids.tolist(), rs.label_codes.tolist(),
-            rs.seq_ids.tolist(), rs.seq_keys, rs.line_nos.tolist())
-
-
 def _write_corpus(tmp, lines, adapter, n_files):
     """The input path and label file of ``lines`` for ``adapter``: one log
     file, or ``n_files`` application logs dealt the lines in turn."""
@@ -460,9 +456,8 @@ def _write_corpus(tmp, lines, adapter, n_files):
 
 
 class TestFusedLoad:
-    """Normalizing each block as it is read gives ``normalize_records`` of
-    the raw load, column for column, and each message is its raw message
-    normalized alone."""
+    """Normalizing each block as it is read gives the raw load's rows with
+    each message normalized alone by the reference normalizer."""
 
     @given(_file_bytes(), st.sampled_from(["bgl", "hdfs", "hadoop", "plain"]), st.integers(1, 4),
            st.integers(1, 3))
@@ -474,15 +469,16 @@ class TestFusedLoad:
     @example([b"0 00 blk_1 x Id Blk_2 blk_1 blk_-3\n"] * 3 + [b"081109 1 2 a: no block\n"],
              "hdfs", 2, 1)
     @example([b"00 A\n", b"00 A\n", b"\xff\n", b"00 A"], "hadoop", 3, 2)
-    def test_fused_load_equals_normalize_records(self, lines, adapter, block, n_files):
+    def test_fused_load_equals_the_reference(self, lines, adapter, block, n_files):
         with tempfile.TemporaryDirectory() as tmp:
             path, labels = _write_corpus(Path(tmp), lines, adapter, n_files)
             with mock.patch.object(ingest, "BLOCK_LINES", block):
                 raw = load(path, adapter, labels)
                 fused = load(path, adapter, labels, normalize_block)
-                reference = normalize_records(raw)
-        assert _columns_of(fused) == _columns_of(reference)
-        assert fused.messages == [normalize_message(m) for m in raw.messages]
+        assert fused.granularity is raw.granularity
+        assert list(fused) == [replace(r, message=reference_normalize(r.message)) for r in raw]
+        # The table holds each normalized message once, in first appearance.
+        assert fused.texts == list(dict.fromkeys(fused.messages))
 
 
 class TestMessageTable:

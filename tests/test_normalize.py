@@ -1,4 +1,6 @@
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,17 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logad import ingest
-from logad.ingest import LogRecord, sample
-from logad.normalize import normalize_message, normalize_records
-from rows import record_set
-
-_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
-_ZERO_RUN = re.compile("0{2,}")
-
-
-def _reference_normalize(raw: str) -> str:
-    """The regex normalizer that the byte pass over UTF-8 replaced."""
-    return _ZERO_RUN.sub("0", raw.lower().translate(_DIGITS_TO_ZERO))
+from logad.ingest import load, sample
+from logad.normalize import normalize_block, normalize_message
+from reference import reference_normalize
 
 
 # Characters whose lowercase changes length or depends on context (final
@@ -72,12 +66,19 @@ def test_non_alphanumerics_preserved(s):
     assert normalize_message(s) == s
 
 
-def test_normalize_records_keeps_order_and_fields():
-    rs = record_set([LogRecord(message="Send 42", line_no=0), LogRecord(message="OK", line_no=1)])
-    out = normalize_records(rs)
-    assert [r.message for r in out] == ["send 0", "ok"]
-    assert [r.line_no for r in out] == [0, 1]
-    assert rs.messages == ["Send 42", "OK"]
+def _load_lines(lines, normalized):
+    """The plain load of a file of ``lines``, raw or normalized while read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8",
+                        errors="surrogatepass")
+        return load(path, "plain", normalizer=normalize_block if normalized else None)
+
+
+def test_normalized_load_keeps_order_and_fields():
+    out = _load_lines(["Send 42", "OK"], normalized=True)
+    assert out.messages == ["send 0", "ok"]
+    assert out.line_nos.tolist() == [0, 1]
 
 
 @given(_ANY_TEXT)
@@ -89,7 +90,7 @@ def test_normalize_records_keeps_order_and_fields():
 @example("\ud800 00 \udfff0")
 @example("0\ud80000\udc80")
 def test_normalize_message_matches_reference(s):
-    assert normalize_message(s) == _reference_normalize(s)
+    assert normalize_message(s) == reference_normalize(s)
 
 
 @given(st.lists(_ANY_TEXT | st.text(max_size=8), max_size=10), st.integers(1, 4))
@@ -101,45 +102,43 @@ def test_normalize_message_matches_reference(s):
 @example(["00", "0\n0", "\n00\n", "0"], 2)
 @example([], 1)
 def test_batched_normalize_equals_per_message(messages, block):
-    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    with mock.patch.object(ingest, "BLOCK_LINES", block):
-        out = normalize_records(rs)
-    assert out.messages == [normalize_message(m) for m in messages]
-    assert out.messages == [_reference_normalize(m) for m in messages]
-    assert rs.messages == messages
+    # Blocks of ``block`` messages, each normalized as one "\n"-joined text.
+    out = [m for start in range(0, len(messages), block)
+           for m in normalize_block(messages[start:start + block])]
+    assert out == [normalize_message(m) for m in messages]
+    assert out == [reference_normalize(m) for m in messages]
 
 
 def test_records_longer_than_one_block():
     n = 2 * ingest.BLOCK_LINES + 3
-    messages = [f"Line {i:07d} at 0x00{i}" for i in range(n)]
-    # Messages with "\n" on both sides of the first block boundary and last.
+    lines = [f"Line {i:07d} at 0x00{i}" for i in range(n)]
+    # Non-ASCII lines on both sides of the first block boundary and last.
     for i in (ingest.BLOCK_LINES - 1, ingest.BLOCK_LINES, n - 1):
-        messages[i] = f"Σ 00{i}\n\n0{i}Σ\n"
-    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    assert normalize_records(rs).messages == [_reference_normalize(m) for m in messages]
+        lines[i] = f"Σ 00{i} İ0{i}Σ"
+    assert _load_lines(lines, normalized=True).messages == [reference_normalize(m) for m in lines]
 
 
+# Lines of tricky text; a "\n" or a lone surrogate in one is written as it
+# is, so the file holds more lines or an invalid byte, which both loads read.
 @given(st.lists(st.text(alphabet=_TRICKY, max_size=8), min_size=1, max_size=20),
        st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
-def test_normalizing_a_sample_normalizes_its_records(messages, fraction, seed):
-    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
-    sampled = sample(rs, fraction, seed)
-    out = normalize_records(sampled)
-    assert out.messages == [normalize_message(r.message) for r in sampled]
-    assert out.messages == sample(normalize_records(rs), fraction, seed).messages
+def test_normalizing_a_sample_normalizes_its_records(lines, fraction, seed):
+    sampled = sample(_load_lines(lines, normalized=False), fraction, seed)
+    out = sample(_load_lines(lines, normalized=True), fraction, seed)
+    assert out.messages == [normalize_message(m) for m in sampled.messages]
+    assert out.line_nos.tolist() == sampled.line_nos.tolist()
 
 
-# Raw messages that normalize alike, some across a "\n" they contain.
-_REPEATS = st.sampled_from(["Send 42", "send 7", "OK", "ok", "a\nB 1", "A\nb 22", "\n", "", "Σ 0"])
+# Raw lines that normalize alike.
+_REPEATS = st.sampled_from(["Send 42", "send 7", "OK", "ok", "B 1", "b 22", "", "Σ 0", "σ 00"])
 
 
 @given(st.lists(_REPEATS, max_size=14), st.integers(1, 4))
-@example(["a\nB 1", "A\nb 22", "a\nB 1", "ok", "OK"], 4)
-def test_messages_that_normalize_alike_share_one_id(messages, block):
-    rs = record_set(LogRecord(message=m, line_no=i) for i, m in enumerate(messages))
+@example(["B 1", "b 22", "B 1", "ok", "OK"], 4)
+def test_messages_that_normalize_alike_share_one_id(lines, block):
     with mock.patch.object(ingest, "BLOCK_LINES", block):
-        out = normalize_records(rs)
-    assert out.messages == [normalize_message(m) for m in messages]
+        out = _load_lines(lines, normalized=True)
+    assert out.messages == [normalize_message(m) for m in lines]
     # One table entry per distinct normalized message, in first appearance.
     assert out.texts == list(dict.fromkeys(out.messages))
     assert out.message_ids.dtype == np.int32

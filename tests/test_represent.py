@@ -11,7 +11,8 @@ from logad.represent import (
     tokenize_trigrams,
     tokenize_words,
 )
-from rows import flatten_sequences, record_set
+from reference import flatten_sequences
+from rows import record_set
 
 
 class TestWords:
