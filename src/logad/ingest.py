@@ -231,7 +231,8 @@ def _read_label_csv(path: Path) -> dict[str, int]:
     case-insensitive."""
     mapping: dict[str, int] = {}
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        # utf-8-sig drops a leading byte-order mark, which would join the first key.
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read label file {path}: {exc}") from exc
     with fh:

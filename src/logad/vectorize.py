@@ -39,13 +39,9 @@ def _index_dtype(largest: int) -> type:
     return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
 
-def _sum_repeats(
-    positions: np.ndarray, values: np.ndarray | None, n_positions: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _sum_repeats(positions: np.ndarray, n_positions: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct positions (all below ``n_positions``), ascending, and
-    the float64 sum of each one's integer counts ``values`` (each entry
-    counts 1 when ``values`` is None); integer sums are exact in any order.
-    Without values, ``positions`` is sorted in place."""
+    the float64 count of each; ``positions`` may be sorted in place."""
     if n_positions <= len(positions):
         # A count per possible position takes no more room than the entries.
         # Sequence units summed from their records are this dense (each run
@@ -54,67 +50,21 @@ def _sum_repeats(
         # than the sort below.
         counts = np.bincount(positions, minlength=n_positions)
         distinct = np.flatnonzero(counts)
-        if values is None:
-            return distinct, counts[distinct].astype(np.float64)
-        return distinct, _weighted_bincount(positions, values, n_positions)[distinct]
-    if values is None:
-        positions.sort()
-    else:
-        order = np.argsort(positions)
-        positions, values = positions[order], values[order]
+        return distinct, counts[distinct].astype(np.float64)
+    positions.sort()
     starts_run = np.ones(len(positions), dtype=bool)
     np.not_equal(positions[1:], positions[:-1], out=starts_run[1:])
     first = np.flatnonzero(starts_run)
-    if values is None:
-        # Run lengths, written straight into floats to spare a copy.
-        sums = np.empty(len(first))
-        np.subtract(first[1:], first[:-1], out=sums[:-1])
-        sums[-1:] = len(positions) - first[-1:]
-    else:
-        sums = _weighted_bincount(np.cumsum(starts_run) - 1, values, len(first))
-    return positions[first], sums
+    # Run lengths, written straight into floats to spare a copy.
+    counts = np.empty(len(first))
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = len(positions) - first[-1:]
+    return positions[first], counts
 
 
-# Entries summed per step when record rows are summed into units or
-# documents are counted: it bounds the size of the transient position arrays.
+# Entries summed per step when documents' columns are summed into their
+# rows: it bounds the size of the transient position arrays.
 _CHUNK = 1 << 16
-
-
-def _from_row_chunks(shape: tuple[int, int], row_starts: np.ndarray, chunk_entries) -> CSRMatrix:
-    """The count matrix of entries given in row order.
-
-    ``chunk_entries(r0, r1)`` returns the entries of rows ``r0`` to
-    ``r1 - 1`` (entries ``row_starts[r0]`` to ``row_starts[r1]``) as int64
-    positions ``(row - r0) * n_cols + col`` and their integer counts, or
-    None when each counts 1.  The rows are taken in runs of about ``_CHUNK``
-    entries, a larger row in a run of its own, and each run is summed alone
-    into the output arrays, so no array spans all the entries.  A repeated
-    position holds the sum of its counts, and each row's columns ascend, as
-    scipy's ``sum_duplicates`` leaves them.  Index arrays are int32 while
-    the row and column counts and the number of entries fit, as scipy
-    chooses them.
-    """
-    n_rows, n_cols = shape
-    index = _index_dtype(max(n_rows, n_cols, int(row_starts[-1])))
-    # Cut after the first row that reaches each multiple of _CHUNK entries.
-    ends = np.searchsorted(row_starts[1:], np.arange(_CHUNK, row_starts[-1], _CHUNK)) + 1
-    cuts = sorted({0, n_rows, *ends.tolist()})
-    # A run sums to no more entries than it has, nor than its rows have columns.
-    room = int(np.minimum(np.diff(row_starts[cuts]), np.diff(cuts) * n_cols).sum())
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    indices, data = np.empty(room, index), np.empty(room)
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        distinct, sums = _sum_repeats(*chunk_entries(r0, r1), (r1 - r0) * n_cols)
-        start = int(indptr[r0])
-        row_ends = np.searchsorted(distinct, np.arange(1, r1 - r0 + 1, dtype=np.int64) * n_cols)
-        indptr[r0 + 1:r1 + 1] = row_ends + start
-        np.remainder(distinct, n_cols, out=distinct)
-        indices[start:start + len(distinct)] = distinct
-        data[start:start + len(distinct)] = sums
-    # Shrink to the entries written; realloc frees the tail without a copy.
-    indices.resize(indptr[-1], refcheck=False)
-    data.resize(indptr[-1], refcheck=False)
-    return CSRMatrix(indptr.astype(index), indices, data, shape)
 
 
 @dataclass(frozen=True)
@@ -272,38 +222,23 @@ class DocTermMatrix:
         """The stored rows of the documents ``docs``, one per listed document."""
         return self.matrix.take_rows(docs if self.doc_rows is None else self.doc_rows[docs])
 
-    def sum_rows(self, rows: np.ndarray, groups: np.ndarray, n_groups: int) -> DocTermMatrix:
-        """The counts of ``n_groups`` groups, entry ``i`` adding the stored
-        row ``rows[i]`` to the group ``groups[i]``; the counts are integers,
-        so the sums are exact.  The entries are sorted stably by group and
-        the groups summed in runs of about ``_CHUNK`` gathered entries, so no
-        array holds every entry's gathered row."""
-        totals = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(totals, groups, self.doc_token_totals[rows])
-        # The records in group order, so each group's entries are one run.
-        order = np.argsort(groups, kind="stable")
-        rows, groups = rows[order], groups[order]
-        n_cols = self.n_terms
-        record_starts = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.diff(self.matrix.indptr)[rows], out=record_starts[1:])
-        first_record = np.searchsorted(groups, np.arange(n_groups + 1))
 
-        def chunk_entries(g0, g1):
-            b0, b1 = first_record[g0], first_record[g1]
-            part = self.matrix.take_rows(rows[b0:b1])
-            positions = np.repeat((groups[b0:b1] - g0).astype(np.int64) * n_cols,
-                                  np.diff(part.indptr))
-            positions += part.indices
-            return positions, part.data
+def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.ndarray | None,
+                 unit_ids: np.ndarray | None, n_units: int | None) -> DocTermMatrix:
+    """The counts of the terms in ``term_to_col`` in units made of the
+    distinct ``docs``, the one counting routine: record ``i`` adds document
+    ``ids[i]`` to unit ``unit_ids[i]``.  Without ``unit_ids`` each record is
+    its own unit (a line), which ``doc_rows`` maps to its document's row;
+    without ``ids`` too, document d is row d.  Other terms add nothing to a
+    row but still count in its ``doc_token_totals``.
 
-        counts = _from_row_chunks((n_groups, n_cols), record_starts[first_record], chunk_entries)
-        return DocTermMatrix(counts, self.weighting, totals)
-
-
-def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMatrix:
-    """Per-document counts of the terms in ``term_to_col``, the one counting
-    routine; other terms contribute nothing to a row but still count in its
-    ``doc_token_totals``."""
+    Each document's columns are collected once, and the records' columns are
+    summed into their rows in runs of about ``_CHUNK`` entries, a larger row
+    in a run of its own, so no array spans all the entries.  Each row's
+    columns ascend without repeats, as scipy's ``sum_duplicates`` leaves
+    them, and index arrays are int32 while the row and column counts and the
+    number of entries fit.
+    """
     # Columns are C ints, half the room of int64: a vocabulary never nears
     # 2**31 terms, and a larger column would overflow loudly.
     lengths, cols, totals = array("q"), array("i"), array("q")
@@ -312,31 +247,58 @@ def _counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq]) -> DocTermMat
         cols.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
         lengths.append(len(cols) - start)
         totals.append(doc.source_len)
-    shape = (len(totals), len(term_to_col))
-    lengths = np.frombuffer(lengths, np.int64)
-    doc_starts = np.zeros(shape[0] + 1, dtype=np.int64)
+    lengths, cols = np.frombuffer(lengths, np.int64), np.frombuffer(cols, np.intc)
+    totals = np.frombuffer(totals, np.int64)
+    doc_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=doc_starts[1:])
-    cols = np.frombuffer(cols, np.intc)
-
-    def chunk_entries(d0, d1):
-        positions = np.repeat(np.arange(d1 - d0, dtype=np.int64) * shape[1], lengths[d0:d1])
-        positions += cols[doc_starts[d0]:doc_starts[d1]]
-        return positions, None
-
-    matrix = _from_row_chunks(shape, doc_starts, chunk_entries)
-    return DocTermMatrix(matrix, Weighting.COUNT, np.array(totals, dtype=np.int64))
-
-
-def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.ndarray,
-                 unit_ids: np.ndarray | None, n_units: int) -> DocTermMatrix:
-    """The counts of units made of the distinct ``docs``, each counted once:
-    record ``i`` adds document ``ids[i]`` to unit ``unit_ids[i]``.  Without
-    ``unit_ids`` each record is its own unit (a line), which maps to its
-    document's stored row; otherwise each unit's row sums its records' rows."""
-    counts = _counts(term_to_col, docs)
     if unit_ids is None:
-        return replace(counts, doc_rows=ids)
-    return counts.sum_rows(ids, unit_ids, n_units)
+        # A row per document, whose columns lie in row order already.
+        records, n_rows, row_starts = None, len(lengths), doc_starts
+    else:
+        row_totals = np.zeros(n_units, dtype=np.int64)
+        np.add.at(row_totals, unit_ids, totals[ids])
+        totals, n_rows = row_totals, n_units
+        # The records in unit order, so each unit's columns are one run.
+        order = np.argsort(unit_ids, kind="stable")
+        records, rows = ids[order], unit_ids[order]
+        del order
+        record_starts = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(lengths[records], out=record_starts[1:])
+        row_records = np.searchsorted(rows, np.arange(n_rows + 1))
+        row_starts = record_starts[row_records]
+    n_cols = len(term_to_col)
+    index = _index_dtype(max(n_rows, n_cols, int(row_starts[-1])))
+    # Cut after the first row that reaches each multiple of _CHUNK entries.
+    ends = np.searchsorted(row_starts[1:], np.arange(_CHUNK, row_starts[-1], _CHUNK)) + 1
+    cuts = sorted({0, n_rows, *ends.tolist()})
+    # A run sums to no more entries than it has, nor than its rows have columns.
+    room = int(np.minimum(np.diff(row_starts[cuts]), np.diff(cuts) * n_cols).sum())
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indices, data = np.empty(room, index), np.empty(room)
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        if records is None:
+            run_rows, run_lengths = np.arange(r1 - r0, dtype=np.int64), lengths[r0:r1]
+            positions = cols[row_starts[r0]:row_starts[r1]].astype(np.int64)
+        else:
+            b0, b1 = row_records[r0], row_records[r1]
+            run_rows, run_lengths = (rows[b0:b1] - r0).astype(np.int64), lengths[records[b0:b1]]
+            # Each record's columns: its document's entries, gathered in record order.
+            positions = np.arange(row_starts[r0], row_starts[r1])
+            positions += np.repeat(doc_starts[records[b0:b1]] - record_starts[b0:b1], run_lengths)
+            positions = cols[positions].astype(np.int64)
+        positions += np.repeat(run_rows * n_cols, run_lengths)
+        distinct, sums = _sum_repeats(positions, (r1 - r0) * n_cols)
+        start = int(indptr[r0])
+        row_ends = np.searchsorted(distinct, np.arange(1, r1 - r0 + 1, dtype=np.int64) * n_cols)
+        indptr[r0 + 1:r1 + 1] = row_ends + start
+        np.remainder(distinct, n_cols, out=distinct)
+        indices[start:start + len(distinct)] = distinct
+        data[start:start + len(distinct)] = sums
+    # Shrink to the entries written; realloc frees the tail without a copy.
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    matrix = CSRMatrix(indptr.astype(index), indices, data, (n_rows, n_cols))
+    return DocTermMatrix(matrix, Weighting.COUNT, totals, ids if unit_ids is None else None)
 
 
 def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary, DocTermMatrix]:
@@ -372,7 +334,7 @@ def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
 
 def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
     """Per-document in-vocabulary term counts; OOV terms contribute nothing."""
-    return _counts(v.term_to_col, docs)
+    return _unit_counts(v.term_to_col, docs, None, None, None)
 
 
 def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:

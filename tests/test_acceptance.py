@@ -32,7 +32,7 @@ from logad.pipeline import ConfigError, RunConfig, execute, run
 from logad.represent import DrainParser, TokenSeq, WILDCARD, tokenize_trigrams
 from logad.synth import gen_synthetic
 from logad.vectorize import (
-    DocTermMatrix, Weighting, _counts, count_transform, fit_vocabulary, tfidf_transform,
+    DocTermMatrix, Weighting, _unit_counts, count_transform, fit_vocabulary, tfidf_transform,
 )
 from csr import from_dense, to_scipy
 from reference import pairwise_auc
@@ -315,8 +315,8 @@ def test_c6c_flatten_token_conservation():
             seqs.append(TokenSeq.of([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
         rs = record_set(records, Granularity.SEQUENCE)
         # Every record's terms summed into its sequence's row, as the pipeline counts.
-        units = _counts({f"t{i}": i for i in range(9)}, seqs).sum_rows(
-            np.arange(n), rs.unit_ids, rs.n_units)
+        units = _unit_counts({f"t{i}": i for i in range(9)}, seqs, np.arange(n), rs.unit_ids,
+                             rs.n_units)
         total = sum(s.source_len for s in seqs)
         ok &= int(units.doc_token_totals.sum()) == total == int(units.row_sums().sum())
     verdict("C6c sequence units preserve token counts", ok)

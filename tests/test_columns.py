@@ -23,7 +23,7 @@ from logad.ingest import (
     split,
 )
 from logad.represent import TokenSeq
-from logad.vectorize import _counts
+from logad.vectorize import _unit_counts
 from reference import (
     flatten_sequences,
     ref_filter_normal,
@@ -139,9 +139,9 @@ def test_flatten_matches_reference(case, data):
     rs = record_set(records, Granularity.SEQUENCE)
     # The pipeline sums each record's counts into its sequence's row.
     term_to_col = {"a": 0, "b": 1, "c": 2}
-    units = _counts(term_to_col, token_seqs).sum_rows(
-        np.arange(len(records)), rs.unit_ids, rs.n_units)
-    ref = _counts(term_to_col, flatten_sequences(records, token_seqs))
+    units = _unit_counts(term_to_col, token_seqs, np.arange(len(records)), rs.unit_ids,
+                         rs.n_units)
+    ref = _unit_counts(term_to_col, flatten_sequences(records, token_seqs), None, None, None)
     ref_labels = ref_sequence_labels(records)
     assert rs.seq_keys == list(ref_labels)
     assert (units.matrix.toarray() == ref.matrix.toarray()).all()

@@ -3,8 +3,8 @@
 Every operation the pipeline uses must give the bytes scipy gave before it
 was replaced: the build that sums repeated entries, row sums, the tf-idf
 norms, products with a vector and with the transposed centroids, row
-gathers, row slices, column sums of a row subset, and the sum of record
-rows into units.
+gathers, row slices, column sums of a row subset, and the sum of records'
+documents into units.
 """
 
 import numpy as np
@@ -12,12 +12,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logad.represent import TokenSeq
 from logad.vectorize import (
-    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _from_row_chunks, _index_dtype,
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _index_dtype, _unit_counts,
     tfidf_weighting,
 )
-
-from csr import to_scipy
 
 
 def _assert_same(actual, expected):
@@ -51,17 +50,23 @@ def entries(draw, max_rows=8, max_cols=8, max_entries=40):
     return (n_rows, n_cols), rows, cols, values.astype(np.float64)
 
 
+def _docs(shape, rows, cols, values=None, extra=None):
+    """A document per row: each entry's term ``t{col}``, ``values`` times
+    (once without values), in entry order, and ``extra[row]`` more tokens
+    that count only in its ``source_len``."""
+    terms = [[] for _ in range(shape[0])]
+    counts = np.ones(len(rows), np.int64) if values is None else values.astype(np.int64)
+    for row, col, n in zip(rows.tolist(), cols.tolist(), counts.tolist()):
+        terms[row] += [f"t{col}"] * n
+    extra = [0] * shape[0] if extra is None else extra
+    return [TokenSeq(t, len(t) + e) for t, e in zip(terms, extra)]
+
+
 def _build(shape, rows, cols, values=None):
-    """The count matrix of the entries, given to the build in row order."""
-    order = np.argsort(rows, kind="stable")
-    row_starts = np.searchsorted(rows[order], np.arange(shape[0] + 1))
-
-    def chunk_entries(r0, r1):
-        taken = order[row_starts[r0]:row_starts[r1]]
-        positions = (rows[taken] - r0) * shape[1] + cols[taken]
-        return positions, None if values is None else values[taken]
-
-    return _from_row_chunks(shape, row_starts, chunk_entries)
+    """The count matrix of the entries, each entry a term repeated
+    ``values`` times in its row's document."""
+    term_to_col = {f"t{c}": c for c in range(shape[1])}
+    return _unit_counts(term_to_col, _docs(shape, rows, cols, values), None, None, None).matrix
 
 
 def _scipy_build(shape, rows, cols, values):
@@ -175,7 +180,7 @@ class TestOperations:
 
 @st.composite
 def records(draw):
-    """Distinct documents' counts, and records that name a document and a
+    """Distinct documents' entries, and records that name a document and a
     unit: one record per unit (lines) or any number (sequences)."""
     shape, rows, cols, values = draw(entries())
     n_docs = shape[0]
@@ -190,11 +195,9 @@ def records(draw):
         n_units = draw(st.integers(1, n_records))
         unit_ids = np.array(draw(st.lists(st.integers(0, n_units - 1), min_size=n_records,
                                           max_size=n_records)), dtype=np.int64)
-    totals = np.array(draw(st.lists(st.integers(0, 20), min_size=n_docs, max_size=n_docs)),
-                      dtype=np.int64)
-    distinct = DocTermMatrix(_build(shape, rows, cols, values),
-                             Weighting.COUNT, totals)
-    return distinct, message_ids, unit_ids, n_units
+    extra = draw(st.lists(st.integers(0, 20), min_size=n_docs, max_size=n_docs))
+    docs = _docs(shape, rows, cols, values, extra)
+    return (shape, rows, cols, values), docs, message_ids, unit_ids, n_units
 
 
 class TestUnitCounts:
@@ -202,17 +205,19 @@ class TestUnitCounts:
     def test_equals_multiplicity_product(self, case):
         if case is None:
             return
-        distinct, message_ids, unit_ids, n_units = case
-        got = distinct.sum_rows(message_ids, unit_ids, n_units)
+        (shape, rows, cols, values), docs, message_ids, unit_ids, n_units = case
+        term_to_col = {f"t{c}": c for c in range(shape[1])}
+        got = _unit_counts(term_to_col, docs, message_ids, unit_ids, n_units)
         assert got.doc_rows is None
         assert got.n_docs == n_units
         # The old aggregation: a units x documents multiplicity matrix.
         multiplicity = sp.csr_matrix(
             (np.ones(len(message_ids), dtype=np.int64), (unit_ids, message_ids)),
-            shape=(n_units, distinct.n_docs),
+            shape=(n_units, len(docs)),
         )
-        want = multiplicity @ to_scipy(distinct.matrix)
+        want = multiplicity @ _scipy_build(shape, rows, cols, values)
         want.sort_indices()
         _assert_same_csr(got.matrix, want)
-        _assert_same(got.doc_token_totals, multiplicity @ distinct.doc_token_totals)
+        totals = np.array([d.source_len for d in docs], dtype=np.int64)
+        _assert_same(got.doc_token_totals, multiplicity @ totals)
         assert got.weighting is Weighting.COUNT

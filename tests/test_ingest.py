@@ -118,6 +118,37 @@ class TestAdapters:
         ]
         assert [r.line_no for r in rs] == [0, 1, 2]  # numbered across the files
 
+    # Spreadsheet exports often begin with a UTF-8 byte-order mark, which
+    # must not become part of the first key.
+    @pytest.mark.parametrize("header", ["", "BlockId,Label\n"], ids=["no_header", "header"])
+    def test_hdfs_label_file_with_a_byte_order_mark(self, tmp_path, header):
+        log = tmp_path / "hdfs.log"
+        log.write_text(
+            "081109 203615 148 INFO dfs.DataNode: Receiving block blk_1 src dst\n"
+            "081109 203616 149 INFO dfs.DataNode: Receiving block blk_2 src dst\n"
+        )
+        labels = tmp_path / "labels.csv"
+        labels.write_text(header + "blk_1,Normal\nblk_2,Anomaly\n", encoding="utf-8-sig")
+        rs = load(log, "hdfs", labels=labels)
+        assert [(r.seq_key, r.label) for r in rs] == [
+            ("blk_1", Label.NORMAL),
+            ("blk_2", Label.ANOMALY),
+        ]
+
+    @pytest.mark.parametrize("header", ["", "application,label\n"], ids=["no_header", "header"])
+    def test_hadoop_label_file_with_a_byte_order_mark(self, tmp_path, header):
+        apps = tmp_path / "apps"
+        apps.mkdir()
+        (apps / "app_1.log").write_text("first line\n")
+        (apps / "app_2.log").write_text("other app\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(header + "app_1,Normal\napp_2,Anomaly\n", encoding="utf-8-sig")
+        rs = load(apps, "hadoop", labels=labels)
+        assert [(r.seq_key, r.label) for r in rs] == [
+            ("app_1", Label.NORMAL),
+            ("app_2", Label.ANOMALY),
+        ]
+
     def test_unknown_adapter(self, tmp_path):
         p = tmp_path / "x.log"
         p.write_text("a\n")
