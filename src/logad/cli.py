@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", type=Path, help="log file (or directory for hadoop)")
     p_run.add_argument("--adapter", choices=list(ADAPTERS),
                        help=f"dataset adapter (default {RunConfig.adapter})")
-    p_run.add_argument("--labels", type=Path, help="label CSV for hdfs/hadoop adapters")
+    p_run.add_argument("--labels", type=Path, help="label CSV: hdfs/hadoop need one, others refuse")
     p_run.add_argument("--rep", dest="representation", choices=REPRESENTATIONS,
                        help="log representation")
     p_run.add_argument("--model", choices=MODELS, help="anomaly scorer")

@@ -229,22 +229,13 @@ def score_histogram(
     return score_table(scores, labels).histogram(n_bins)
 
 
-GRID_COLUMNS = [
-    "dataset",
-    "representation",
-    "model",
-    "scenario",
-    "auc",
-    "f1",
-    "threshold",
-    "fit_s",
-    "score_s",
-    "model_s",
-    "load_s",
-    "normalize_s",
-    "represent_s",
-    "vectorize_s",
-]
+# The grid.csv columns, in order: meta fields, metrics (column -> EvalReport
+# attribute), then timings in seconds (column "<stage>_s"; "model" is fit
+# plus score).
+_GRID_META = ("dataset", "representation", "model", "scenario")
+_GRID_METRICS = {"auc": "auc", "f1": "best_f1", "threshold": "best_threshold"}
+_GRID_TIMINGS = ("fit", "score", "model", "load", "normalize", "represent", "vectorize")
+GRID_COLUMNS = [*_GRID_META, *_GRID_METRICS, *(f"{stage}_s" for stage in _GRID_TIMINGS)]
 
 
 @dataclass
@@ -278,25 +269,9 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def grid_row(self) -> list[str]:
-        def fmt(x) -> str:
-            if x is None:
-                return ""
-            return repr(float(x))
-
-        t = self.timings
-        return [
-            str(self.meta.get("dataset", "")),
-            str(self.meta.get("representation", "")),
-            str(self.meta.get("model", "")),
-            str(self.meta.get("scenario", "")),
-            fmt(self.auc),
-            fmt(self.best_f1),
-            fmt(self.best_threshold),
-            fmt(t.get("fit")),
-            fmt(t.get("score")),
-            fmt(self.model_time),
-            fmt(t.get("load")),
-            fmt(t.get("normalize")),
-            fmt(t.get("represent")),
-            fmt(t.get("vectorize")),
-        ]
+        """The report's grid.csv row, in ``GRID_COLUMNS`` order."""
+        timings = {**self.timings, "model": self.model_time}
+        values = ([getattr(self, name) for name in _GRID_METRICS.values()]
+                  + [timings.get(stage) for stage in _GRID_TIMINGS])
+        return ([str(self.meta.get(name, "")) for name in _GRID_META]
+                + ["" if x is None else repr(float(x)) for x in values])

@@ -6,10 +6,10 @@ Adapters know the line layout of the supported benchmark formats:
   whitespace-separated field is an alert tag, ``-`` meaning normal; the
   message body starts after nine header fields.
 * ``hdfs``: sequence-labeled.  Block ids (``blk_...``) are pulled out of the
-  message body and joined against a label CSV; a line naming several blocks
-  is attributed to every one of them.
-* ``hadoop``: a directory with one log file per application plus a label CSV
-  keyed by file stem.
+  message body and key the label CSV that ``load`` reads; a line naming
+  several blocks is attributed to every one of them.
+* ``hadoop``: a directory with one log file per application, with a label
+  CSV keyed by file stem.
 * ``plain``: one record per line, labels unknown.
 
 Files are read in blocks of ``BLOCK_LINES`` lines, with universal newlines
@@ -56,6 +56,7 @@ class Label(Enum):
 _NORMAL, _UNKNOWN, _ANOMALY = range(3)
 LABEL_CODE = {Label.NORMAL: _NORMAL, Label.UNKNOWN: _UNKNOWN, Label.ANOMALY: _ANOMALY}
 _LABEL_OF_CODE = tuple(LABEL_CODE)
+_CSV_LABELS = {"normal": _NORMAL, "anomaly": _ANOMALY}
 
 
 class Granularity(Enum):
@@ -69,7 +70,7 @@ class SplitMode(Enum):
 
 
 class LoadError(ValueError):
-    """Unreadable input, unknown adapter, or a missing/invalid label file."""
+    """Unreadable input, unknown adapter, or a missing, invalid or unread label file."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,29 +229,30 @@ def _line_blocks(
 
 def _read_label_csv(path: Path) -> dict[str, int]:
     """Two-column CSV of (seq_key, label) to label codes; label values are
-    case-insensitive."""
-    mapping: dict[str, int] = {}
+    case-insensitive, and a key may repeat only with the same label."""
+    rows: dict[str, tuple[int, int]] = {}  # key -> (code, row number)
     try:
         # utf-8-sig drops a leading byte-order mark, which would join the first key.
         fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise LoadError(f"cannot read label file {path}: {exc}") from exc
     with fh:
-        for row_no, row in enumerate(csv.reader(fh)):
+        for row_no, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue
             if len(row) < 2:
-                raise LoadError(f"{path}: row {row_no + 1} has fewer than 2 columns")
-            key, value = row[0].strip(), row[1].strip().lower()
-            if value == "normal":
-                mapping[key] = _NORMAL
-            elif value == "anomaly":
-                mapping[key] = _ANOMALY
-            elif row_no == 0:
-                continue  # header row
-            else:
-                raise LoadError(f"{path}: row {row_no + 1} has label {row[1]!r}")
-    return mapping
+                raise LoadError(f"{path}: row {row_no} has fewer than 2 columns")
+            code = _CSV_LABELS.get(row[1].strip().lower())
+            if code is None:
+                if row_no == 1:
+                    continue  # header row
+                raise LoadError(f"{path}: row {row_no} has label {row[1]!r}")
+            key = row[0].strip()
+            first_code, first_row = rows.setdefault(key, (code, row_no))
+            if first_code != code:
+                raise LoadError(f"{path}: key {key!r} is {_LABEL_OF_CODE[first_code].value} in "
+                                f"row {first_row} but {_LABEL_OF_CODE[code].value} in row {row_no}")
+    return {key: code for key, (code, _) in rows.items()}
 
 
 # Alert-tagged formats carry nine header fields before the message body.
@@ -259,8 +261,7 @@ _BLOCK_ID = re.compile(r"blk_-?\d+")
 _HDFS_HEADER_FIELDS = 5
 
 
-def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None,
-                 texts: dict[str, int]) -> tuple:
+def _load_tagged(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     message_ids, codes, blank_lines = array("i"), bytearray(), array("q")
     add_id, add_code = message_ids.append, codes.append
     n_lines = 0
@@ -283,15 +284,10 @@ def _load_tagged(path: Path, labels: Path | None, normalizer: Normalizer | None,
     return Granularity.LINE, message_ids, codes, np.full(len(message_ids), -1), {}, line_nos
 
 
-def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None,
-               texts: dict[str, int]) -> tuple:
-    if labels is None:
-        raise LoadError("hdfs adapter requires a label file (seq_key,label CSV)")
-    seq_labels = _read_label_csv(labels)
+def _load_hdfs(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     keys: dict[str, int] = {}
-    message_ids, codes, seq_ids, line_nos = array("i"), bytearray(), array("i"), array("q")
-    add_id, add_code, add_seq_id, add_line_no = (
-        message_ids.append, codes.append, seq_ids.append, line_nos.append)
+    message_ids, seq_ids, line_nos = array("i"), array("i"), array("q")
+    add_id, add_seq_id, add_line_no = message_ids.append, seq_ids.append, line_nos.append
     n_lines = 0
     for raw, lines in _line_blocks(path, normalizer):
         parsed: dict[str, int] = {}  # each distinct line of the block split once
@@ -306,11 +302,10 @@ def _load_hdfs(path: Path, labels: Path | None, normalizer: Normalizer | None,
                 msg_id = parsed[line] = texts.setdefault(msg, len(texts))
             for bid in dict.fromkeys(block_ids):
                 add_id(msg_id)
-                add_code(seq_labels.get(bid, _UNKNOWN))
                 add_seq_id(keys.setdefault(bid, len(keys)))
                 add_line_no(i)
         n_lines += len(raw)
-    return Granularity.SEQUENCE, message_ids, codes, seq_ids, keys, line_nos
+    return Granularity.SEQUENCE, message_ids, None, seq_ids, keys, line_nos
 
 
 def _whole_lines(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> array:
@@ -321,14 +316,10 @@ def _whole_lines(path: Path, normalizer: Normalizer | None, texts: dict[str, int
     return ids
 
 
-def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None,
-                 texts: dict[str, int]) -> tuple:
-    if labels is None:
-        raise LoadError("hadoop adapter requires a label file (seq_key,label CSV)")
+def _load_hadoop(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     if not path.is_dir():
         raise LoadError(f"hadoop adapter expects a directory of per-application logs: {path}")
-    seq_labels = _read_label_csv(labels)
-    message_ids, file_codes, file_ids, file_lines = array("i"), bytearray(), array("i"), array("q")
+    message_ids, file_ids, file_lines = array("i"), array("i"), array("q")
     keys: dict[str, int] = {}
     # Line numbers run on across the files, in file-name order; a file
     # without lines gets no key.
@@ -336,23 +327,22 @@ def _load_hadoop(path: Path, labels: Path | None, normalizer: Normalizer | None,
         ids = _whole_lines(app_file, normalizer, texts)
         message_ids += ids
         if n := len(ids):
-            file_codes.append(seq_labels.get(app_file.stem, _UNKNOWN))
             file_ids.append(keys.setdefault(app_file.stem, len(keys)))
             file_lines.append(n)
-    return (Granularity.SEQUENCE, message_ids, np.repeat(file_codes, file_lines),
-            np.repeat(file_ids, file_lines), keys, np.arange(len(message_ids)))
+    return (Granularity.SEQUENCE, message_ids, None, np.repeat(file_ids, file_lines), keys,
+            np.arange(len(message_ids)))
 
 
-def _load_plain(path: Path, labels: Path | None, normalizer: Normalizer | None,
-                texts: dict[str, int]) -> tuple:
+def _load_plain(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     message_ids = _whole_lines(path, normalizer, texts)
     n = len(message_ids)
     return Granularity.LINE, message_ids, np.full(n, _UNKNOWN), np.full(n, -1), {}, np.arange(n)
 
 
 # An adapter returns the granularity and the columns of its records: message
-# ids, label codes, seq ids, the key -> id dict and line numbers.  A message's
-# id is its entry in ``texts``, the load's one table, which gains new ones.
+# ids, label codes (None for a keyed format), seq ids, the key -> id dict and
+# line numbers.  A message's id is its entry in ``texts``, the load's one
+# table, which gains new ones.
 ADAPTERS = {
     "bgl": _load_tagged,
     "thunderbird": _load_tagged,
@@ -360,6 +350,9 @@ ADAPTERS = {
     "hadoop": _load_hadoop,
     "plain": _load_plain,
 }
+# The keyed formats: their labels come per key from a label file, which
+# only they read.
+_KEYED = ("hdfs", "hadoop")
 
 
 def load(path: str | Path, adapter: str, labels: str | Path | None = None,
@@ -368,16 +361,26 @@ def load(path: str | Path, adapter: str, labels: str | Path | None = None,
 
     Every line is kept; ``sample`` draws a subset afterwards.  With
     ``normalizer`` (``normalize_block``) each block is normalized as it is
-    read, and messages that normalize alike share one id.
+    read, and messages that normalize alike share one id.  A keyed format
+    requires ``labels``, a (seq_key, label) CSV read before the log: each
+    record takes its key's code, unknown for a key the file lacks.
     """
     if adapter not in ADAPTERS:
         raise LoadError(f"unknown adapter {adapter!r}; expected one of {sorted(ADAPTERS)}")
+    if labels is None and adapter in _KEYED:
+        raise LoadError(f"{adapter} adapter requires a label file (seq_key,label CSV)")
+    if labels is not None and adapter not in _KEYED:
+        raise LoadError(f"{adapter} adapter takes no label file; only {' and '.join(_KEYED)} do")
+    key_labels = None if labels is None else _read_label_csv(Path(labels))
     texts: dict[str, int] = {}  # message -> id, in first-appearance order
     granularity, message_ids, codes, seq_ids, keys, line_nos = ADAPTERS[adapter](
-        Path(path), None if labels is None else Path(labels), normalizer, texts)
+        Path(path), normalizer, texts)
+    seq_ids = np.asarray(seq_ids, dtype=np.int32)
+    if key_labels is not None:
+        codes = np.array([key_labels.get(key, _UNKNOWN) for key in keys], np.int8)[seq_ids]
     return RecordSet(granularity, list(texts), np.asarray(message_ids, dtype=np.int32),
-                     np.asarray(codes, dtype=np.int8), np.asarray(seq_ids, dtype=np.int32),
-                     list(keys), np.asarray(line_nos, dtype=np.int64))
+                     np.asarray(codes, dtype=np.int8), seq_ids, list(keys),
+                     np.asarray(line_nos, dtype=np.int64))
 
 
 def sample(rs: RecordSet, fraction: float, seed: int) -> RecordSet:

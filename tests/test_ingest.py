@@ -1,3 +1,5 @@
+import io
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -36,6 +38,23 @@ BGL_ANOMALY = (
     "KERNDTLB 1117838978 2005.06.03 R16-M1-N2-C:J17-U01 2005-06-03-15.49.38.026704 "
     "R16-M1-N2-C:J17-U01 RAS KERNEL FATAL data TLB error interrupt"
 )
+
+
+# The formats labeled per key from a label file; the others label their lines.
+KEYED = ("hdfs", "hadoop")
+
+
+def _one_key_input(tmp_path, adapter):
+    """A keyed input whose one record has the key blk_1: an hdfs log naming
+    the block, or a hadoop directory holding only blk_1.log."""
+    if adapter == "hdfs":
+        path = tmp_path / "hdfs.log"
+        path.write_text("081109 203615 148 INFO dfs.DataNode: Receiving block blk_1 src dst\n")
+    else:
+        path = tmp_path / "apps"
+        path.mkdir()
+        (path / "blk_1.log").write_text("first line\n")
+    return path
 
 
 def _lines(records):
@@ -148,6 +167,36 @@ class TestAdapters:
             ("app_1", Label.NORMAL),
             ("app_2", Label.ANOMALY),
         ]
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    @pytest.mark.parametrize("first, second", [("Anomaly", "Normal"), ("normal", "ANOMALY")])
+    def test_key_labeled_two_ways_is_an_error(self, tmp_path, adapter, first, second):
+        # Keeping either label would train or evaluate the unit as the other.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"BlockId,Label\nblk_1,{first}\nblk_2,Normal\nblk_1,{second}\n")
+        with pytest.raises(LoadError, match=r"key 'blk_1' is \w+ in row 2 but \w+ in row 4"):
+            load(_one_key_input(tmp_path, adapter), adapter, labels)
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_key_labeled_twice_alike_is_accepted(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("blk_1,Anomaly\nblk_1,anomaly \n")
+        rs = load(_one_key_input(tmp_path, adapter), adapter, labels)
+        assert [(r.seq_key, r.label) for r in rs] == [("blk_1", Label.ANOMALY)]
+
+    # Neither check may wait for the log: the path below does not exist, so
+    # opening it would raise "cannot read" instead.
+    @pytest.mark.parametrize("adapter", ["bgl", "thunderbird", "plain"])
+    def test_line_format_given_a_label_file_fails_before_the_log(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("blk_1,Normal\n")
+        with pytest.raises(LoadError, match=f"^{adapter} adapter takes no label file"):
+            load(tmp_path / "missing.log", adapter, labels)
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_keyed_format_without_a_label_file_fails_before_the_log(self, tmp_path, adapter):
+        with pytest.raises(LoadError, match=f"^{adapter} adapter requires a label file"):
+            load(tmp_path / "missing", adapter)
 
     def test_unknown_adapter(self, tmp_path):
         p = tmp_path / "x.log"
@@ -410,8 +459,10 @@ class TestLoaderLines:
 
     @pytest.mark.parametrize("adapter", ["bgl", "hdfs", "hadoop", "plain"])
     def test_column_dtypes(self, tmp_path, adapter):
-        labels = tmp_path / "labels.csv"
-        labels.write_text("blk_1,Normal\nlog,Anomaly\n")
+        labels = None
+        if adapter in KEYED:
+            labels = tmp_path / "labels.csv"
+            labels.write_text("blk_1,Normal\nlog,Anomaly\n")
         if adapter == "hadoop":
             path = tmp_path / "apps"
             path.mkdir()
@@ -472,10 +523,13 @@ def _file_bytes(draw):
 
 def _write_corpus(tmp, lines, adapter, n_files):
     """The input path and label file of ``lines`` for ``adapter``: one log
-    file, or ``n_files`` application logs dealt the lines in turn."""
-    labels = tmp / "labels.csv"
-    labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_-3,Normal\n"
-                      "blk_0,Anomaly\napp_0,Normal\napp_1,Anomaly\n")
+    file, or ``n_files`` application logs dealt the lines in turn.  Only a
+    keyed format gets a label file; the others get None."""
+    labels = None
+    if adapter in KEYED:
+        labels = tmp / "labels.csv"
+        labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_-3,Normal\n"
+                          "blk_0,Anomaly\napp_0,Normal\napp_1,Anomaly\n")
     path = tmp / "log"
     if adapter == "hadoop":
         path.mkdir()
@@ -541,3 +595,55 @@ class TestMessageTable:
         if len(rs) and not (rs.label_codes == ingest.LABEL_CODE[Label.UNKNOWN]).any():
             derived.append(filter_normal(rs))
         assert all(part.texts is rs.texts for part in derived)
+
+
+_SPELLINGS = {Label.NORMAL: ["normal", "Normal", "NORMAL", "nOrMaL ", " normal"],
+              Label.ANOMALY: ["anomaly", "Anomaly", "ANOMALY", "aNoMaLy ", " anomaly"]}
+
+
+@st.composite
+def _label_files(draw, keys):
+    """The bytes of a label CSV over some of ``keys``, and the label it
+    gives each key it names: keys in any order and at times twice with the
+    same label, labels in mixed case, at times a header row and a
+    byte-order mark."""
+    truth = draw(st.dictionaries(st.sampled_from(keys),
+                                 st.sampled_from([Label.NORMAL, Label.ANOMALY])))
+    rows = [f"{draw(st.sampled_from(['', ' ']))}{key},{draw(st.sampled_from(_SPELLINGS[label]))}\n"
+            for key, label in truth.items() for _ in range(draw(st.integers(1, 2)))]
+    text = draw(st.sampled_from(["", "BlockId,Label\n", "application , label\n"]))
+    text += "".join(draw(st.permutations(rows)))
+    return ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode(), truth
+
+
+def _text_lines(data):
+    """The lines of ``data`` read as text with universal newlines."""
+    return list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace"))
+
+
+class TestKeyedLabels:
+    """A keyed format's record takes its key's label in the label file, and
+    unknown for a key the file lacks."""
+
+    @given(_file_bytes(), st.sampled_from(KEYED), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.data())
+    def test_each_record_takes_its_keys_label(self, lines, adapter, block, n_files, normalized,
+                                              data):
+        # The key of each record, read from the raw text: the distinct block
+        # ids of each hdfs line, in order; the file stem of each hadoop line.
+        if adapter == "hdfs":
+            keys = [key for line in _text_lines(b"".join(lines))
+                    for key in dict.fromkeys(re.findall(r"blk_-?\d+", line))]
+        else:
+            keys = [f"app_{i}" for i in range(n_files)
+                    for _ in _text_lines(b"".join(lines[i::n_files]))]
+        # The file may name any of the corpus's keys, and keys the corpus lacks.
+        csv_bytes, truth = data.draw(_label_files(sorted(set(keys)) + ["blk_99", "app_9"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, labels = _write_corpus(Path(tmp), lines, adapter, n_files)
+            labels.write_bytes(csv_bytes)
+            with mock.patch.object(ingest, "BLOCK_LINES", block):
+                rs = load(path, adapter, labels, normalize_block if normalized else None)
+        assert [(r.seq_key, r.label) for r in rs] == [
+            (key, truth.get(key, Label.UNKNOWN)) for key in keys]
+        assert rs.label_codes.dtype == np.int8
