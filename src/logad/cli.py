@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _print_report(run(config))
         return 0
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and LoadError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

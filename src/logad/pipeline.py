@@ -157,6 +157,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, (str, os.PathLike)) and (name == "input" or value is not None):
                 raise ConfigError(f"{name} must be a path, got {value!r}")
+        if self.out_dir is not None:
+            out = Path(self.out_dir)
+            if not (found := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+                raise ConfigError(f"out_dir {out} cannot be made: {found} is not a directory")
         if not isinstance(self.dump_templates, bool):
             raise ConfigError(f"dump_templates must be true or false, got {self.dump_templates!r}")
         if self.adapter not in tuple(ADAPTERS):  # a JSON list is unhashable
@@ -278,22 +282,14 @@ def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tu
     return (train_docs, train_ids), (test_docs, test_ids), drain
 
 
-@dataclass
-class _Split:
-    """The stages run once per scenario: the two sides, test labels, timings."""
-
-    train_rs: RecordSet
-    test_rs: RecordSet
-    y: np.ndarray
-    timings: dict[str, float]
-
-
-def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
+def _load_and_split(
+    config: RunConfig, train_units: tuple[int, str]
+) -> tuple[RecordSet, RecordSet, np.ndarray, dict[str, float]]:
     """Load and normalize, sample, split and filter, then check the split.
 
-    Label and class errors, and fewer train units than ``train_units``
-    (from a model's ``min_train``) asks for, are raised here, before
-    representation.
+    Returns the two sides, the test labels and each stage's seconds.  Label
+    and class errors, and fewer train units than ``train_units`` (from a
+    model's ``min_train``) asks for, are raised here, before representation.
     """
     timings: dict[str, float] = {"normalize": 0.0}
 
@@ -325,61 +321,54 @@ def _load_and_split(config: RunConfig, train_units: tuple[int, str]) -> _Split:
             f"{name} exceeds the {n_train} train units left by scenario "
             f"{config.scenario}; raise train_fraction"
         )
-    return _Split(train_rs, test_rs, y, timings)
+    return train_rs, test_rs, y, timings
 
 
 class _Features:
     """One representation: its train vocabulary and the matrices its cells read.
 
-    ``matrices`` maps (side, ``Weighting``) to a matrix and the seconds its
-    build took; a tf-idf is weighted from its side's unit counts, and the
-    test tf-idf's seconds include the counts'.  The test counts are kept
-    only if a cell reads them.
+    ``matrices`` maps (side, ``Weighting``) to a matrix; a tf-idf is weighted
+    from its side's unit counts, and the test counts are kept only if a cell
+    reads them.  ``timings`` are the shared ``timings`` plus ``represent``
+    and ``vectorize``, the vocabulary fit and every matrix built here.
     """
 
-    def __init__(self, cells: list[RunConfig], train_rs: RecordSet, test_rs: RecordSet):
-        t: dict[str, float] = {}
+    def __init__(self, cells: list[RunConfig], train_rs: RecordSet, test_rs: RecordSet,
+                 timings: dict[str, float]):
+        self.timings = t = dict(timings)
         (train_docs, train_ids), (test_docs, test_ids), self.drain = _timed(
             t, "represent", _represent, cells[0], train_rs, test_rs
         )
-        self.vocab, train_counts = _timed(
-            t, "vocabulary", _fit_units, train_docs, train_ids, train_rs.unit_ids, train_rs.n_units
-        )
-        self.represent_s, self.vocabulary_s = t["represent"], t["vocabulary"]
-        self.n_train_docs = self.vocab.train_doc_count
+        t0 = time.perf_counter()
+        self.vocab, train_counts = _fit_units(train_docs, train_ids, train_rs.unit_ids,
+                                              train_rs.n_units)
         entries = [_MODEL_TABLE[cell.model] for cell in cells]
         test_reads = {entry.test for entry in entries}
-        self.matrices: dict[tuple[str, Weighting], tuple[DocTermMatrix, float]] = {}
+        self.matrices: dict[tuple[str, Weighting], DocTermMatrix] = {}
         if any(entry.train is not None for entry in entries):
             # Every train matrix in _MODEL_TABLE is tf-idf.
-            train_m = _timed(t, "train", tfidf_weighting, self.vocab, train_counts)
-            self.matrices["train", Weighting.TFIDF] = train_m, t["train"]
-        counts = _timed(t, "counts", _unit_counts, self.vocab.term_to_col, test_docs, test_ids,
-                        test_rs.unit_ids, test_rs.n_units)
+            self.matrices["train", Weighting.TFIDF] = tfidf_weighting(self.vocab, train_counts)
+        counts = _unit_counts(self.vocab.term_to_col, test_docs, test_ids,
+                              test_rs.unit_ids, test_rs.n_units)
         if Weighting.COUNT in test_reads:
-            self.matrices["test", Weighting.COUNT] = counts, t["counts"]
+            self.matrices["test", Weighting.COUNT] = counts
         if Weighting.TFIDF in test_reads:
-            tfidf = _timed(t, "tfidf", tfidf_weighting, self.vocab, counts)
-            self.matrices["test", Weighting.TFIDF] = tfidf, t["counts"] + t["tfidf"]
+            self.matrices["test", Weighting.TFIDF] = tfidf_weighting(self.vocab, counts)
+        t["vectorize"] = time.perf_counter() - t0
 
 
 def _run_cell(
-    config: RunConfig, shared: _Split, features: _Features
+    config: RunConfig, features: _Features, y: np.ndarray
 ) -> tuple[EvalReport, FittedArtifacts]:
-    """Fit, score and evaluate one cell on the shared stages' results.
+    """Fit, score and evaluate one cell on its representation's features.
 
     A shared stage's timing is the duration of its one computation, in every
-    cell that used it; ``vectorize`` is the vocabulary fit plus the matrices
-    this cell reads.
+    cell that used it; ``fit`` and ``score`` are this cell's own.
     """
     entry = _MODEL_TABLE[config.model]
-    train_m, train_s = features.matrices.get(("train", entry.train), (None, 0.0))
-    test_m, test_s = features.matrices["test", entry.test]
-    timings = {
-        **shared.timings,
-        "represent": features.represent_s,
-        "vectorize": features.vocabulary_s + train_s + test_s,
-    }
+    train_m = features.matrices.get(("train", entry.train))  # rm fits on the vocabulary
+    test_m = features.matrices["test", entry.test]
+    timings = dict(features.timings)
     model = None
     if entry.fit is not None:
         model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
@@ -387,7 +376,7 @@ def _run_cell(
 
     # One threshold table per cell; on a line test matrix it holds the
     # stored rows that some line uses, with their lines' label counts.
-    table = score_table(scores, shared.y, test_m.doc_rows)
+    table = score_table(scores, y, test_m.doc_rows)
     threshold, f1 = table.best_f1(config.f1_budget)
 
     report = EvalReport(
@@ -402,8 +391,8 @@ def _run_cell(
             "model": config.model,
             "scenario": config.scenario,
             "seed": config.seed,
-            "n_train_docs": features.n_train_docs,
-            "n_test_docs": shared.test_rs.n_units,
+            "n_train_docs": features.vocab.train_doc_count,
+            "n_test_docs": len(y),
             "n_terms": features.vocab.n_terms,
             "f1_mode": "exact" if config.f1_budget is None else f"budgeted({config.f1_budget})",
             "f1_label_assisted": True,
@@ -427,12 +416,13 @@ def _run_cells(
     configs = [replace(config, representation=rep, model=model) for rep, model in cells]
     for cell in configs:
         cell.validate()
-    shared = _load_and_split(config, max(_MODEL_TABLE[c.model].min_train(c) for c in configs))
+    needed = max(_MODEL_TABLE[c.model].min_train(c) for c in configs)
+    train_rs, test_rs, y, timings = _load_and_split(config, needed)
     for _, group in groupby(configs, key=lambda c: c.representation):
         group = list(group)
-        features = _Features(group, shared.train_rs, shared.test_rs)
+        features = _Features(group, train_rs, test_rs, timings)
         for cell in group:
-            yield (cell, *_run_cell(cell, shared, features))
+            yield (cell, *_run_cell(cell, features, y))
         # Release this representation's matrices before the next one is built.
         del features
 

@@ -85,7 +85,9 @@ def _check_features(representation, train_rs, test_rs):
     assert len(message_ids) == len(test_rs)
     # Cells that read every matrix, so the test counts are kept.
     cells = [replace(config, model="kmeans"), replace(config, model="oovd")]
-    features = _Features(cells, train_rs, test_rs)
+    features = _Features(cells, train_rs, test_rs, {"load": 1.0})
+    assert list(features.timings) == ["load", "represent", "vectorize"]
+    assert features.timings["load"] == 1.0
     ref_train, ref_test = reference_docs(config, train_rs, test_rs, train_rs.granularity)
     vocab = fit_vocabulary(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
@@ -96,24 +98,24 @@ def _check_features(representation, train_rs, test_rs):
     for name in ("train_doc_count", "corpus_total"):
         got, want = getattr(features.vocab, name), getattr(vocab, name)
         assert type(got) is type(want) and got == want, name
-    assert features.n_train_docs == len(ref_train) == train_rs.n_units
+    assert features.vocab.train_doc_count == len(ref_train) == train_rs.n_units
     assert test_rs.n_units == len(ref_test)
     matrices = features.matrices
     for weighting in Weighting:
-        test_m = matrices["test", weighting][0]
+        test_m = matrices["test", weighting]
         assert test_m.n_docs == test_rs.n_units
         if test_rs.granularity is Granularity.LINE:
             assert test_m.n_rows == len(set(test_rs.messages))
             assert test_m.doc_rows.tobytes() == message_ids.tobytes()
     # The fits read the train tf-idf through its counts' row map.
-    train_rows = matrices["train", Weighting.TFIDF][0].doc_rows
+    train_rows = matrices["train", Weighting.TFIDF].doc_rows
     if train_rs.granularity is Granularity.LINE:
         assert train_rows.tobytes() == train_ids.tobytes()
     else:
         assert train_rows is None
-    _assert_identical(matrices["test", Weighting.TFIDF][0], tfidf_transform(vocab, ref_test))
-    _assert_identical(matrices["test", Weighting.COUNT][0], count_transform(vocab, ref_test))
-    _assert_identical(matrices["train", Weighting.TFIDF][0], tfidf_transform(vocab, ref_train))
+    _assert_identical(matrices["test", Weighting.TFIDF], tfidf_transform(vocab, ref_test))
+    _assert_identical(matrices["test", Weighting.COUNT], count_transform(vocab, ref_test))
+    _assert_identical(matrices["train", Weighting.TFIDF], tfidf_transform(vocab, ref_train))
 
 
 @pytest.mark.parametrize("representation", pipeline.REPRESENTATIONS)

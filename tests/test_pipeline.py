@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -204,6 +206,23 @@ class TestRun:
         config = RunConfig(input=tmp_path / "missing.log", adapter="plain", **{field: value})
         with pytest.raises(ConfigError, match=field):
             run(config)
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_under_a_file_is_config_error(self, tmp_path, out_dir):
+        (tmp_path / "afile").write_text("")
+        config = RunConfig(input=tmp_path / "missing.log", out_dir=tmp_path / out_dir)
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'afile'} is not a dir")):
+            config.validate()
+
+    def test_grid_into_an_unusable_out_dir_fails_before_load(self, tmp_path, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(pipeline, "load", lambda *args: calls.update(["load"]))
+        (tmp_path / "afile").write_text("")
+        config = RunConfig(input=tmp_path / "in.log", adapter="bgl", scenario="normal_only",
+                           out_dir=tmp_path / "afile")
+        with pytest.raises(ConfigError, match="out_dir"):
+            run_grid(config)
+        assert calls["load"] == 0
 
     def test_k_below_one_is_config_error_before_load(self, tmp_path):
         config = RunConfig(input=tmp_path / "missing.log", adapter="plain", model="kmeans", k=0)
@@ -440,11 +459,26 @@ class TestSharedStages:
                 expected.add("fit")
             assert set(r.timings) == expected
             by_rep.setdefault(r.meta["representation"], {})[r.meta["model"]] = r.timings
+        assert len(by_rep) == len(pipeline.REPRESENTATIONS)
         for cells in by_rep.values():
+            # Representation and vectorization are timed once per representation.
             assert len({t["represent"] for t in cells.values()}) == 1
-            # kmeans reads the train tf-idf matrix on top of what rm reads.
-            assert cells["kmeans"]["vectorize"] >= cells["rm"]["vectorize"]
-            assert cells["kmeans"]["vectorize"] == cells["iforest"]["vectorize"]
+            assert len({t["vectorize"] for t in cells.values()}) == 1
+
+    @pytest.mark.parametrize("entry", [run, run_grid])
+    def test_stage_seconds_add_up_to_at_most_the_wall_time(self, unseen_corpus, entry):
+        # The timed regions are disjoint: each shared stage counts once, represent
+        # and vectorize once per representation, and fit and score per cell.
+        t0 = time.perf_counter()
+        out = entry(_config(unseen_corpus, scenario="normal_only"))
+        wall = time.perf_counter() - t0
+        reports = out if entry is run_grid else [out]
+        shared = sum(reports[0].timings.get(stage, 0.0)
+                     for stage in ("load", "normalize", "split", "filter", "sample"))
+        per_rep = {(r.meta["representation"], stage): r.timings[stage]
+                   for r in reports for stage in ("represent", "vectorize")}
+        own = sum(r.timings.get("fit", 0.0) + r.timings["score"] for r in reports)
+        assert 0.0 < shared + sum(per_rep.values()) + own <= wall
 
     @staticmethod
     def _matrices_kept(monkeypatch):
@@ -452,8 +486,8 @@ class TestSharedStages:
         after each cell."""
         kept = []
 
-        def run_cell(config, shared, features, _run_cell=pipeline._run_cell):
-            out = _run_cell(config, shared, features)
+        def run_cell(config, features, y, _run_cell=pipeline._run_cell):
+            out = _run_cell(config, features, y)
             kept.append(set(features.matrices))
             return out
 
@@ -601,6 +635,19 @@ class TestCli:
         code = main(["run", "--input", str(log), "--adapter", "bgl",
                      "--grid", "--repeats", "3"])
         assert code == 2
+
+    def test_gen_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.log"
+        assert main(["gen", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_run_into_a_file_fails_before_reading_the_log(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code = main(["run", "--input", str(tmp_path / "missing.log"), "--adapter", "bgl",
+                     "--out", str(tmp_path / "afile")])
+        assert code == 2
+        assert "is not a directory" in capsys.readouterr().err
 
     def test_missing_input(self):
         assert main(["run", "--model", "rm"]) == 2
