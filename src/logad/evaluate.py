@@ -77,17 +77,11 @@ class ScoreTable(NamedTuple):
         if lo == hi:
             n_pos, n_neg = self._totals()
             return Histogram(bins=[(lo, hi, n_neg, n_pos)])
-        width = (hi - lo) / n_bins
-        idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
-        normal, anomaly = np.zeros((2, n_bins), dtype=np.int64)
-        np.add.at(normal, idx, np.diff(self.fps, prepend=0))
-        np.add.at(anomaly, idx, np.diff(self.tps, prepend=0))
-        normal, anomaly = normal.tolist(), anomaly.tolist()
-        return Histogram(bins=[
-            (lo + b * width, hi if b == n_bins - 1 else lo + (b + 1) * width,
-             normal[b], anomaly[b])
-            for b in range(n_bins)
-        ])
+        edges = np.r_[lo + np.arange(n_bins) * ((hi - lo) / n_bins), hi]
+        normal, anomaly = (np.histogram(s, edges, weights=np.diff(counts, prepend=0))[0].tolist()
+                           for counts in (self.fps, self.tps))
+        edges = edges.tolist()
+        return Histogram(bins=list(zip(edges[:-1], edges[1:], normal, anomaly)))
 
 
 def score_table(
@@ -96,12 +90,12 @@ def score_table(
     """The threshold table of per-document ``scores`` and ``labels`` (1 for
     anomalous, 0 for normal).
 
-    With ``doc_rows`` (a ``DocTermMatrix`` row map), the table is built over
-    the rows that some document uses, each with the count of its anomalous
-    and normal documents, at the cost of the rows; it is the per-document
-    table, because the documents of a row carry the row's score.  If they
-    do not (a faulty scorer), the table is built per document, so that no
-    document's score is hidden.  A score of -0.0 counts as 0.0, and all NaN
+    The table is built over the rows of ``doc_rows`` (a ``DocTermMatrix`` row
+    map; without one, document d is row d) that some document uses, each
+    with the count of its anomalous and normal documents, at the cost of the
+    rows; it is the per-document table, because the documents of a row carry
+    the row's score.  If they do not (a faulty scorer), the table is built
+    per document, so that no document's score is hidden.  A score of -0.0 counts as 0.0, and all NaN
     scores are one entry, the last, as equal infinities are one entry.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -112,8 +106,7 @@ def score_table(
     n_rows = int(rows.max()) + 1 if len(rows) else 0
     row_scores = np.zeros(n_rows)
     row_scores[rows] = s
-    if doc_rows is not None and not np.array_equal(row_scores[rows].view(np.int64),
-                                                   s.view(np.int64)):
+    if not np.array_equal(row_scores[rows].view(np.int64), s.view(np.int64)):
         return score_table(s, y)
     docs = np.bincount(rows, minlength=n_rows)
     used = docs > 0
@@ -223,8 +216,9 @@ def score_histogram(
 ) -> Histogram:
     """Bin scores over [min, max] into ``n_bins`` equal-width bins.
 
-    Counts are split by label and conserved; a degenerate score range
-    collapses to a single bin.
+    Each bin counts the scores in its printed [low, high), and the last bin
+    also those at max.  Counts are split by label and conserved; a
+    degenerate score range collapses to a single bin.
     """
     return score_table(scores, labels).histogram(n_bins)
 

@@ -196,6 +196,9 @@ class RunConfig:
             SplitSpec(self.train_fraction)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.adapter == "plain":  # its lines are unlabeled, and every run evaluates them
+            raise ConfigError("plain input has no labels to evaluate; use a labeled adapter, one "
+                              f"of {tuple(a for a in ADAPTERS if a != 'plain')}, or logad.load")
 
     def tag(self) -> str:
         return (
@@ -374,8 +377,7 @@ def _run_cell(
         model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
     scores = _timed(timings, "score", entry.score, features.vocab, model, test_m)
 
-    # One threshold table per cell; on a line test matrix it holds the
-    # stored rows that some line uses, with their lines' label counts.
+    # One threshold table per cell, over the stored rows that some test unit uses.
     table = score_table(scores, y, test_m.doc_rows)
     threshold, f1 = table.best_f1(config.f1_budget)
 

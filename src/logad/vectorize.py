@@ -178,7 +178,7 @@ class DocTermMatrix:
     ``doc_token_totals[r]`` is the source_len of row r, i.e. it still counts
     tokens that fell out of the vocabulary.  ``doc_rows`` holds one entry
     per document: the stored row of each document, so documents may share a
-    row; None means document d is row d.
+    row.  Given as None, it is the identity map: document d is row d.
     """
 
     matrix: CSRMatrix
@@ -187,9 +187,9 @@ class DocTermMatrix:
     doc_rows: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.doc_rows is None:
+            self.doc_rows = np.arange(self.n_rows)
         rows = self.doc_rows
-        if rows is None:
-            return
         if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"):
             got = f"{rows.ndim}-D {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows)
             raise ValueError(f"doc_rows must be a 1-D integer array, got {got}")
@@ -204,7 +204,7 @@ class DocTermMatrix:
 
     @property
     def n_docs(self) -> int:
-        return self.n_rows if self.doc_rows is None else len(self.doc_rows)
+        return len(self.doc_rows)
 
     @property
     def n_terms(self) -> int:
@@ -216,21 +216,21 @@ class DocTermMatrix:
 
     def per_doc(self, row_values: np.ndarray) -> np.ndarray:
         """Each document's entry of ``row_values``, which has one per stored row."""
-        return row_values if self.doc_rows is None else row_values[self.doc_rows]
+        return row_values[self.doc_rows]
 
     def take_docs(self, docs: np.ndarray) -> CSRMatrix:
         """The stored rows of the documents ``docs``, one per listed document."""
-        return self.matrix.take_rows(docs if self.doc_rows is None else self.doc_rows[docs])
+        return self.matrix.take_rows(self.doc_rows[docs])
 
 
 def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.ndarray | None,
                  unit_ids: np.ndarray | None, n_units: int | None) -> DocTermMatrix:
     """The counts of the terms in ``term_to_col`` in units made of the
     distinct ``docs``, the one counting routine: record ``i`` adds document
-    ``ids[i]`` to unit ``unit_ids[i]``.  Without ``unit_ids`` each record is
-    its own unit (a line), which ``doc_rows`` maps to its document's row;
-    without ``ids`` too, document d is row d.  Other terms add nothing to a
-    row but still count in its ``doc_token_totals``.
+    ``ids[i]`` to unit ``unit_ids[i]``, which is row ``unit_ids[i]``.  Without
+    ``unit_ids`` each record is its own unit (a line), which ``doc_rows`` maps
+    to its document's row; without ``ids`` too, document d is row d.  Other
+    terms add nothing to a row but still count in its ``doc_token_totals``.
 
     Each document's columns are collected once, and the records' columns are
     summed into their rows in runs of about ``_CHUNK`` entries, a larger row
@@ -312,7 +312,7 @@ def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary
     counts = _unit_counts(term_to_col, docs, ids, unit_ids, n_units)
     m, n_terms = counts.matrix, len(term_to_col)
     # A stored row counts once for each unit that maps to it.
-    units_per_row = np.bincount(counts.per_doc(np.arange(counts.n_rows)), minlength=counts.n_rows)
+    units_per_row = np.bincount(counts.doc_rows, minlength=counts.n_rows)
     weights = np.repeat(units_per_row, np.diff(m.indptr))
     term_total = _weighted_bincount(m.indices, m.data * weights, n_terms).astype(np.int64)
     return Vocabulary(

@@ -25,7 +25,5 @@ def to_scipy(m: CSRMatrix):
 def expand(m: DocTermMatrix) -> DocTermMatrix:
     """The matrix with each document in its own row: the stored rows and
     totals gathered through ``doc_rows``."""
-    if m.doc_rows is None:
-        return m
     return DocTermMatrix(m.matrix.take_rows(m.doc_rows), m.weighting,
                          m.doc_token_totals[m.doc_rows])

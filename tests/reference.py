@@ -227,18 +227,18 @@ def reference_best_f1(scores, labels):
 
 
 def reference_bins(scores, labels, n_bins):
-    """One boolean-mask pass over every score per bin."""
+    """One boolean-mask pass over every score per bin: bin b holds the
+    scores in its printed [low, high), the last bin also those at high."""
     s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
     lo, hi = float(s.min()), float(s.max())
     if lo == hi:
         return [(lo, hi, int((y == 0).sum()), int((y == 1).sum()))]
     width = (hi - lo) / n_bins
-    idx = np.clip(((s - lo) / width).astype(int), 0, n_bins - 1)
     bins = []
     for b in range(n_bins):
-        in_bin = idx == b
         low = lo + b * width
         high = hi if b == n_bins - 1 else lo + (b + 1) * width
+        in_bin = (s >= low) & ((s <= high) if b == n_bins - 1 else (s < high))
         bins.append((low, high, int((y[in_bin] == 0).sum()), int((y[in_bin] == 1).sum())))
     return bins
 

@@ -115,7 +115,8 @@ class TestChunkedSumRows:
         want, want_totals = _reference_sum_rows(term_to_col, docs, rows, units, n_units)
         with mock.patch.object(vectorize, "_CHUNK", chunk):
             got = _unit_counts(term_to_col, docs, rows, units, n_units)
-        assert got.doc_rows is None
+        # Sequence units are their own rows.
+        np.testing.assert_array_equal(got.doc_rows, np.arange(n_units))
         assert got.matrix.shape == (n_units, len(term_to_col))
         _assert_same_build(got.matrix, want)
         _assert_same(got.doc_token_totals, want_totals)

@@ -208,7 +208,7 @@ class TestUnitCounts:
         (shape, rows, cols, values), docs, message_ids, unit_ids, n_units = case
         term_to_col = {f"t{c}": c for c in range(shape[1])}
         got = _unit_counts(term_to_col, docs, message_ids, unit_ids, n_units)
-        assert got.doc_rows is None
+        np.testing.assert_array_equal(got.doc_rows, np.arange(n_units))
         assert got.n_docs == n_units
         # The old aggregation: a units x documents multiplicity matrix.
         multiplicity = sp.csr_matrix(

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +67,7 @@ def corpora(draw, granularity, all_distinct=False):
 
 def _assert_identical(got, want):
     """``got``, expanded to one row per document, holds ``want``'s bytes."""
-    assert want.doc_rows is None
+    assert want.doc_rows.tobytes() == np.arange(want.n_rows).tobytes()
     got = expand(got)
     assert got.weighting is want.weighting
     assert got.matrix.shape == want.matrix.shape
@@ -112,7 +113,7 @@ def _check_features(representation, train_rs, test_rs):
     if train_rs.granularity is Granularity.LINE:
         assert train_rows.tobytes() == train_ids.tobytes()
     else:
-        assert train_rows is None
+        assert train_rows.tobytes() == np.arange(train_rs.n_units).tobytes()
     _assert_identical(matrices["test", Weighting.TFIDF], tfidf_transform(vocab, ref_test))
     _assert_identical(matrices["test", Weighting.COUNT], count_transform(vocab, ref_test))
     _assert_identical(matrices["train", Weighting.TFIDF], tfidf_transform(vocab, ref_train))

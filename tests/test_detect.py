@@ -21,6 +21,7 @@ from logad.detect import (
 from logad.represent import TokenSeq
 from logad.vectorize import (
     DocTermMatrix,
+    Vocabulary,
     Weighting,
     count_transform,
     fit_vocabulary,
@@ -133,6 +134,11 @@ class TestRarityModel:
         m = rm_fit(v)
         assert m.rarity[v.term_to_col["a"]] == pytest.approx(-math.log(0.75), abs=1e-12)
         assert m.rarity[v.term_to_col["b"]] == pytest.approx(-math.log(0.25), abs=1e-12)
+
+    def test_empty_corpus_rejected(self):
+        v = Vocabulary({}, np.zeros(0, np.int64), np.zeros(0, np.int64), 0, 0)
+        with pytest.raises(ValueError, match="non-empty training corpus"):
+            rm_fit(v)
 
     def test_single_term_corpus_rarity_zero(self):
         v = fit_vocabulary(docs(["a", "a"]))
@@ -359,6 +365,11 @@ class TestIForest:
     def test_needs_two_docs(self):
         with pytest.raises(ValueError):
             iforest_fit(dtm([[1.0]]), n_trees=5, subsample=2, seed=0)
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        with pytest.raises(ValueError, match="n_trees must be >= 1"):
+            iforest_fit(dtm([[0.0], [1.0], [2.0]]), n_trees=n_trees, subsample=2, seed=0)
 
     @pytest.mark.parametrize("subsample", [1, 0, -3])
     def test_subsample_below_two_rejected(self, subsample):

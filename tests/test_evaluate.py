@@ -192,6 +192,18 @@ class TestScoreHistogram:
         assert sum(nc + ac for _, _, nc, ac in hist.bins) == 1000
         assert sum(ac for _, _, _, ac in hist.bins) == labels.sum()
 
+    def test_score_on_a_printed_edge_counts_in_the_bin_it_opens(self):
+        # 0..34 in 50 bins: the edge 0 + 25 * 0.68 prints as 17.0, while
+        # (17.0 - 0) / 0.68 < 25 would put 17.0 in the bin that edge closes.
+        scores = [float(i) for i in range(35)]
+        bins = score_histogram(scores, [0] * 17 + [1] + [0] * 17, 50).bins
+        assert bins[24][1] == bins[25][0] == 17.0
+        assert bins[24][2:] == (0, 0) and bins[25][2:] == (0, 1)
+        assert bins == reference_bins(scores, [0] * 17 + [1] + [0] * 17, 50)
+
+    def test_empty_table_has_no_bins(self):
+        assert score_table([], []).histogram(5).bins == []
+
     def test_csv_emission(self, tmp_path):
         hist = score_histogram([0.0, 1.0], [0, 1], 2)
         out = tmp_path / "hist.csv"

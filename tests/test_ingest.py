@@ -208,6 +208,34 @@ class TestAdapters:
         with pytest.raises(LoadError):
             load(tmp_path / "missing.log", "plain")
 
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_unreadable_label_file(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        with pytest.raises(LoadError, match=f"^cannot read label file {re.escape(str(labels))}"):
+            load(_one_key_input(tmp_path, adapter), adapter, labels)
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_label_row_with_one_column(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2\n")
+        with pytest.raises(LoadError, match="row 3 has fewer than 2 columns"):
+            load(_one_key_input(tmp_path, adapter), adapter, labels)
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_blank_label_rows_are_skipped(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("BlockId,Label\n\nblk_1,Anomaly\n\n")
+        rs = load(_one_key_input(tmp_path, adapter), adapter, labels)
+        assert [(r.seq_key, r.label) for r in rs] == [("blk_1", Label.ANOMALY)]
+
+    def test_hadoop_input_that_is_a_file(self, tmp_path):
+        log = tmp_path / "app.log"
+        log.write_text("first line\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("app,Normal\n")
+        with pytest.raises(LoadError, match="hadoop adapter expects a directory"):
+            load(log, "hadoop", labels)
+
 
 def _line_set(n, labels=None):
     labels = labels or [Label.NORMAL] * n

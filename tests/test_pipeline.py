@@ -14,7 +14,7 @@ from logad.cli import main
 from logad.ingest import LogRecord, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_message
 from logad.pipeline import ConfigError, RunConfig, execute, grid_cells, run, run_grid, run_repeats
-from logad.synth import gen_synthetic
+from logad.synth import gen_synthetic, max_templates
 from logad.vectorize import Weighting
 
 
@@ -98,6 +98,16 @@ def _hdfs_config(corpus_dir, **overrides):
     return RunConfig(**defaults)
 
 
+def _unlabeled_hdfs(tmp_path) -> RunConfig:
+    """An hdfs run over 20 blocks whose label file names none of them, so
+    every test unit's label is unknown."""
+    log, labels = tmp_path / "hdfs.log", tmp_path / "labels.csv"
+    log.write_text("".join(f"081109 203615 143 INFO dfs.DataNode: message {i} for blk_{i % 20}\n"
+                           for i in range(100)))
+    labels.write_text("BlockId,Label\nblk_other,Normal\n")
+    return RunConfig(input=log, adapter="hdfs", labels=labels, train_fraction=0.2)
+
+
 def _represent_reached(*args):
     raise AssertionError("_represent ran before the check")
 
@@ -160,6 +170,10 @@ class TestGenSynthetic:
             gen_synthetic(tmp_path / "x.log", 10, -1, 5, "rare_token", seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(tmp_path / "x.log", 10, 1, 5, "weird_kind", seed=0)
+        top = max_templates()
+        for n_templates in (0, top + 1):
+            with pytest.raises(ValueError, match=rf"n_templates must be in \[1, {top}\]"):
+                gen_synthetic(tmp_path / "x.log", 10, 1, n_templates, "rare_token", seed=0)
 
 
 class TestRun:
@@ -191,10 +205,28 @@ class TestRun:
             run(_config(unseen_corpus, model="oovd", scenario="unfiltered"))
 
     def test_unknown_labels_fail_evaluation(self, tmp_path):
-        p = tmp_path / "plain.log"
-        p.write_text("".join(f"message {i}\n" for i in range(100)))
-        with pytest.raises(ValueError, match="label"):
-            run(RunConfig(input=p, adapter="plain", train_fraction=0.2))
+        with pytest.raises(ValueError, match="got an unknown label"):
+            run(_unlabeled_hdfs(tmp_path))
+
+    @pytest.mark.parametrize("entry", [run, run_grid, lambda config: run_repeats(config, 2)],
+                             ids=["run", "run_grid", "run_repeats"])
+    def test_plain_input_is_config_error_before_load(self, tmp_path, monkeypatch, entry):
+        # Every plain line is unlabeled, and every run evaluates its test units.
+        calls = Counter()
+        monkeypatch.setattr(pipeline, "load", lambda *args: calls.update(["load"]))
+        config = RunConfig(input=tmp_path / "in.log")
+        assert config.adapter == "plain"
+        message = ("plain input has no labels to evaluate; use a labeled adapter, one of "
+                   "('bgl', 'thunderbird', 'hdfs', 'hadoop'), or logad.load")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            entry(config)
+        assert calls["load"] == 0
+
+    @pytest.mark.parametrize("field", ["representation", "model", "scenario", "split_mode"])
+    def test_unknown_choice_is_config_error(self, tmp_path, field):
+        config = RunConfig(input=tmp_path / "missing.log", adapter="bgl", **{field: "nope"})
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            config.validate()
 
     @pytest.mark.parametrize("field,value", [
         ("sample_fraction", 1.5),
@@ -252,8 +284,7 @@ class TestRun:
         p = tmp_path / "in.log"
         head = "1 2 3 4 5 6 7 8"
         if case == "unknown":
-            p.write_text("".join(f"message {i}\n" for i in range(100)))
-            config = RunConfig(input=p, adapter="plain", train_fraction=0.2)
+            config = _unlabeled_hdfs(tmp_path)
         elif case == "single_class":
             p.write_text("".join(f"- {head} message {i}\n" for i in range(100)))
             config = RunConfig(input=p, adapter="bgl", train_fraction=0.2)
@@ -651,6 +682,40 @@ class TestCli:
 
     def test_missing_input(self):
         assert main(["run", "--model", "rm"]) == 2
+
+    def test_default_adapter_fails_before_reading_the_log(self, tmp_path, capsys):
+        assert main(["run", "--input", str(tmp_path / "missing.log")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plain input has no labels to evaluate")
+        assert "cannot read" not in err
+
+    def test_grid_prints_every_cell(self, tmp_path, capsys):
+        log = gen_synthetic(tmp_path / "g.log", 200, 10, 8, "unseen_token", seed=4)
+        code = main(["run", "--input", str(log), "--adapter", "bgl", "--scenario",
+                     "normal_only", "--train-frac", "0.2", "--seed", "1", "--grid"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and all(" auc=" in line for line in lines)
+        assert len({tuple(line.split()[1:3]) for line in lines}) == 12
+
+    def test_repeats_print_each_run_and_the_summary(self, tmp_path, capsys):
+        log = gen_synthetic(tmp_path / "r.log", 200, 10, 8, "unseen_token", seed=4)
+        code = main(["run", "--input", str(log), "--adapter", "bgl", "--scenario",
+                     "normal_only", "--train-frac", "0.2", "--seed", "1", "--repeats", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert all(" auc=" in line for line in lines[:3])
+        assert [line.split(":")[0] for line in lines[3:]] == ["auc", "f1", "model_time"]
+        assert all(" min=" in line and " max=" in line for line in lines[3:])
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_below_one_rejected(self, tmp_path, capsys, repeats):

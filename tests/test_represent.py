@@ -147,6 +147,20 @@ class TestDrain:
         assert e1 == e2
         assert p.parse_line("") == e1
 
+    def test_full_node_routes_new_tokens_to_its_wildcard(self):
+        # Depth 4 routes by token count, then by the first token.  Tokens
+        # without a "0" each get a child until the node holds 99; the next
+        # one opens the wildcard child, which takes every later newcomer.
+        p = DrainParser(depth=4)
+        first = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(120)]
+        events = [p.fit_line(f"{tok} disk full") for tok in first]
+        node = p._length_roots[3]
+        assert len(node.children) == 100 and WILDCARD in node.children
+        assert len(set(events[:99])) == 99
+        assert len(set(events[99:])) == 1 and events[99] not in events[:99]
+        assert p.parse_line("wnew disk full") == events[99] == "e100"
+        assert p.parse_line(f"{first[5]} disk full") == events[5]
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             DrainParser(depth=2)

@@ -1,7 +1,8 @@
 """Row-mapped document-term matrices: documents that share a stored row.
 
-A line test matrix keeps one stored row per distinct message, and its
-``doc_rows`` names each document's row.  Every scorer must return, per
+A line matrix keeps one stored row per distinct message, and its
+``doc_rows`` names each document's row; every other matrix maps document d
+to row d, through the same array.  Every scorer must return, per
 document, the bytes it returns on the expanded matrix, where each document
 has its own row, and every fit the model it fits there; a bad row map must
 fail when the matrix is built.
@@ -26,7 +27,8 @@ from logad.detect import (
     rm_fit,
     rm_score,
 )
-from logad.vectorize import DocTermMatrix, Vocabulary, Weighting, tfidf_weighting
+from logad.represent import TokenSeq
+from logad.vectorize import DocTermMatrix, Vocabulary, Weighting, _unit_counts, tfidf_weighting
 
 from csr import expand, from_dense
 
@@ -167,3 +169,23 @@ class TestBadRowMap:
     def test_good_map(self):
         m = self._counts(np.array([2, 0, 0, 1], dtype=np.int32))
         assert (m.n_rows, m.n_docs) == (3, 4)
+
+
+class TestIdentityMap:
+    """A matrix built without a row map holds the identity map, so every
+    reader gathers through one array."""
+
+    def test_no_map_given_is_the_identity(self):
+        m = DocTermMatrix(from_dense([[1, 0], [0, 2], [0, 0]]), Weighting.COUNT,
+                          np.array([1, 2, 0]))
+        assert m.doc_rows.tolist() == [0, 1, 2] and m.n_docs == 3
+        assert m.per_doc(np.array([5.0, 6.0, 7.0])).tolist() == [5.0, 6.0, 7.0]
+
+    def test_sequence_units_are_their_own_rows(self):
+        docs = [TokenSeq.of(["a", "b"]), TokenSeq.of(["b"]), TokenSeq.of(["c"])]
+        # Five records of three documents in three units; unit 1 is empty.
+        ids, unit_ids = np.array([0, 1, 1, 2, 0]), np.array([2, 0, 2, 0, 2])
+        m = _unit_counts({"a": 0, "b": 1}, docs, ids, unit_ids, 3)
+        assert m.doc_rows.tobytes() == np.arange(3).tobytes()
+        assert m.n_docs == m.n_rows == 3
+        assert m.per_doc(m.row_sums()).tolist() == [1.0, 0.0, 5.0]
