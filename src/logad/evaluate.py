@@ -71,17 +71,19 @@ class ScoreTable(NamedTuple):
         if n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {n_bins}")
         s = self.thresholds
-        if s.size == 0:
-            return Histogram(bins=[])
-        lo, hi = float(s.min()), float(s.max())
-        if lo == hi:
-            n_pos, n_neg = self._totals()
-            return Histogram(bins=[(lo, hi, n_neg, n_pos)])
-        edges = np.r_[lo + np.arange(n_bins) * ((hi - lo) / n_bins), hi]
-        normal, anomaly = (np.histogram(s, edges, weights=np.diff(counts, prepend=0))[0].tolist()
-                           for counts in (self.fps, self.tps))
-        edges = edges.tolist()
-        return Histogram(bins=list(zip(edges[:-1], edges[1:], normal, anomaly)))
+        normal, anomaly = (np.diff(counts, prepend=0) for counts in (self.fps, self.tps))
+        # NaN scores are one entry, the last, and are counted in a bin of their own.
+        n = len(s) - bool(len(s) and np.isnan(s[-1]))
+        nan_bin = [(np.nan, np.nan, int(normal[n]), int(anomaly[n]))] if n < len(s) else []
+        if n == 0:
+            return Histogram(bins=nan_bin)
+        lo, hi = float(s[n - 1]), float(s[0])  # the thresholds descend
+        # A degenerate score range is one bin.
+        edges = np.r_[lo + np.arange(n_bins) * ((hi - lo) / n_bins), hi] if lo < hi else [lo, hi]
+        normal, anomaly = (np.histogram(s[:n], edges, weights=counts[:n])[0].tolist()
+                           for counts in (normal, anomaly))
+        edges = np.asarray(edges).tolist()
+        return Histogram(bins=[*zip(edges[:-1], edges[1:], normal, anomaly), *nan_bin])
 
 
 def score_table(
@@ -218,7 +220,8 @@ def score_histogram(
 
     Each bin counts the scores in its printed [low, high), and the last bin
     also those at max.  Counts are split by label and conserved; a
-    degenerate score range collapses to a single bin.
+    degenerate score range collapses to a single bin, and NaN scores are
+    counted in one trailing (nan, nan) bin.
     """
     return score_table(scores, labels).histogram(n_bins)
 

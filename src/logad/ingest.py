@@ -237,15 +237,15 @@ def _read_label_csv(path: Path) -> dict[str, int]:
     except OSError as exc:
         raise LoadError(f"cannot read label file {path}: {exc}") from exc
     with fh:
-        for row_no, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
+        # Row numbers count blank rows too, so that they are file lines.
+        filled = ((row_no, row) for row_no, row in enumerate(csv.reader(fh), 1) if row)
+        for i, (row_no, row) in enumerate(filled):
             if len(row) < 2:
                 raise LoadError(f"{path}: row {row_no} has fewer than 2 columns")
             code = _CSV_LABELS.get(row[1].strip().lower())
             if code is None:
-                if row_no == 1:
-                    continue  # header row
+                if i == 0:
+                    continue  # header row: the first that is not blank
                 raise LoadError(f"{path}: row {row_no} has label {row[1]!r}")
             key = row[0].strip()
             first_code, first_row = rows.setdefault(key, (code, row_no))

@@ -1,4 +1,4 @@
-"""End-to-end experiment pipeline: configuration, one run, grid runs.
+"""End-to-end experiment pipeline: configuration, one run, grid and repeated runs.
 
 A run executes load (which normalizes each block of lines as it reads
 it), sample, split, optional normal-only filtering, representation,
@@ -7,14 +7,15 @@ vectorization, model fit and scoring, and evaluation.  Everything fitted
 the template miner in particular is trained on the train side and applied
 read-only to the test side.
 
-One chain of stages serves a single run and a grid alike: load through
-filter run once; representation, the vocabulary and the document-term
-matrices that its cells read once per representation, before its first
-cell runs; and fit, score and evaluation once per cell.  Evaluation reads
-one threshold table per cell, built from the scores of the stored rows.
-Each distinct normalized message is tokenized once and, on both sides,
-counted once: a sequence unit's count row is the exact sum of its messages'
-rows, and a line maps to its message's row, which is scored once.
+One chain of stages serves a single run, a grid and repeated seeds alike:
+load and normalize run once per input; sample, split and filter once per
+seed; representation, the vocabulary and the matrices that its cells read
+once per representation and seed; and fit, score and evaluation once per
+cell.  Evaluation reads one threshold table per cell, built from the
+scores of the stored rows.  Each distinct normalized message is tokenized
+once and, on both sides, counted once: a sequence unit's count row is the
+exact sum of its messages' rows, and a line maps to its message's row,
+which is scored once.
 """
 
 from __future__ import annotations
@@ -286,13 +287,13 @@ def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tu
 
 
 def _load_and_split(
-    config: RunConfig, train_units: tuple[int, str]
-) -> tuple[RecordSet, RecordSet, np.ndarray, dict[str, float]]:
-    """Load and normalize, sample, split and filter, then check the split.
-
-    Returns the two sides, the test labels and each stage's seconds.  Label
-    and class errors, and fewer train units than ``train_units`` (from a
-    model's ``min_train``) asks for, are raised here, before representation.
+    config: RunConfig, train_units: tuple[int, str], repeats: int = 1
+) -> Iterator[tuple[RecordSet, RecordSet, np.ndarray, dict[str, float]]]:
+    """Load and normalize once; then, for each of ``repeats`` seeds from
+    ``config.seed`` on, sample, split and filter, check the split, and yield
+    the two sides, the test labels and each stage's seconds.  Label and class
+    errors, and fewer train units than ``train_units`` (from a model's
+    ``min_train``) asks for, are raised here, before representation.
     """
     timings: dict[str, float] = {"normalize": 0.0}
 
@@ -306,25 +307,30 @@ def _load_and_split(
     # spent in the normalizer, and "load" the rest of the load.
     rs = _timed(timings, "load", load, config.input, config.adapter, config.labels, normalizer)
     timings["load"] -= timings["normalize"]
-    if config.sample_fraction < 1.0:
-        rs = _timed(timings, "sample", sample, rs, config.sample_fraction, config.seed)
-    spec = SplitSpec(config.train_fraction, config.seed, SplitMode(config.split_mode))
-    train_rs, test_rs = _timed(timings, "split", split, rs, spec)
-    y = _test_labels(test_rs)
-    if config.scenario == "normal_only":
-        train_rs = _timed(timings, "filter", filter_normal, train_rs)
-        if not len(train_rs):
-            raise ValueError(
-                "normal_only training needs Normal labels on the train side; "
-                "every train unit is labeled anomaly"
-            )
     needed, name = train_units
-    if needed > (n_train := train_rs.n_units):
-        raise ValueError(
-            f"{name} exceeds the {n_train} train units left by scenario "
-            f"{config.scenario}; raise train_fraction"
-        )
-    return train_rs, test_rs, y, timings
+    for seed in range(config.seed, config.seed + repeats):
+        seed_timings = dict(timings)
+        drawn = rs
+        if config.sample_fraction < 1.0:
+            drawn = _timed(seed_timings, "sample", sample, rs, config.sample_fraction, seed)
+        spec = SplitSpec(config.train_fraction, seed, SplitMode(config.split_mode))
+        train_rs, test_rs = _timed(seed_timings, "split", split, drawn, spec)
+        if seed == config.seed + repeats - 1:
+            del rs, drawn  # from here on only the sides are held
+        y = _test_labels(test_rs)
+        if config.scenario == "normal_only":
+            train_rs = _timed(seed_timings, "filter", filter_normal, train_rs)
+            if not len(train_rs):
+                raise ValueError(
+                    "normal_only training needs Normal labels on the train side; "
+                    "every train unit is labeled anomaly"
+                )
+        if needed > (n_train := train_rs.n_units):
+            raise ValueError(
+                f"{name} exceeds the {n_train} train units left by scenario "
+                f"{config.scenario}; raise train_fraction"
+            )
+        yield train_rs, test_rs, y, seed_timings
 
 
 class _Features:
@@ -408,25 +414,27 @@ def _run_cell(
 
 
 def _run_cells(
-    config: RunConfig, cells: list[tuple[str, str]]
+    config: RunConfig, cells: list[tuple[str, str]], repeats: int = 1
 ) -> Iterator[tuple[RunConfig, EvalReport, FittedArtifacts]]:
-    """The stage chain: yield each (representation, model) cell as it finishes.
+    """The stage chain: yield each (representation, model) cell as it
+    finishes, for each of ``repeats`` seeds from ``config.seed`` on.
 
-    Every cell config is validated before the input is opened.  ``cells``
-    must list each representation's cells together.
+    Every cell config is validated before the input is opened, which is
+    loaded once.  ``cells`` must list each representation's cells together.
     """
     configs = [replace(config, representation=rep, model=model) for rep, model in cells]
     for cell in configs:
         cell.validate()
     needed = max(_MODEL_TABLE[c.model].min_train(c) for c in configs)
-    train_rs, test_rs, y, timings = _load_and_split(config, needed)
-    for _, group in groupby(configs, key=lambda c: c.representation):
-        group = list(group)
-        features = _Features(group, train_rs, test_rs, timings)
-        for cell in group:
-            yield (cell, *_run_cell(cell, features, y))
-        # Release this representation's matrices before the next one is built.
-        del features
+    sides = _load_and_split(config, needed, repeats)
+    for seed, (train_rs, test_rs, y, timings) in enumerate(sides, config.seed):
+        for _, group in groupby(configs, key=lambda c: c.representation):
+            group = [replace(cell, seed=seed) for cell in group]
+            features = _Features(group, train_rs, test_rs, timings)
+            for cell in group:
+                yield (cell, *_run_cell(cell, features, y))
+            # Release this representation's matrices before the next one is built.
+            del features
 
 
 def execute(config: RunConfig) -> tuple[EvalReport, FittedArtifacts]:
@@ -492,33 +500,23 @@ def run_grid(config: RunConfig) -> list[EvalReport]:
 
 
 def run_repeats(config: RunConfig, repeats: int) -> tuple[list[EvalReport], dict]:
-    """Re-run with derived seeds; summarize mean/min/max per metric.
+    """Run ``repeats`` seeds from ``config.seed`` on, loading the input once;
+    summarize mean/min/max per metric.
 
     With ``out_dir`` set, each seed writes its own ``report_{tag}.json``.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    config.validate()  # the derived seeds need an integer seed
     reports = []
-    for i in range(repeats):
-        seeded = replace(config, seed=config.seed + i)
-        report, artifacts = execute(seeded)
-        _write_outputs(seeded, report, artifacts, f"report_{seeded.tag()}.json")
+    cells = [(config.representation, config.model)]
+    for cell, report, artifacts in _run_cells(config, cells, repeats):
+        _write_outputs(cell, report, artifacts, f"report_{cell.tag()}.json")
         reports.append(report)
     summary = {}
-    for name, getter in (
-        ("auc", lambda r: r.auc),
-        ("f1", lambda r: r.best_f1),
-        ("model_time", lambda r: r.model_time),
-    ):
-        values = [getter(r) for r in reports]
-        summary[name] = {
-            "mean": float(np.mean(values)),
-            "min": float(np.min(values)),
-            "max": float(np.max(values)),
-        }
-    if config.out_dir is not None:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    for name, attr in (("auc", "auc"), ("f1", "best_f1"), ("model_time", "model_time")):
+        values = [getattr(r, attr) for r in reports]
+        summary[name] = {"mean": float(np.mean(values)), "min": float(np.min(values)),
+                         "max": float(np.max(values))}
+    if config.out_dir is not None:  # the first report made it
+        (Path(config.out_dir) / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return reports, summary

@@ -201,6 +201,43 @@ class TestScoreHistogram:
         assert bins[24][2:] == (0, 0) and bins[25][2:] == (0, 1)
         assert bins == reference_bins(scores, [0] * 17 + [1] + [0] * 17, 50)
 
+    def test_nan_scores_get_one_trailing_bin(self):
+        # The finite scores keep their bins; the NaN is neither dropped nor
+        # allowed to turn every edge into NaN.
+        table = score_table([1.0, np.nan, 1.0, 0.5], [0, 1, 0, 1], [0, 0, 0, 1])
+        bins = table.histogram(4).bins
+        assert _repr(bins) == _repr([(0.5, 0.625, 0, 1), (0.625, 0.75, 0, 0),
+                                     (0.75, 0.875, 0, 0), (0.875, 1.0, 2, 0),
+                                     (np.nan, np.nan, 0, 1)])
+        assert bins[:-1] == reference_bins([1.0, 1.0, 0.5], [0, 0, 1], 4)
+
+    def test_nan_scores_only_get_the_nan_bin_alone(self):
+        bins = score_histogram([np.nan, np.nan, np.nan], [0, 1, 1], 5).bins
+        assert _repr(bins) == _repr([(np.nan, np.nan, 1, 2)])
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([np.nan, -1.0, 0.0, 0.25]) | st.floats(-1e6, 1e6),
+                      st.integers(0, 1)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 12),
+    )
+    def test_counts_with_nan_are_conserved(self, pairs, n_bins):
+        scores, labels = np.array([s for s, _ in pairs]), np.array([y for _, y in pairs])
+        bins = score_histogram(scores, labels, n_bins).bins
+        assert sum(nc + ac for _, _, nc, ac in bins) == len(scores)
+        assert sum(ac for _, _, _, ac in bins) == labels.sum()
+        nan = np.isnan(scores)
+        if nan.any():
+            low, high, nc, ac = bins.pop()
+            assert np.isnan(low) and np.isnan(high)
+            assert (nc, ac) == ((labels[nan] == 0).sum(), (labels[nan] == 1).sum())
+        finite = ~nan
+        assert bins == (reference_bins(scores[finite], labels[finite], n_bins)
+                        if finite.any() else [])
+
     def test_empty_table_has_no_bins(self):
         assert score_table([], []).histogram(5).bins == []
 
@@ -326,8 +363,7 @@ class TestScoreTable:
         assert np.isnan(table.auc())
         for got, want in zip(table, score_table(scores, labels)):
             np.testing.assert_array_equal(got, want)
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(table.histogram(4).bins[0][0])
+        assert np.isnan(table.histogram(4).bins[-1][0])
 
     def test_single_document_rows_and_ties_across_rows(self):
         # Rows 0 and 2 hold equal scores: one threshold with both rows' counts.

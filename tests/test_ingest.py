@@ -228,6 +228,21 @@ class TestAdapters:
         rs = load(_one_key_input(tmp_path, adapter), adapter, labels)
         assert [(r.seq_key, r.label) for r in rs] == [("blk_1", Label.ANOMALY)]
 
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_header_after_blank_rows_is_skipped(self, tmp_path, adapter):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\nBlockId,Label\n\nblk_1,Anomaly\n")
+        rs = load(_one_key_input(tmp_path, adapter), adapter, labels)
+        assert [(r.seq_key, r.label) for r in rs] == [("blk_1", Label.ANOMALY)]
+
+    @pytest.mark.parametrize("adapter", KEYED)
+    def test_only_the_first_filled_row_may_be_a_header(self, tmp_path, adapter):
+        # Row numbers count the blank rows, so they are the file's lines.
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n\nBlockId,Label\n\nblk_1,Label\n")
+        with pytest.raises(LoadError, match="row 5 has label 'Label'"):
+            load(_one_key_input(tmp_path, adapter), adapter, labels)
+
     def test_hadoop_input_that_is_a_file(self, tmp_path):
         log = tmp_path / "app.log"
         log.write_text("first line\n")

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import time
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -572,6 +573,89 @@ class TestRepeats:
     def test_bad_repeat_count(self, unseen_corpus):
         with pytest.raises(ConfigError):
             run_repeats(_config(unseen_corpus), repeats=0)
+
+    def test_the_input_is_loaded_once(self, unseen_corpus, monkeypatch):
+        calls = Counter()
+        for name in ("load", "normalize_block", "sample", "split", "filter_normal",
+                     "_represent"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        run_repeats(_config(unseen_corpus, sample_fraction=0.8), repeats=5)
+        assert calls == {"load": 1, "normalize_block": 1, "sample": 5, "split": 5,
+                         "filter_normal": 5, "_represent": 5}
+
+    def test_load_and_normalize_are_timed_once_for_every_seed(self, unseen_corpus):
+        reports, _ = run_repeats(_config(unseen_corpus, sample_fraction=0.8), repeats=3)
+        for stage in ("load", "normalize"):
+            assert len({r.timings[stage] for r in reports}) == 1, stage
+        for r in reports:
+            assert list(r.timings) == ["normalize", "load", "sample", "split", "filter",
+                                       "represent", "vectorize", "fit", "score"]
+
+    @pytest.mark.parametrize("corpus,model,sample_fraction", [
+        ("lines", "rm", 1.0),
+        ("lines", "iforest", 0.5),
+        ("blocks", "kmeans", 0.8),
+        ("apps", "oovd", 1.0),
+    ])
+    def test_each_seed_equals_a_standalone_run(self, unseen_corpus, hdfs_corpus,
+                                               hadoop_corpus, monkeypatch, corpus, model,
+                                               sample_fraction):
+        make = {"lines": lambda **kw: _config(unseen_corpus, **kw),
+                "blocks": lambda **kw: _hdfs_config(hdfs_corpus, **kw),
+                "apps": lambda **kw: _hadoop_config(hadoop_corpus, **kw)}[corpus]
+        config = make(model=model, sample_fraction=sample_fraction, k=2)
+        scores = _capture_scores(monkeypatch)
+        reports, _ = run_repeats(config, repeats=3)
+        repeat_scores = list(scores)
+        assert len(reports) == len(repeat_scores) == 3
+        for i, (report, repeat_s) in enumerate(zip(reports, repeat_scores)):
+            scores.clear()
+            alone, _ = execute(replace(config, seed=config.seed + i))
+            [alone_s] = scores
+            assert alone_s.tobytes() == repeat_s.tobytes(), i
+            assert _without_timings(alone) == _without_timings(report), i
+
+    @pytest.mark.parametrize("entry,alive", [
+        (lambda config: run_repeats(config, 3), [True, True, False]),
+        (execute, [False]),
+        (run_grid, [False, False, False]),
+    ], ids=["run_repeats", "execute", "run_grid"])
+    @pytest.mark.parametrize("sample_fraction", [1.0, 0.8])
+    def test_the_loaded_set_is_released_after_the_last_split(
+        self, unseen_corpus, monkeypatch, entry, alive, sample_fraction
+    ):
+        # The loaded set (and each seed's sample of it) must outlive the
+        # splits that read it, and no more: from the last split on, a run
+        # holds what a one-seed run holds.
+        loaded, drawn, seen = [], [], []
+
+        def load(*args, _load=pipeline.load):
+            rs = _load(*args)
+            loaded.append(weakref.ref(rs))
+            return rs
+
+        def sample(*args, _sample=pipeline.sample):
+            rs = _sample(*args)
+            drawn.append(weakref.ref(rs))
+            return rs
+
+        def represent(*args, _represent=pipeline._represent):
+            seen.append((loaded[0]() is not None, [ref() is not None for ref in drawn]))
+            return _represent(*args)
+
+        monkeypatch.setattr(pipeline, "load", load)
+        monkeypatch.setattr(pipeline, "sample", sample)
+        monkeypatch.setattr(pipeline, "_represent", represent)
+        entry(_config(unseen_corpus, sample_fraction=sample_fraction))
+        assert [set_alive for set_alive, _ in seen] == alive
+        if sample_fraction < 1.0:
+            # Seed i's sample is alive while its cells run, unless it is the last.
+            assert [samples[-1] for _, samples in seen] == alive
+        else:
+            assert drawn == []
 
 
 def _mangle_test_lines(corpus: Path, out: Path, config: RunConfig) -> None:

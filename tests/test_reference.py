@@ -1,6 +1,6 @@
 """Whole runs against the naive reference pipeline (``reference.py``).
 
-``execute`` and ``run_grid`` run on small generated corpora: bgl lines, hdfs
+``execute``, ``run_grid`` and ``run_repeats`` run on small generated corpora: bgl lines, hdfs
 blocks (with lines that name several blocks) and hadoop application logs,
 under both scenarios.  Messages include non-ASCII text, empty and one- or
 two-character messages, and either repeat heavily or are all distinct.
@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from logad import pipeline
-from logad.pipeline import RunConfig, execute, grid_cells, run_grid
+from logad.pipeline import RunConfig, execute, grid_cells, run_grid, run_repeats
 from reference import pairwise_auc, reference_best_f1, reference_bins, reference_run
 
 KMEANS_ATOL = 1e-7
@@ -195,6 +195,33 @@ def test_grid_matches_reference(corpus, config):
         assert (report.meta["representation"], report.meta["model"]) == (
             cell.representation, cell.model)
         _check_cell(cell, report, cell_scores, ref)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora(), configs(), st.data())
+def test_repeats_match_reference(corpus, config, data):
+    # Each seed's cell is the reference's run of that seed.  The run stops
+    # at the first seed that the reference rejects, after the seeds before it.
+    adapter, files = corpus
+    rep, model = data.draw(st.sampled_from(grid_cells(config.scenario)))
+    config = replace(config, representation=rep, model=model)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _write(Path(tmp), adapter, files, config)
+        seeds = [replace(config, seed=config.seed + i) for i in range(3)]
+        refs = [_reference_or_none(seeded) for seeded in seeds]
+        result, scores = _captured(lambda c: run_repeats(c, 3), config)
+    event(f"repeats {config.adapter} {'ran' if result else 'rejected'}")
+    if result is None:
+        assert None in refs, "the pipeline rejected repeats whose every seed the reference accepts"
+        reports = [None] * refs.index(None)
+    else:
+        assert None not in refs, "the reference rejected a seed of repeats that the pipeline ran"
+        reports = result[0]
+    assert len(reports) == len(scores)
+    for seeded, report, cell_scores, ref in zip(seeds, reports, scores, refs):
+        if report is not None:
+            assert report.meta["seed"] == seeded.seed
+            _check_cell(seeded, report, cell_scores, ref)
 
 
 @pytest.mark.parametrize("adapter", ["bgl", "hdfs", "hadoop"])
