@@ -22,9 +22,6 @@ from .detect import (
 from .evaluate import (
     EvalReport,
     Histogram,
-    auc_roc,
-    best_f1,
-    score_histogram,
     score_table,
 )
 from .ingest import (
@@ -64,9 +61,9 @@ from .vectorize import (
     DocTermMatrix,
     Vocabulary,
     Weighting,
-    count_transform,
-    fit_vocabulary,
-    tfidf_transform,
+    count_units,
+    fit_units,
+    tfidf_weighting,
 )
 
 __version__ = "0.1.0"
@@ -95,13 +92,11 @@ __all__ = [
     "Vocabulary",
     "WILDCARD",
     "Weighting",
-    "auc_roc",
     "average_path_length",
-    "best_f1",
-    "count_transform",
+    "count_units",
     "execute",
     "filter_normal",
-    "fit_vocabulary",
+    "fit_units",
     "gen_synthetic",
     "iforest_fit",
     "iforest_score",
@@ -117,10 +112,9 @@ __all__ = [
     "run_grid",
     "run_repeats",
     "sample",
-    "score_histogram",
     "score_table",
     "split",
-    "tfidf_transform",
+    "tfidf_weighting",
     "tokenize_trigrams",
     "tokenize_words",
 ]

@@ -41,7 +41,7 @@ def oovd_score(v: Vocabulary, docs: DocTermMatrix) -> np.ndarray:
     if docs.weighting is not Weighting.COUNT:
         raise ValueError(f"oovd_score needs a Count matrix, got {docs.weighting.value}")
     _check_columns(v.n_terms, docs, "oovd_score")
-    return docs.per_doc(docs.doc_token_totals.astype(np.float64) - docs.row_sums())
+    return docs.per_doc(docs.doc_token_totals.astype(np.float64) - docs.matrix.row_sums())
 
 
 # ---------------------------------------------------------------------------

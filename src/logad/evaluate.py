@@ -56,7 +56,15 @@ class ScoreTable(NamedTuple):
         return two_u / (2 * n_pos * n_neg)
 
     def best_f1(self, budget: int | None = None) -> tuple[float, float]:
-        """Best F1 over the thresholds, as (threshold, f1); see ``best_f1``."""
+        """Best F1 over thresholds, as (threshold, f1).
+
+        Default is an exact sweep of every unique score plus one value above
+        the maximum (the objective is piecewise constant, so this hits the
+        global optimum); among equally good thresholds the smallest wins.
+        A finite ``budget`` caps the number of threshold evaluations using
+        iterative refinement over score quantiles, mirroring a bounded
+        optimization loop.  Requires at least one positive label.
+        """
         n_pos = self._totals()[0]
         if n_pos == 0:
             raise ValueError("F1 is undefined without positive labels")
@@ -67,23 +75,34 @@ class ScoreTable(NamedTuple):
         return _best_f1_budgeted(self.thresholds, self.tps, self.fps, n_pos, budget)
 
     def histogram(self, n_bins: int) -> Histogram:
-        """The score histogram; see ``score_histogram``."""
+        """Bin the finite scores over [min, max] into ``n_bins`` equal-width bins.
+
+        Each bin counts the scores in its printed [low, high), and the last
+        bin also those at max.  Counts are split by label and conserved; a
+        degenerate score range collapses to a single bin.  -inf, inf and NaN
+        scores take no part in the range: each is counted in a bin of its
+        own, printed with that value as both edges, (-inf, -inf) before the
+        finite bins and (inf, inf) and (nan, nan) after them.
+        """
         if n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {n_bins}")
         s = self.thresholds
         normal, anomaly = (np.diff(counts, prepend=0) for counts in (self.fps, self.tps))
-        # NaN scores are one entry, the last, and are counted in a bin of their own.
-        n = len(s) - bool(len(s) and np.isnan(s[-1]))
-        nan_bin = [(np.nan, np.nan, int(normal[n]), int(anomaly[n]))] if n < len(s) else []
-        if n == 0:
-            return Histogram(bins=nan_bin)
-        lo, hi = float(s[n - 1]), float(s[0])  # the thresholds descend
+        # Each non-finite score is one entry of the descending table: inf
+        # first, then the finite scores, -inf, and NaN last.
+        finite = np.flatnonzero(np.isfinite(s))
+        own = [(float(s[i]), float(s[i]), int(normal[i]), int(anomaly[i]))
+               for i in np.flatnonzero(~np.isfinite(s))]
+        below, above = [b for b in own if b[0] == -np.inf], [b for b in own if b[0] != -np.inf]
+        if not len(finite):
+            return Histogram(bins=below + above)
+        lo, hi = float(s[finite[-1]]), float(s[finite[0]])
         # A degenerate score range is one bin.
         edges = np.r_[lo + np.arange(n_bins) * ((hi - lo) / n_bins), hi] if lo < hi else [lo, hi]
-        normal, anomaly = (np.histogram(s[:n], edges, weights=counts[:n])[0].tolist()
+        normal, anomaly = (np.histogram(s[finite], edges, weights=counts[finite])[0].tolist()
                            for counts in (normal, anomaly))
         edges = np.asarray(edges).tolist()
-        return Histogram(bins=[*zip(edges[:-1], edges[1:], normal, anomaly), *nan_bin])
+        return Histogram(bins=[*below, *zip(edges[:-1], edges[1:], normal, anomaly), *above])
 
 
 def score_table(
@@ -97,13 +116,19 @@ def score_table(
     with the count of its anomalous and normal documents, at the cost of the
     rows; it is the per-document table, because the documents of a row carry
     the row's score.  If they do not (a faulty scorer), the table is built
-    per document, so that no document's score is hidden.  A score of -0.0 counts as 0.0, and all NaN
-    scores are one entry, the last, as equal infinities are one entry.
+    per document, so that no document's score is hidden.  A score of -0.0
+    counts as 0.0, and all NaN scores are one entry, the last, as equal
+    infinities are one entry.  A label other than 0 or 1 is a ValueError.
+
+    AUC-ROC, best F1 and the histogram are the table's ``auc``, ``best_f1``
+    and ``histogram``.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise ValueError(f"{s.shape[0]} scores but {y.shape[0]} labels")
+    if len(bad := y[(y != 0) & (y != 1)]):
+        raise ValueError(f"labels must be 0 (normal) or 1 (anomalous), got {bad[0]}")
     rows = np.arange(len(s)) if doc_rows is None else np.asarray(doc_rows)
     n_rows = int(rows.max()) + 1 if len(rows) else 0
     row_scores = np.zeros(n_rows)
@@ -126,35 +151,9 @@ def score_table(
     return ScoreTable(s[last], tps[last], fps[last])
 
 
-def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Rank-based AUC-ROC with midranks for ties, O(n log n); NaN if any
-    score is NaN.
-
-    ``labels`` are 1 for anomalous, 0 for normal; both classes must be
-    present, otherwise the metric is undefined and a ValueError is raised.
-    See ``ScoreTable.auc``.
-    """
-    return score_table(scores, labels).auc()
-
-
 def _f1_counts(tp: int, fp: int, n_pos: int) -> float:
     denom = 2 * tp + fp + (n_pos - tp)
     return 2.0 * tp / denom if denom else 0.0
-
-
-def best_f1(
-    scores: Sequence[float], labels: Sequence[int], budget: int | None = None
-) -> tuple[float, float]:
-    """Best F1 over thresholds, as (threshold, f1).
-
-    Default is an exact sweep of every unique score plus one value above
-    the maximum (the objective is piecewise constant, so this hits the
-    global optimum); among equally good thresholds the smallest wins.
-    A finite ``budget`` caps the number of threshold evaluations using
-    iterative refinement over score quantiles, mirroring a bounded
-    optimization loop.  Requires at least one positive label.
-    """
-    return score_table(scores, labels).best_f1(budget)
 
 
 def _best_f1_exact(thresholds, tps, fps, n_pos) -> tuple[float, float]:
@@ -211,19 +210,6 @@ class Histogram:
             fh.write("bin_low,bin_high,normal_count,anomaly_count\n")
             for low, high, nc, ac in self.bins:
                 fh.write(f"{low!r},{high!r},{nc},{ac}\n")
-
-
-def score_histogram(
-    scores: Sequence[float], labels: Sequence[int], n_bins: int
-) -> Histogram:
-    """Bin scores over [min, max] into ``n_bins`` equal-width bins.
-
-    Each bin counts the scores in its printed [low, high), and the last bin
-    also those at max.  Counts are split by label and conserved; a
-    degenerate score range collapses to a single bin, and NaN scores are
-    counted in one trailing (nan, nan) bin.
-    """
-    return score_table(scores, labels).histogram(n_bins)
 
 
 # The grid.csv columns, in order: meta fields, metrics (column -> EvalReport

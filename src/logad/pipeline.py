@@ -60,7 +60,7 @@ from .ingest import (
 from .normalize import normalize_block
 from .represent import DrainParser, TokenSeq, tokenize_trigrams, tokenize_words
 from .vectorize import (
-    DocTermMatrix, Vocabulary, Weighting, _fit_units, _unit_counts, tfidf_weighting,
+    DocTermMatrix, Vocabulary, Weighting, count_units, fit_units, tfidf_weighting,
 )
 
 REPRESENTATIONS = ("words", "trigrams", "events")
@@ -276,8 +276,8 @@ def _represent(config: RunConfig, train_rs: RecordSet, test_rs: RecordSet) -> tu
         events: dict[str, int] = {}
         train_ids = np.array([events.setdefault(drain.fit_line(msg), len(events))
                               for msg in train_rs.messages], dtype=np.int64)
-        train_docs = [TokenSeq.of([event]) for event in events]
-        test_docs = [TokenSeq.of([drain.parse_line(msg)]) for msg in test_msgs]
+        train_docs = [TokenSeq([event]) for event in events]
+        test_docs = [TokenSeq([drain.parse_line(msg)]) for msg in test_msgs]
     else:
         tokenize = _TOKENIZERS[config.representation]
         train_msgs, train_ids = train_rs.distinct_messages()
@@ -349,16 +349,16 @@ class _Features:
             t, "represent", _represent, cells[0], train_rs, test_rs
         )
         t0 = time.perf_counter()
-        self.vocab, train_counts = _fit_units(train_docs, train_ids, train_rs.unit_ids,
-                                              train_rs.n_units)
+        self.vocab, train_counts = fit_units(train_docs, train_ids, train_rs.unit_ids,
+                                             train_rs.n_units)
         entries = [_MODEL_TABLE[cell.model] for cell in cells]
         test_reads = {entry.test for entry in entries}
         self.matrices: dict[tuple[str, Weighting], DocTermMatrix] = {}
         if any(entry.train is not None for entry in entries):
             # Every train matrix in _MODEL_TABLE is tf-idf.
             self.matrices["train", Weighting.TFIDF] = tfidf_weighting(self.vocab, train_counts)
-        counts = _unit_counts(self.vocab.term_to_col, test_docs, test_ids,
-                              test_rs.unit_ids, test_rs.n_units)
+        counts = count_units(self.vocab.term_to_col, test_docs, test_ids,
+                             test_rs.unit_ids, test_rs.n_units)
         if Weighting.COUNT in test_reads:
             self.matrices["test", Weighting.COUNT] = counts
         if Weighting.TFIDF in test_reads:

@@ -20,23 +20,15 @@ _MAX_CHILDREN = 100
 
 @dataclass(slots=True)
 class TokenSeq:
-    """Ordered terms of one document plus its original term count.
-
-    ``source_len`` is fixed at creation so later stages can still see the
-    full token count after out-of-vocabulary terms are dropped.
-    """
+    """Ordered terms of one document; ``len(terms)`` is its token count,
+    which the count matrices keep after out-of-vocabulary terms drop out."""
 
     terms: list[str]
-    source_len: int
-
-    @classmethod
-    def of(cls, terms: list[str]) -> "TokenSeq":
-        return cls(terms, len(terms))
 
 
 def tokenize_words(msg: str) -> TokenSeq:
     """Split on whitespace runs; never yields empty terms."""
-    return TokenSeq.of(msg.split())
+    return TokenSeq(msg.split())
 
 
 def tokenize_trigrams(msg: str) -> TokenSeq:
@@ -46,8 +38,8 @@ def tokenize_trigrams(msg: str) -> TokenSeq:
     single term, so no document ever tokenizes to nothing.
     """
     if len(msg) < 3:
-        return TokenSeq.of([msg])
-    return TokenSeq.of([msg[i : i + 3] for i in range(len(msg) - 2)])
+        return TokenSeq([msg])
+    return TokenSeq([msg[i : i + 3] for i in range(len(msg) - 2)])
 
 
 @dataclass

@@ -175,10 +175,11 @@ class DocTermMatrix:
     """Sparse document-term matrix plus per-row original token counts.
 
     ``matrix`` and ``doc_token_totals`` hold one entry per stored row;
-    ``doc_token_totals[r]`` is the source_len of row r, i.e. it still counts
-    tokens that fell out of the vocabulary.  ``doc_rows`` holds one entry
-    per document: the stored row of each document, so documents may share a
-    row.  Given as None, it is the identity map: document d is row d.
+    ``doc_token_totals[r]`` is the number of terms in row r's documents,
+    which still counts the terms that fell out of the vocabulary.
+    ``doc_rows`` holds one entry per document: the stored row of each
+    document, so documents may share a row.  Given as None, it is the
+    identity map: document d is row d.
     """
 
     matrix: CSRMatrix
@@ -210,10 +211,6 @@ class DocTermMatrix:
     def n_terms(self) -> int:
         return self.matrix.shape[1]
 
-    def row_sums(self) -> np.ndarray:
-        """Each stored row's sum."""
-        return self.matrix.row_sums()
-
     def per_doc(self, row_values: np.ndarray) -> np.ndarray:
         """Each document's entry of ``row_values``, which has one per stored row."""
         return row_values[self.doc_rows]
@@ -223,14 +220,17 @@ class DocTermMatrix:
         return self.matrix.take_rows(self.doc_rows[docs])
 
 
-def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.ndarray | None,
-                 unit_ids: np.ndarray | None, n_units: int | None) -> DocTermMatrix:
+def count_units(term_to_col: dict[str, int], docs: Iterable[TokenSeq],
+                ids: np.ndarray | None = None, unit_ids: np.ndarray | None = None,
+                n_units: int | None = None) -> DocTermMatrix:
     """The counts of the terms in ``term_to_col`` in units made of the
     distinct ``docs``, the one counting routine: record ``i`` adds document
-    ``ids[i]`` to unit ``unit_ids[i]``, which is row ``unit_ids[i]``.  Without
-    ``unit_ids`` each record is its own unit (a line), which ``doc_rows`` maps
-    to its document's row; without ``ids`` too, document d is row d.  Other
-    terms add nothing to a row but still count in its ``doc_token_totals``.
+    ``ids[i]`` to unit ``unit_ids[i]``, which is row ``unit_ids[i]`` of
+    ``n_units``.  Without ``unit_ids`` each record is its own unit (a line),
+    which ``doc_rows`` maps to its document's row; without ``ids`` too,
+    document d is row d, one row per given document.  Other terms add
+    nothing to a row but still count in its ``doc_token_totals``, the number
+    of its documents' terms.
 
     Each document's columns are collected once, and the records' columns are
     summed into their rows in runs of about ``_CHUNK`` entries, a larger row
@@ -243,10 +243,10 @@ def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.
     # 2**31 terms, and a larger column would overflow loudly.
     lengths, cols, totals = array("q"), array("i"), array("q")
     for doc in docs:
-        start = len(cols)
-        cols.extend(col for term in doc.terms if (col := term_to_col.get(term)) is not None)
+        start, terms = len(cols), doc.terms
+        cols.extend(col for term in terms if (col := term_to_col.get(term)) is not None)
         lengths.append(len(cols) - start)
-        totals.append(doc.source_len)
+        totals.append(len(terms))
     lengths, cols = np.frombuffer(lengths, np.int64), np.frombuffer(cols, np.intc)
     totals = np.frombuffer(totals, np.int64)
     doc_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -301,17 +301,25 @@ def _unit_counts(term_to_col: dict[str, int], docs: Iterable[TokenSeq], ids: np.
     return DocTermMatrix(matrix, Weighting.COUNT, totals, ids if unit_ids is None else None)
 
 
-def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary, DocTermMatrix]:
-    """The vocabulary and the ``_unit_counts`` of the distinct ``docs``.
-    Columns are in first appearance over the units' documents, unit by unit."""
-    by_unit = ids if unit_ids is None else ids[np.argsort(unit_ids, kind="stable")]
-    terms = dict.fromkeys(term for i in dict.fromkeys(by_unit.tolist()) for term in docs[i].terms)
+def fit_units(docs: list[TokenSeq], ids: np.ndarray | None = None,
+              unit_ids: np.ndarray | None = None,
+              n_units: int | None = None) -> tuple[Vocabulary, DocTermMatrix]:
+    """The train vocabulary and the ``count_units`` of the distinct ``docs``
+    through it, with the same arguments: by default each document is one
+    unit.  Columns are in first appearance over the units' documents, unit
+    by unit, and the statistics count a stored row once for each unit that
+    maps to it."""
+    if ids is None:
+        order = range(len(docs))
+    else:
+        order = dict.fromkeys(
+            (ids if unit_ids is None else ids[np.argsort(unit_ids, kind="stable")]).tolist())
+    terms = dict.fromkeys(term for i in order for term in docs[i].terms)
     if not terms:
         raise ValueError("cannot fit a vocabulary: all documents are empty")
     term_to_col = dict(zip(terms, range(len(terms))))
-    counts = _unit_counts(term_to_col, docs, ids, unit_ids, n_units)
+    counts = count_units(term_to_col, docs, ids, unit_ids, n_units)
     m, n_terms = counts.matrix, len(term_to_col)
-    # A stored row counts once for each unit that maps to it.
     units_per_row = np.bincount(counts.doc_rows, minlength=counts.n_rows)
     weights = np.repeat(units_per_row, np.diff(m.indptr))
     term_total = _weighted_bincount(m.indices, m.data * weights, n_terms).astype(np.int64)
@@ -319,22 +327,9 @@ def _fit_units(docs: list[TokenSeq], ids, unit_ids, n_units) -> tuple[Vocabulary
         term_to_col=term_to_col,
         doc_freq=_weighted_bincount(m.indices, weights, n_terms).astype(np.int64),
         term_total=term_total,
-        train_doc_count=n_units,
+        train_doc_count=counts.n_docs,
         corpus_total=int(term_total.sum()),
     ), counts
-
-
-def fit_vocabulary(train_docs: Iterable[TokenSeq]) -> Vocabulary:
-    """Collect the distinct terms of the training documents and their stats."""
-    docs = list(train_docs)
-    if not docs:
-        raise ValueError("cannot fit a vocabulary on zero documents")
-    return _fit_units(docs, np.arange(len(docs)), None, len(docs))[0]
-
-
-def count_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
-    """Per-document in-vocabulary term counts; OOV terms contribute nothing."""
-    return _unit_counts(v.term_to_col, docs, None, None, None)
 
 
 def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
@@ -348,8 +343,3 @@ def tfidf_weighting(v: Vocabulary, counts: DocTermMatrix) -> DocTermMatrix:
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     data *= np.repeat(scale, np.diff(matrix.indptr))
     return replace(counts, matrix=weighted, weighting=Weighting.TFIDF)
-
-
-def tfidf_transform(v: Vocabulary, docs: Iterable[TokenSeq]) -> DocTermMatrix:
-    """Tf-idf weighted matrix: the weighting of ``count_transform``."""
-    return tfidf_weighting(v, count_transform(v, docs))

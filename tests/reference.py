@@ -108,15 +108,15 @@ def flatten_sequences(records, token_seqs):
         if r.seq_key is None:
             raise ValueError(f"record at line {r.line_no} has no sequence key to flatten by")
         merged.setdefault(r.seq_key, []).extend(ts.terms)
-    return [TokenSeq.of(terms) for terms in merged.values()]
+    return [TokenSeq(terms) for terms in merged.values()]
 
 
 def reference_docs(config, train, test, granularity):
     """Per-unit documents of the two sides, one tokenizer or parser call per record."""
     if config.representation == "events":
         drain = DrainParser(depth=config.depth, sim_threshold=config.sim_threshold)
-        train_docs = [TokenSeq.of([drain.fit_line(r.message)]) for r in train]
-        test_docs = [TokenSeq.of([drain.parse_line(r.message)]) for r in test]
+        train_docs = [TokenSeq([drain.fit_line(r.message)]) for r in train]
+        test_docs = [TokenSeq([drain.parse_line(r.message)]) for r in test]
     else:
         tokenize = {"words": tokenize_words, "trigrams": tokenize_trigrams}[config.representation]
         train_docs = [tokenize(r.message) for r in train]
@@ -312,20 +312,20 @@ def reference_run(config) -> ReferenceCell:
         return row * (1.0 / norm) if norm > 0 else row
 
     if config.model == "oovd":
-        scores = [float(doc.source_len - counts(doc).sum()) for doc in test_docs]
+        scores = [float(len(doc.terms) - counts(doc).sum()) for doc in test_docs]
     elif config.model == "rm":
         scores = []
         for doc in test_docs:
             x, dot = tfidf(doc), 0.0
             for j in np.flatnonzero(x):
                 dot += x[j] * rarity[j]
-            scores.append(dot / doc.source_len if doc.source_len else 0.0)
+            scores.append(dot / len(doc.terms) if doc.terms else 0.0)
     else:
         train_x = np.array([tfidf(doc) for doc in train_docs])
         test_x = np.array([tfidf(doc) for doc in test_docs])
         if config.model == "kmeans":
             train_m = DocTermMatrix(from_dense(train_x), Weighting.TFIDF,
-                                    np.array([doc.source_len for doc in train_docs]))
+                                    np.array([len(doc.terms) for doc in train_docs]))
             centroids = kmeans_fit(train_m, config.k, config.seed).centroids
             scores = [math.sqrt(min(float(((x - c) ** 2).sum()) for c in centroids))
                       for x in test_x]

@@ -25,14 +25,14 @@ from logad.detect import (
     rm_fit,
     rm_score,
 )
-from logad.evaluate import auc_roc, best_f1
+from logad.evaluate import score_table
 from logad.ingest import Label, LogRecord, Granularity, SplitMode, SplitSpec, load, split
 from logad.normalize import normalize_block, normalize_message
 from logad.pipeline import ConfigError, RunConfig, execute, run
 from logad.represent import DrainParser, TokenSeq, WILDCARD, tokenize_trigrams
 from logad.synth import gen_synthetic
 from logad.vectorize import (
-    DocTermMatrix, Weighting, _unit_counts, count_transform, fit_vocabulary, tfidf_transform,
+    DocTermMatrix, Weighting, count_units, fit_units, tfidf_weighting,
 )
 from csr import from_dense, to_scipy
 from reference import pairwise_auc
@@ -46,7 +46,7 @@ def verdict(cid: str, ok: bool, detail: str = "") -> None:
 
 
 def docs(term_lists):
-    return [TokenSeq.of(list(t)) for t in term_lists]
+    return [TokenSeq(list(t)) for t in term_lists]
 
 
 def dtm(rows):
@@ -120,16 +120,16 @@ def test_c1_oracle_equivalence():
 
     for _ in range(200):  # oovd vs naive membership loop, exact
         train, test = _random_instance(rng)
-        v = fit_vocabulary(docs(train))
-        got = oovd_score(v, count_transform(v, docs(test)))
+        v, _ = fit_units(docs(train))
+        got = oovd_score(v, count_units(v.term_to_col, docs(test)))
         vocab_set = {t for d in train for t in d}
         want = [float(sum(1 for t in d if t not in vocab_set)) for d in test]
         assert got.tolist() == want
 
     for _ in range(200):  # rm vs naive per-token sum, 1e-9
         train, test = _random_instance(rng)
-        v = fit_vocabulary(docs(train))
-        got = rm_score(rm_fit(v), tfidf_transform(v, docs(test)))
+        v, _ = fit_units(docs(train))
+        got = rm_score(rm_fit(v), tfidf_weighting(v, count_units(v.term_to_col, docs(test))))
         np.testing.assert_allclose(got, _naive_rm(train, test), rtol=1e-9, atol=1e-12)
 
     for _ in range(200):  # auc vs O(n^2) pairwise oracle with half ties
@@ -138,7 +138,7 @@ def test_c1_oracle_equivalence():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, 10, size=n) / 5.0  # coarse grid forces ties
-        assert abs(auc_roc(scores, labels) - pairwise_auc(scores, labels)) < 1e-12
+        assert abs(score_table(scores, labels).auc() - pairwise_auc(scores, labels)) < 1e-12
 
     elapsed = time.perf_counter() - t0
     verdict("C1 oracle equivalence (oovd/rm/auc x200)", elapsed < 10.0,
@@ -156,16 +156,17 @@ def test_c2_fixtures():
         "0 ddr error(s) detected and corrected on rank 0, symbol 0 over 0 seconds"
     )
 
-    v = fit_vocabulary(docs([["a", "b"], ["b", "c"]]))
+    v, _ = fit_units(docs([["a", "b"], ["b", "c"]]))
     ok &= abs(v.idf()[v.term_to_col["a"]] - (math.log(1.5) + 1.0)) < 1e-12
     ok &= round(float(v.idf()[v.term_to_col["a"]]), 4) == 1.4055
 
-    v1 = fit_vocabulary(docs([["a", "a", "a", "b"]]))
-    row = tfidf_transform(v1, docs([["a", "b", "c"]])).matrix.toarray()[0]
+    v1, _ = fit_units(docs([["a", "a", "a", "b"]]))
+    tfidf = tfidf_weighting(v1, count_units(v1.term_to_col, docs([["a", "b", "c"]])))
+    row = tfidf.matrix.toarray()[0]
     ok &= round(float(row[v1.term_to_col["a"]]), 4) == 0.7071
     ok &= round(float(row[v1.term_to_col["b"]]), 4) == 0.7071
 
-    score = rm_score(rm_fit(v1), tfidf_transform(v1, docs([["a", "b", "c"]])))[0]
+    score = rm_score(rm_fit(v1), tfidf)[0]
     ok &= round(float(score), 4) == 0.3946
 
     p = DrainParser(sim_threshold=0.4)
@@ -225,9 +226,10 @@ def test_c4_speed_ordering(tmp_path):
     rs = load(corpus, "bgl", normalizer=normalize_block)
     train_rs, test_rs = split(rs, SplitSpec(0.05, seed=1))
     train_docs = [tokenize_trigrams(msg) for msg in train_rs.messages]
-    vocab = fit_vocabulary(train_docs)
-    train_m = tfidf_transform(vocab, train_docs)
-    test_m = tfidf_transform(vocab, (tokenize_trigrams(msg) for msg in test_rs.messages))
+    vocab, train_counts = fit_units(train_docs)
+    train_m = tfidf_weighting(vocab, train_counts)
+    test_docs = (tokenize_trigrams(msg) for msg in test_rs.messages)
+    test_m = tfidf_weighting(vocab, count_units(vocab.term_to_col, test_docs))
 
     def model_time(fit, score_fn):
         t_fit = time.perf_counter()
@@ -312,13 +314,13 @@ def test_c6c_flatten_token_conservation():
         for i in range(n):
             records.append(LogRecord(message="", line_no=i, label=Label.NORMAL,
                                      seq_key=f"s{rng.integers(6)}"))
-            seqs.append(TokenSeq.of([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
+            seqs.append(TokenSeq([f"t{rng.integers(9)}" for _ in range(rng.integers(0, 7))]))
         rs = record_set(records, Granularity.SEQUENCE)
         # Every record's terms summed into its sequence's row, as the pipeline counts.
-        units = _unit_counts({f"t{i}": i for i in range(9)}, seqs, np.arange(n), rs.unit_ids,
+        units = count_units({f"t{i}": i for i in range(9)}, seqs, np.arange(n), rs.unit_ids,
                              rs.n_units)
-        total = sum(s.source_len for s in seqs)
-        ok &= int(units.doc_token_totals.sum()) == total == int(units.row_sums().sum())
+        total = sum(len(s.terms) for s in seqs)
+        ok &= int(units.doc_token_totals.sum()) == total == int(units.matrix.row_sums().sum())
     verdict("C6c sequence units preserve token counts", ok)
 
 
@@ -328,8 +330,8 @@ def test_c6d_tfidf_unit_norms():
     for _ in range(50):
         train = [[f"t{rng.integers(30)}" for _ in range(rng.integers(1, 10))] for _ in range(30)]
         test = [[f"t{rng.integers(45)}" for _ in range(rng.integers(0, 10))] for _ in range(30)]
-        v = fit_vocabulary(docs(train))
-        m = to_scipy(tfidf_transform(v, docs(test)).matrix)
+        v, _ = fit_units(docs(train))
+        m = to_scipy(tfidf_weighting(v, count_units(v.term_to_col, docs(test))).matrix)
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1))).ravel()
         nonzero = np.diff(m.indptr) > 0
         ok &= bool(np.all(np.abs(norms[nonzero] - 1.0) < 1e-9)) and bool(np.all(norms[~nonzero] == 0))
@@ -345,9 +347,9 @@ def test_c6e_auc_monotone_invariance():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.normal(size=n)
-        base = auc_roc(scores, labels)
+        base = score_table(scores, labels).auc()
         for f in (lambda s: 2.0 * s + 1.0, np.exp, lambda s: s ** 3):
-            ok &= abs(auc_roc(f(scores), labels) - base) < 1e-12
+            ok &= abs(score_table(f(scores), labels).auc() - base) < 1e-12
     verdict("C6e AUC invariant under strictly increasing transforms", ok)
 
 
@@ -359,11 +361,11 @@ def test_c6f_best_f1_exact_dominates_budgeted():
         labels = rng.integers(0, 2, size=n)
         labels[0] = 1
         scores = np.round(rng.random(n), 2)
-        _, exact = best_f1(scores, labels)
+        _, exact = score_table(scores, labels).best_f1()
         for budget in (1, 5, 20):
-            _, capped = best_f1(scores, labels, budget=budget)
+            _, capped = score_table(scores, labels).best_f1(budget=budget)
             ok &= exact >= capped - 1e-12
-        _, unbounded = best_f1(scores, labels, budget=10 ** 9)
+        _, unbounded = score_table(scores, labels).best_f1(budget=10 ** 9)
         ok &= unbounded == exact
     verdict("C6f best_f1 exact >= budgeted, budgeted(inf) == exact", ok)
 

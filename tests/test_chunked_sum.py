@@ -1,6 +1,6 @@
 """The chunked count build against one-shot references.
 
-``_unit_counts`` counts documents, lines and sequence units in runs of about
+``count_units`` counts documents, lines and sequence units in runs of about
 ``vectorize._CHUNK`` entries.  It must give the bytes and index dtypes of
 counting every entry at once, whatever the chunk size, and neither the unit
 sum nor the document build may hold an entry-sized array beyond each entry's
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from logad import vectorize
 from logad.ingest import Granularity, RecordSet
 from logad.represent import TokenSeq
-from logad.vectorize import Weighting, _unit_counts, count_transform, fit_vocabulary
+from logad.vectorize import Weighting, count_units, fit_units
 
 from csr import expand
 
@@ -56,19 +56,19 @@ def _reference_sum_rows(term_to_col, docs, ids, unit_ids, n_units):
                                      (n_units, n_cols))
     totals = np.zeros(n_units, dtype=np.int64)
     for d, u in zip(ids.tolist(), unit_ids.tolist()):
-        totals[u] += docs[d].source_len
+        totals[u] += len(docs[d].terms)
     return built, totals
 
 
 def _docs(dense, extra=None):
     """A document per dense row of term counts: term ``t{j}`` ``dense[d][j]``
-    times, interleaved, and ``extra[d]`` out-of-vocabulary tokens that count
-    only in its ``source_len``."""
+    times, interleaved, then ``extra[d]`` out-of-vocabulary terms, which
+    count only in its token total."""
     docs = []
     for d, row in enumerate(np.asarray(dense).tolist()):
         terms = [f"t{j}" for j, n in enumerate(row) for _ in range(n)]
         terms = terms[::2] + terms[1::2]
-        docs.append(TokenSeq(terms, len(terms) + (0 if extra is None else int(extra[d]))))
+        docs.append(TokenSeq(terms + ["oov"] * (0 if extra is None else int(extra[d]))))
     return docs
 
 
@@ -114,7 +114,7 @@ class TestChunkedSumRows:
         term_to_col, docs, rows, units, n_units = case
         want, want_totals = _reference_sum_rows(term_to_col, docs, rows, units, n_units)
         with mock.patch.object(vectorize, "_CHUNK", chunk):
-            got = _unit_counts(term_to_col, docs, rows, units, n_units)
+            got = count_units(term_to_col, docs, rows, units, n_units)
         # Sequence units are their own rows.
         np.testing.assert_array_equal(got.doc_rows, np.arange(n_units))
         assert got.matrix.shape == (n_units, len(term_to_col))
@@ -136,7 +136,7 @@ class TestChunkedSumRows:
         assert entries > 500_000
 
         def build():
-            return _unit_counts(term_to_col, docs, rows, units, 200)
+            return count_units(term_to_col, docs, rows, units, 200)
 
         chunk = 4096
         with mock.patch.object(vectorize, "_CHUNK", chunk):
@@ -159,15 +159,15 @@ def test_document_build_peak_stays_near_its_columns():
     # term: 1.1M entries, which sum to 240,000 at most.
     rng = np.random.default_rng(1)
     n_docs, n_cols = 20_000, 12
-    vocab = fit_vocabulary([TokenSeq.of([f"t{j}" for j in range(n_cols)])])
-    docs = [TokenSeq.of([f"t{j}" for j in rng.integers(0, n_cols + 1, 60)]) for _ in range(n_docs)]
+    vocab, _ = fit_units([TokenSeq([f"t{j}" for j in range(n_cols)])])
+    docs = [TokenSeq([f"t{j}" for j in rng.integers(0, n_cols + 1, 60)]) for _ in range(n_docs)]
     entries = sum(t != f"t{n_cols}" for d in docs for t in d.terms)
 
     chunk = 4096
     with mock.patch.object(vectorize, "_CHUNK", chunk):
-        got, peak = peak_of(lambda: count_transform(vocab, docs))
+        got, peak = peak_of(lambda: count_units(vocab.term_to_col, docs))
     with mock.patch.object(vectorize, "_CHUNK", 1 << 40):
-        _, one_shot_peak = peak_of(lambda: count_transform(vocab, docs))
+        _, one_shot_peak = peak_of(lambda: count_units(vocab.term_to_col, docs))
     matrix = got.matrix
     output = (matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
               + got.doc_token_totals.nbytes)
@@ -183,16 +183,16 @@ def test_line_units_map_to_their_messages_without_a_per_line_array():
     # 500,000 lines over 40 distinct messages, as the test side's count
     # build sees them: each line's index among the distinct messages.
     n_lines, rng = 500_000, np.random.default_rng(0)
-    docs = [TokenSeq.of([f"t{j}" for j in rng.integers(0, 30, 5)]) for _ in range(40)]
+    docs = [TokenSeq([f"t{j}" for j in rng.integers(0, 30, 5)]) for _ in range(40)]
     ids = rng.integers(0, len(docs), n_lines).astype(np.int32)
     rs = RecordSet(Granularity.LINE, [f"m{i}" for i in range(len(docs))], ids,
                    np.zeros(n_lines, dtype=np.int8), np.full(n_lines, -1, dtype=np.int32), [],
                    np.arange(n_lines))
     term_to_col = {f"t{j}": j for j in range(25)}
-    got, peak = peak_of(lambda: _unit_counts(term_to_col, docs, ids, rs.unit_ids, rs.n_units))
+    got, peak = peak_of(lambda: count_units(term_to_col, docs, ids, rs.unit_ids, rs.n_units))
     assert got.doc_rows is ids
     assert got.n_docs == n_lines and got.n_rows == len(docs)
-    want = count_transform(fit_vocabulary([TokenSeq.of(term_to_col)]), [docs[i] for i in ids])
+    want = count_units(term_to_col, [docs[i] for i in ids])
     got = expand(got)
     _assert_same_build(got.matrix, (want.matrix.indptr, want.matrix.indices, want.matrix.data))
     _assert_same(got.doc_token_totals, want.doc_token_totals)
@@ -209,12 +209,12 @@ _TERMS = [f"t{i}" for i in range(6)]
     st.sampled_from([1, 2, 3, 4, 5, 6, 7]),
 )
 def test_counts_equal_the_one_shot_build(docs, chunk):
-    vocab = fit_vocabulary([TokenSeq.of(_TERMS)])
-    seqs = [TokenSeq.of(terms) for terms in docs]
+    vocab, _ = fit_units([TokenSeq(_TERMS)])
+    seqs = [TokenSeq(terms) for terms in docs]
     positions = [d * len(_TERMS) + vocab.term_to_col[t]
                  for d, terms in enumerate(docs) for t in terms if t != "oov"]
     want = _reference_from_positions(positions, (len(docs), len(_TERMS)))
     with mock.patch.object(vectorize, "_CHUNK", chunk):
-        got = count_transform(vocab, seqs)
+        got = count_units(vocab.term_to_col, seqs)
     _assert_same_build(got.matrix, want)
     _assert_same(got.doc_token_totals, np.array([len(t) for t in docs], dtype=np.int64))

@@ -23,7 +23,7 @@ from logad.ingest import (
     split,
 )
 from logad.represent import TokenSeq
-from logad.vectorize import _unit_counts
+from logad.vectorize import count_units
 from reference import (
     flatten_sequences,
     ref_filter_normal,
@@ -133,15 +133,15 @@ def test_sequence_labels_match_reference(case, fraction, seed):
 def test_flatten_matches_reference(case, data):
     records, _ = case
     token_seqs = [
-        TokenSeq.of(data.draw(st.lists(st.sampled_from("abc"), max_size=4)))
+        TokenSeq(data.draw(st.lists(st.sampled_from("abc"), max_size=4)))
         for _ in records
     ]
     rs = record_set(records, Granularity.SEQUENCE)
     # The pipeline sums each record's counts into its sequence's row.
     term_to_col = {"a": 0, "b": 1, "c": 2}
-    units = _unit_counts(term_to_col, token_seqs, np.arange(len(records)), rs.unit_ids,
+    units = count_units(term_to_col, token_seqs, np.arange(len(records)), rs.unit_ids,
                          rs.n_units)
-    ref = _unit_counts(term_to_col, flatten_sequences(records, token_seqs), None, None, None)
+    ref = count_units(term_to_col, flatten_sequences(records, token_seqs))
     ref_labels = ref_sequence_labels(records)
     assert rs.seq_keys == list(ref_labels)
     assert (units.matrix.toarray() == ref.matrix.toarray()).all()

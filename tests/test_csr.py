@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from logad.represent import TokenSeq
 from logad.vectorize import (
-    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _index_dtype, _unit_counts,
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _index_dtype, count_units,
     tfidf_weighting,
 )
 
@@ -52,21 +52,21 @@ def entries(draw, max_rows=8, max_cols=8, max_entries=40):
 
 def _docs(shape, rows, cols, values=None, extra=None):
     """A document per row: each entry's term ``t{col}``, ``values`` times
-    (once without values), in entry order, and ``extra[row]`` more tokens
-    that count only in its ``source_len``."""
+    (once without values), in entry order, then ``extra[row]``
+    out-of-vocabulary terms, which count only in its token total."""
     terms = [[] for _ in range(shape[0])]
     counts = np.ones(len(rows), np.int64) if values is None else values.astype(np.int64)
     for row, col, n in zip(rows.tolist(), cols.tolist(), counts.tolist()):
         terms[row] += [f"t{col}"] * n
     extra = [0] * shape[0] if extra is None else extra
-    return [TokenSeq(t, len(t) + e) for t, e in zip(terms, extra)]
+    return [TokenSeq(t + ["oov"] * e) for t, e in zip(terms, extra)]
 
 
 def _build(shape, rows, cols, values=None):
     """The count matrix of the entries, each entry a term repeated
     ``values`` times in its row's document."""
     term_to_col = {f"t{c}": c for c in range(shape[1])}
-    return _unit_counts(term_to_col, _docs(shape, rows, cols, values), None, None, None).matrix
+    return count_units(term_to_col, _docs(shape, rows, cols, values)).matrix
 
 
 def _scipy_build(shape, rows, cols, values):
@@ -207,7 +207,7 @@ class TestUnitCounts:
             return
         (shape, rows, cols, values), docs, message_ids, unit_ids, n_units = case
         term_to_col = {f"t{c}": c for c in range(shape[1])}
-        got = _unit_counts(term_to_col, docs, message_ids, unit_ids, n_units)
+        got = count_units(term_to_col, docs, message_ids, unit_ids, n_units)
         np.testing.assert_array_equal(got.doc_rows, np.arange(n_units))
         assert got.n_docs == n_units
         # The old aggregation: a units x documents multiplicity matrix.
@@ -218,6 +218,6 @@ class TestUnitCounts:
         want = multiplicity @ _scipy_build(shape, rows, cols, values)
         want.sort_indices()
         _assert_same_csr(got.matrix, want)
-        totals = np.array([d.source_len for d in docs], dtype=np.int64)
+        totals = np.array([len(d.terms) for d in docs], dtype=np.int64)
         _assert_same(got.doc_token_totals, multiplicity @ totals)
         assert got.weighting is Weighting.COUNT

@@ -5,8 +5,8 @@ and ``pipeline._Features`` sums the distinct count rows into sequence units,
 or maps each line to its message's row, on both sides.  These tests build
 the per-unit documents the long way, from the public tokenizers,
 ``DrainParser`` and a per-sequence merge, and require the vocabulary to equal
-``fit_vocabulary`` of those documents and the unit matrices, expanded to one
-row per unit, to be bit-identical to transforming them.  A line test matrix
+``fit_units`` of those documents and the unit matrices, expanded to one row
+per unit, to be bit-identical to counting them.  A line test matrix
 stores one row per distinct message.
 """
 
@@ -24,7 +24,7 @@ from logad.ingest import Granularity, Label, LogRecord
 from logad.pipeline import RunConfig, _Features, execute
 from logad.represent import DrainParser
 from logad.synth import gen_synthetic
-from logad.vectorize import Weighting, count_transform, fit_vocabulary, tfidf_transform
+from logad.vectorize import Weighting, count_units, fit_units, tfidf_weighting
 from csr import expand
 from reference import reference_docs
 from rows import record_set
@@ -90,7 +90,7 @@ def _check_features(representation, train_rs, test_rs):
     assert list(features.timings) == ["load", "represent", "vectorize"]
     assert features.timings["load"] == 1.0
     ref_train, ref_test = reference_docs(config, train_rs, test_rs, train_rs.granularity)
-    vocab = fit_vocabulary(ref_train)
+    vocab, train_counts = fit_units(ref_train)
     assert features.vocab.term_to_col == vocab.term_to_col
     for name in ("doc_freq", "term_total"):
         got, want = getattr(features.vocab, name), getattr(vocab, name)
@@ -114,9 +114,10 @@ def _check_features(representation, train_rs, test_rs):
         assert train_rows.tobytes() == train_ids.tobytes()
     else:
         assert train_rows.tobytes() == np.arange(train_rs.n_units).tobytes()
-    _assert_identical(matrices["test", Weighting.TFIDF], tfidf_transform(vocab, ref_test))
-    _assert_identical(matrices["test", Weighting.COUNT], count_transform(vocab, ref_test))
-    _assert_identical(matrices["train", Weighting.TFIDF], tfidf_transform(vocab, ref_train))
+    test_counts = count_units(vocab.term_to_col, ref_test)
+    _assert_identical(matrices["test", Weighting.TFIDF], tfidf_weighting(vocab, test_counts))
+    _assert_identical(matrices["test", Weighting.COUNT], test_counts)
+    _assert_identical(matrices["train", Weighting.TFIDF], tfidf_weighting(vocab, train_counts))
 
 
 @pytest.mark.parametrize("representation", pipeline.REPRESENTATIONS)

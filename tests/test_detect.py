@@ -23,16 +23,16 @@ from logad.vectorize import (
     DocTermMatrix,
     Vocabulary,
     Weighting,
-    count_transform,
-    fit_vocabulary,
-    tfidf_transform,
+    count_units,
+    fit_units,
+    tfidf_weighting,
 )
 from csr import from_dense, to_scipy
 from reference import reference_iforest_score, reference_iforest_trees
 
 
 def docs(*term_lists):
-    return [TokenSeq.of(list(t)) for t in term_lists]
+    return [TokenSeq(list(t)) for t in term_lists]
 
 
 def dtm(rows, weighting=Weighting.TFIDF, totals=None):
@@ -94,25 +94,25 @@ def random_corpus(rng, n_train=40, n_test=30, vocab=60, max_len=15):
 
 class TestOovd:
     def test_hand_example(self):
-        v = fit_vocabulary(docs(["a", "b"]))
-        m = count_transform(v, docs(["a", "c", "d", "c"]))
+        v, _ = fit_units(docs(["a", "b"]))
+        m = count_units(v.term_to_col, docs(["a", "c", "d", "c"]))
         assert oovd_score(v, m).tolist() == [3.0]
 
     def test_fully_in_vocabulary(self):
-        v = fit_vocabulary(docs(["a", "b"]))
-        m = count_transform(v, docs(["a", "b", "a"]))
+        v, _ = fit_units(docs(["a", "b"]))
+        m = count_units(v.term_to_col, docs(["a", "b", "a"]))
         assert oovd_score(v, m).tolist() == [0.0]
 
     def test_everything_oov_with_empty_vocabulary(self):
         from logad.vectorize import Vocabulary
 
         v = Vocabulary({}, np.zeros(0, np.int64), np.zeros(0, np.int64), 1, 0)
-        m = count_transform(v, docs(["x", "y", "z"]))
+        m = count_units(v.term_to_col, docs(["x", "y", "z"]))
         assert oovd_score(v, m).tolist() == [3.0]
 
     def test_rejects_tfidf_matrix(self):
-        v = fit_vocabulary(docs(["a"]))
-        m = tfidf_transform(v, docs(["a"]))
+        v, _ = fit_units(docs(["a"]))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs(["a"])))
         with pytest.raises(ValueError):
             oovd_score(v, m)
 
@@ -120,8 +120,8 @@ class TestOovd:
         rng = np.random.default_rng(42)
         for _ in range(25):
             train, test = random_corpus(rng)
-            v = fit_vocabulary(docs(*train))
-            m = count_transform(v, docs(*test))
+            v, _ = fit_units(docs(*train))
+            m = count_units(v.term_to_col, docs(*test))
             got = oovd_score(v, m)
             assert got.tolist() == [float(x) for x in naive_oov_counts(train, test)]
 
@@ -130,7 +130,7 @@ class TestOovd:
 
 class TestRarityModel:
     def test_rarity_values(self):
-        v = fit_vocabulary(docs(["a", "a", "a", "b"]))
+        v, _ = fit_units(docs(["a", "a", "a", "b"]))
         m = rm_fit(v)
         assert m.rarity[v.term_to_col["a"]] == pytest.approx(-math.log(0.75), abs=1e-12)
         assert m.rarity[v.term_to_col["b"]] == pytest.approx(-math.log(0.25), abs=1e-12)
@@ -141,62 +141,62 @@ class TestRarityModel:
             rm_fit(v)
 
     def test_single_term_corpus_rarity_zero(self):
-        v = fit_vocabulary(docs(["a", "a"]))
+        v, _ = fit_units(docs(["a", "a"]))
         assert rm_fit(v).rarity.tolist() == [0.0]
 
     def test_uniform_corpus_symmetry(self):
-        v = fit_vocabulary(docs(["a", "b"]))
+        v, _ = fit_units(docs(["a", "b"]))
         m = rm_fit(v)
         assert m.rarity == pytest.approx([math.log(2), math.log(2)])
 
     def test_score_fixture(self):
         train = docs(["a", "a", "a", "b"])
-        v = fit_vocabulary(train)
+        v, _ = fit_units(train)
         model = rm_fit(v)
-        m = tfidf_transform(v, docs(["a", "b", "c"]))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs(["a", "b", "c"])))
         expected = (1 / math.sqrt(2)) * (-math.log(0.75) - math.log(0.25)) / 3
         score = rm_score(model, m)[0]
         assert score == pytest.approx(expected, abs=1e-12)
         assert round(score, 4) == 0.3946
 
     def test_all_oov_scores_zero(self):
-        v = fit_vocabulary(docs(["a", "b"]))
+        v, _ = fit_units(docs(["a", "b"]))
         model = rm_fit(v)
-        m = tfidf_transform(v, docs(["x", "y"]))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs(["x", "y"])))
         assert rm_score(model, m).tolist() == [0.0]
 
     def test_single_term_vocabulary_scores_zero(self):
-        v = fit_vocabulary(docs(["a", "a"]))
+        v, _ = fit_units(docs(["a", "a"]))
         model = rm_fit(v)
-        m = tfidf_transform(v, docs(["a", "a", "a"]))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs(["a", "a", "a"])))
         assert rm_score(model, m).tolist() == [0.0]
 
     def test_empty_doc_scores_zero(self):
-        v = fit_vocabulary(docs(["a"]))
+        v, _ = fit_units(docs(["a"]))
         model = rm_fit(v)
-        m = tfidf_transform(v, docs([]))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs([])))
         assert rm_score(model, m).tolist() == [0.0]
 
     def test_rejects_count_matrix(self):
-        v = fit_vocabulary(docs(["a"]))
+        v, _ = fit_units(docs(["a"]))
         model = rm_fit(v)
         with pytest.raises(ValueError):
-            rm_score(model, count_transform(v, docs(["a"])))
+            rm_score(model, count_units(v.term_to_col, docs(["a"])))
 
     def test_rejects_column_mismatch(self):
-        v = fit_vocabulary(docs(["a", "b"]))
-        other = fit_vocabulary(docs(["a"]))
+        v, _ = fit_units(docs(["a", "b"]))
+        other, _ = fit_units(docs(["a"]))
         model = rm_fit(v)
         with pytest.raises(ValueError):
-            rm_score(model, tfidf_transform(other, docs(["a"])))
+            rm_score(model, tfidf_weighting(other, count_units(other.term_to_col, docs(["a"]))))
 
     def test_matches_naive_per_token_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             train, test = random_corpus(rng)
-            v = fit_vocabulary(docs(*train))
+            v, _ = fit_units(docs(*train))
             model = rm_fit(v)
-            m = tfidf_transform(v, docs(*test))
+            m = tfidf_weighting(v, count_units(v.term_to_col, docs(*test)))
             got = rm_score(model, m)
             want = naive_rm_scores(train, test)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -204,9 +204,9 @@ class TestRarityModel:
     def test_rarity_scaling_preserves_ranking(self):
         rng = np.random.default_rng(9)
         train, test = random_corpus(rng)
-        v = fit_vocabulary(docs(*train))
+        v, _ = fit_units(docs(*train))
         model = rm_fit(v)
-        m = tfidf_transform(v, docs(*test))
+        m = tfidf_weighting(v, count_units(v.term_to_col, docs(*test)))
         base = rm_score(model, m)
         model.rarity = model.rarity * 3.5
         scaled = rm_score(model, m)
@@ -397,7 +397,8 @@ def _forest_matrix(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "tfidf":
         train_terms, _ = random_corpus(rng, n_train=50, vocab=30)
-        return tfidf_transform(fit_vocabulary(docs(*train_terms)), docs(*train_terms))
+        vocab, counts = fit_units(docs(*train_terms))
+        return tfidf_weighting(vocab, counts)
     rows = np.where(rng.random((40, 6)) < 0.4, rng.integers(1, 4, (40, 6)), 0.0)
     if kind == "repeated_rows":
         return dtm(rows[rng.integers(0, 4, 40)])
@@ -466,15 +467,15 @@ class TestIForestScoreWalk:
 def test_oovd_and_rm_permutation_property():
     rng = np.random.default_rng(37)
     train, test = random_corpus(rng, n_test=20)
-    v = fit_vocabulary(docs(*train))
+    v, _ = fit_units(docs(*train))
     perm = rng.permutation(len(test))
     permuted = [test[i] for i in perm]
 
-    cm = count_transform(v, docs(*test))
-    cm_p = count_transform(v, docs(*permuted))
+    cm = count_units(v.term_to_col, docs(*test))
+    cm_p = count_units(v.term_to_col, docs(*permuted))
     np.testing.assert_array_equal(oovd_score(v, cm_p), oovd_score(v, cm)[perm])
 
     model = rm_fit(v)
-    tm = tfidf_transform(v, docs(*test))
-    tm_p = tfidf_transform(v, docs(*permuted))
+    tm = tfidf_weighting(v, count_units(v.term_to_col, docs(*test)))
+    tm_p = tfidf_weighting(v, count_units(v.term_to_col, docs(*permuted)))
     np.testing.assert_allclose(rm_score(model, tm_p), rm_score(model, tm)[perm])

@@ -9,9 +9,6 @@ from scipy.stats import rankdata
 from logad.evaluate import (
     GRID_COLUMNS,
     EvalReport,
-    auc_roc,
-    best_f1,
-    score_histogram,
     score_table,
 )
 from reference import pairwise_auc, reference_bins
@@ -51,43 +48,43 @@ def _rank_sum_auc(scores, labels):
 
 
 class TestAucRankOracle:
-    """``auc_roc`` gives the bytes of the midrank formula."""
+    """``ScoreTable.auc`` gives the bytes of the midrank formula."""
 
     @given(heavy_ties())
     def test_many_ties_equal_scipy(self, case):
-        got, want = auc_roc(*case), _rank_sum_auc(*case)
+        got, want = score_table(*case).auc(), _rank_sum_auc(*case)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @given(no_ties())
     def test_no_ties_equal_scipy(self, case):
-        got, want = auc_roc(*case), _rank_sum_auc(*case)
+        got, want = score_table(*case).auc(), _rank_sum_auc(*case)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @given(with_nan())
     def test_nan_in_nan_out(self, case):
-        assert np.isnan(auc_roc(*case))
+        assert np.isnan(score_table(*case).auc())
         assert np.isnan(_rank_sum_auc(*case))
 
 
 class TestAucRoc:
     def test_hand_example(self):
-        assert auc_roc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == pytest.approx(0.75)
+        assert score_table([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]).auc() == pytest.approx(0.75)
 
     def test_perfect_separation(self):
-        assert auc_roc([1, 2, 3, 9, 10], [0, 0, 0, 1, 1]) == 1.0
+        assert score_table([1, 2, 3, 9, 10], [0, 0, 0, 1, 1]).auc() == 1.0
 
     def test_all_ties_half(self):
-        assert auc_roc([5.0] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
+        assert score_table([5.0] * 6, [0, 1, 0, 1, 0, 1]).auc() == 0.5
 
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
-            auc_roc([0.1, 0.2], [1, 1])
+            score_table([0.1, 0.2], [1, 1]).auc()
         with pytest.raises(ValueError):
-            auc_roc([0.1, 0.2], [0, 0])
+            score_table([0.1, 0.2], [0, 0]).auc()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            auc_roc([0.1], [0, 1])
+            score_table([0.1], [0, 1]).auc()
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(101)
@@ -98,7 +95,7 @@ class TestAucRoc:
                 labels[0] = 1 - labels[0]
             # low-resolution scores force plenty of ties
             scores = rng.integers(0, 8, size=n) / 4.0
-            assert auc_roc(scores, labels) == pytest.approx(
+            assert score_table(scores, labels).auc() == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12
             )
 
@@ -110,40 +107,40 @@ class TestAucRoc:
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = rng.normal(size=n)
-        base = auc_roc(scores, labels)
+        base = score_table(scores, labels).auc()
         for transform in (lambda s: 3 * s + 7, np.exp, lambda s: s**3):
-            assert auc_roc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
+            assert score_table(transform(scores), labels).auc() == pytest.approx(base, abs=1e-12)
 
 
 class TestBestF1:
     def test_perfect_ranking(self):
-        thr, f1 = best_f1([0.1, 0.9], [0, 1])
+        thr, f1 = score_table([0.1, 0.9], [0, 1]).best_f1()
         assert f1 == 1.0
         assert 0.1 < thr <= 0.9
 
     def test_inverted_ranking(self):
-        thr, f1 = best_f1([0.9, 0.1], [0, 1])
+        thr, f1 = score_table([0.9, 0.1], [0, 1]).best_f1()
         assert f1 == pytest.approx(2 / 3)
         assert thr == pytest.approx(0.1)  # predict everything anomalous
 
     def test_all_positive_labels(self):
         scores = [0.3, 0.7, 0.5]
-        thr, f1 = best_f1(scores, [1, 1, 1])
+        thr, f1 = score_table(scores, [1, 1, 1]).best_f1()
         assert f1 == 1.0
         assert thr <= min(scores)
 
     def test_no_positive_labels_errors(self):
         with pytest.raises(ValueError):
-            best_f1([0.1, 0.2], [0, 0])
+            score_table([0.1, 0.2], [0, 0]).best_f1()
 
     def test_equal_infinite_scores_are_one_threshold(self):
         # Both infinite scores are predicted anomalous at threshold inf.
-        thr, f1 = best_f1([np.inf, np.inf, 0.0], [1, 0, 0])
+        thr, f1 = score_table([np.inf, np.inf, 0.0], [1, 0, 0]).best_f1()
         assert (thr, f1) == (np.inf, pytest.approx(2 / 3))
 
     def test_smallest_optimal_threshold_wins(self):
         # thresholds 0.2 and 0.4 both give f1 = 1.0 here
-        thr, f1 = best_f1([0.1, 0.2, 0.4], [0, 1, 1])
+        thr, f1 = score_table([0.1, 0.2, 0.4], [0, 1, 1]).best_f1()
         assert f1 == 1.0
         assert thr == pytest.approx(0.2)
 
@@ -154,40 +151,40 @@ class TestBestF1:
             labels = rng.integers(0, 2, size=n)
             labels[0] = 1
             scores = np.round(rng.random(n), 2)
-            _, exact = best_f1(scores, labels)
+            _, exact = score_table(scores, labels).best_f1()
             for budget in (1, 3, 5, 20):
-                _, capped = best_f1(scores, labels, budget=budget)
+                _, capped = score_table(scores, labels).best_f1(budget=budget)
                 assert exact >= capped - 1e-12
-            _, unbounded = best_f1(scores, labels, budget=10**9)
+            _, unbounded = score_table(scores, labels).best_f1(budget=10**9)
             assert unbounded == exact
 
     def test_budget_twenty_usually_finds_optimum_on_smooth_data(self):
         rng = np.random.default_rng(56)
         scores = np.concatenate([rng.normal(0, 1, 300), rng.normal(4, 1, 40)])
         labels = np.concatenate([np.zeros(300, int), np.ones(40, int)])
-        _, exact = best_f1(scores, labels)
-        _, capped = best_f1(scores, labels, budget=20)
+        _, exact = score_table(scores, labels).best_f1()
+        _, capped = score_table(scores, labels).best_f1(budget=20)
         assert capped >= 0.8 * exact
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
-            best_f1([0.1], [1], budget=0)
+            score_table([0.1], [1]).best_f1(budget=0)
 
 
 class TestScoreHistogram:
     def test_two_bins(self):
-        hist = score_histogram([0.0, 1.0], [0, 1], 2)
+        hist = score_table([0.0, 1.0], [0, 1]).histogram(2)
         assert hist.bins == [(0.0, 0.5, 1, 0), (0.5, 1.0, 0, 1)]
 
     def test_identical_scores_single_bin(self):
-        hist = score_histogram([2.0, 2.0, 2.0], [0, 0, 1], 10)
+        hist = score_table([2.0, 2.0, 2.0], [0, 0, 1]).histogram(10)
         assert hist.bins == [(2.0, 2.0, 2, 1)]
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(77)
         scores = rng.normal(size=1000)
         labels = rng.integers(0, 2, size=1000)
-        hist = score_histogram(scores, labels, 50)
+        hist = score_table(scores, labels).histogram(50)
         assert len(hist.bins) == 50
         assert sum(nc + ac for _, _, nc, ac in hist.bins) == 1000
         assert sum(ac for _, _, _, ac in hist.bins) == labels.sum()
@@ -196,7 +193,7 @@ class TestScoreHistogram:
         # 0..34 in 50 bins: the edge 0 + 25 * 0.68 prints as 17.0, while
         # (17.0 - 0) / 0.68 < 25 would put 17.0 in the bin that edge closes.
         scores = [float(i) for i in range(35)]
-        bins = score_histogram(scores, [0] * 17 + [1] + [0] * 17, 50).bins
+        bins = score_table(scores, [0] * 17 + [1] + [0] * 17).histogram(50).bins
         assert bins[24][1] == bins[25][0] == 17.0
         assert bins[24][2:] == (0, 0) and bins[25][2:] == (0, 1)
         assert bins == reference_bins(scores, [0] * 17 + [1] + [0] * 17, 50)
@@ -212,12 +209,25 @@ class TestScoreHistogram:
         assert bins[:-1] == reference_bins([1.0, 1.0, 0.5], [0, 0, 1], 4)
 
     def test_nan_scores_only_get_the_nan_bin_alone(self):
-        bins = score_histogram([np.nan, np.nan, np.nan], [0, 1, 1], 5).bins
+        bins = score_table([np.nan, np.nan, np.nan], [0, 1, 1]).histogram(5).bins
         assert _repr(bins) == _repr([(np.nan, np.nan, 1, 2)])
+
+    def test_infinite_scores_get_bins_of_their_own(self):
+        # The finite scores keep their bins; an infinite one neither turns an
+        # edge into NaN nor lands in a finite bin.
+        bins = score_table([0.0, np.inf, 1.0], [0, 1, 0]).histogram(3).bins
+        assert bins == [(0.0, 1 / 3, 1, 0), (1 / 3, 2 / 3, 0, 0), (2 / 3, 1.0, 1, 0),
+                        (np.inf, np.inf, 0, 1)]
+        bins = score_table([-np.inf, 0.0, 1.0, -np.inf], [0, 1, 0, 1]).histogram(2).bins
+        assert bins == [(-np.inf, -np.inf, 1, 1), (0.0, 0.5, 0, 1), (0.5, 1.0, 1, 0)]
+        table = score_table([np.nan, np.inf, -np.inf, np.inf], [1, 0, 1, 1])
+        assert _repr(table.histogram(4).bins) == _repr([
+            (-np.inf, -np.inf, 0, 1), (np.inf, np.inf, 1, 1), (np.nan, np.nan, 0, 1)])
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from([np.nan, -1.0, 0.0, 0.25]) | st.floats(-1e6, 1e6),
+            st.tuples(st.sampled_from([np.nan, -np.inf, np.inf, -1.0, 0.0, 0.25])
+                      | st.floats(-1e6, 1e6),
                       st.integers(0, 1)),
             min_size=1,
             max_size=40,
@@ -226,15 +236,17 @@ class TestScoreHistogram:
     )
     def test_counts_with_nan_are_conserved(self, pairs, n_bins):
         scores, labels = np.array([s for s, _ in pairs]), np.array([y for _, y in pairs])
-        bins = score_histogram(scores, labels, n_bins).bins
+        bins = score_table(scores, labels).histogram(n_bins).bins
         assert sum(nc + ac for _, _, nc, ac in bins) == len(scores)
         assert sum(ac for _, _, _, ac in bins) == labels.sum()
-        nan = np.isnan(scores)
-        if nan.any():
-            low, high, nc, ac = bins.pop()
-            assert np.isnan(low) and np.isnan(high)
-            assert (nc, ac) == ((labels[nan] == 0).sum(), (labels[nan] == 1).sum())
-        finite = ~nan
+        # -inf first, then inf and NaN last, each in one bin with its value as both edges.
+        for special, at in ((np.nan, -1), (np.inf, -1), (-np.inf, 0)):
+            match = np.isnan(scores) if np.isnan(special) else scores == special
+            if match.any():
+                low, high, nc, ac = bins.pop(at)
+                assert _repr([(low, high)]) == _repr([(special, special)])
+                assert (nc, ac) == ((labels[match] == 0).sum(), (labels[match] == 1).sum())
+        finite = np.isfinite(scores)
         assert bins == (reference_bins(scores[finite], labels[finite], n_bins)
                         if finite.any() else [])
 
@@ -242,7 +254,7 @@ class TestScoreHistogram:
         assert score_table([], []).histogram(5).bins == []
 
     def test_csv_emission(self, tmp_path):
-        hist = score_histogram([0.0, 1.0], [0, 1], 2)
+        hist = score_table([0.0, 1.0], [0, 1]).histogram(2)
         out = tmp_path / "hist.csv"
         hist.write_csv(out)
         lines = out.read_text().splitlines()
@@ -251,7 +263,7 @@ class TestScoreHistogram:
 
     def test_bad_bin_count(self):
         with pytest.raises(ValueError):
-            score_histogram([1.0], [1], 0)
+            score_table([1.0], [1]).histogram(0)
 
     @given(
         st.lists(
@@ -267,7 +279,7 @@ class TestScoreHistogram:
     )
     def test_bins_equal_the_per_bin_reference(self, pairs, n_bins):
         scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
-        bins = score_histogram(scores, labels, n_bins).bins
+        bins = score_table(scores, labels).histogram(n_bins).bins
         assert bins == reference_bins(scores, labels, n_bins)
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
 
@@ -276,7 +288,7 @@ class TestScoreHistogram:
     ], ids=["degenerate_range", "one_bin", "ties_on_edges"])
     def test_edge_cases_equal_the_reference(self, scores, n_bins):
         labels = [i % 2 for i in range(len(scores))]
-        bins = score_histogram(scores, labels, n_bins).bins
+        bins = score_table(scores, labels).histogram(n_bins).bins
         assert bins == reference_bins(scores, labels, n_bins)
         assert [tuple(map(type, b)) for b in bins] == [(float, float, int, int)] * len(bins)
 
@@ -310,7 +322,7 @@ def _stable_sort_table(scores, labels):
 
 
 class TestScoreTable:
-    """One table over the stored rows evaluates as the per-document functions."""
+    """One table over the stored rows evaluates as the per-document table."""
 
     @given(row_mapped(), st.integers(1, 12), st.integers(1, 8))
     def test_row_table_equals_per_document_evaluation(self, case, budget, n_bins):
@@ -318,15 +330,14 @@ class TestScoreTable:
         scores = row_scores[doc_rows]
         table = score_table(scores, labels, doc_rows)
         if np.isnan(scores).any():
-            assert np.isnan(table.auc()) and np.isnan(auc_roc(scores, labels))
+            assert np.isnan(table.auc()) and np.isnan(score_table(scores, labels).auc())
         else:
-            assert table.auc() == auc_roc(scores, labels)
-            assert repr(table.auc()) == repr(auc_roc(scores, labels))
+            assert table.auc() == score_table(scores, labels).auc()
+            assert repr(table.auc()) == repr(score_table(scores, labels).auc())
         for cap in (None, budget):
-            assert _repr([table.best_f1(cap)]) == _repr([best_f1(scores, labels, cap)])
-        with np.errstate(invalid="ignore"):  # infinite or NaN bounds
-            assert (_repr(table.histogram(n_bins).bins)
-                    == _repr(score_histogram(scores, labels, n_bins).bins))
+            assert _repr([table.best_f1(cap)]) == _repr([score_table(scores, labels).best_f1(cap)])
+        assert (_repr(table.histogram(n_bins).bins)
+                == _repr(score_table(scores, labels).histogram(n_bins).bins))
 
     @given(row_mapped())
     def test_per_document_table_equals_the_stable_sort(self, case):
@@ -373,7 +384,16 @@ class TestScoreTable:
         table = score_table(row_scores[doc_rows], labels, doc_rows)
         assert table.thresholds.tolist() == [2.0, 0.5]
         assert table.tps.tolist() == [1, 2] and table.fps.tolist() == [0, 2]
-        assert table.auc() == auc_roc(row_scores[doc_rows], labels) == 0.75
+        assert table.auc() == score_table(row_scores[doc_rows], labels).auc() == 0.75
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2, 1], [1, 0, 0.5, 1], [1, 0, -1, 1]],
+                             ids=["two", "half", "minus_one"])
+    def test_labels_other_than_0_and_1_are_refused(self, labels):
+        # Such a document would count as neither class, and vanish from every metric.
+        with pytest.raises(ValueError, match="labels must be 0 .normal. or 1 .anomalous."):
+            score_table([0.1, 0.2, 0.3, 0.4], labels)
+        with pytest.raises(ValueError, match="labels must be 0"):
+            score_table([0.1, 0.2, 0.3, 0.4], labels, np.array([0, 1, 1, 0]))
 
 
 class TestEvalReport:
@@ -383,7 +403,7 @@ class TestEvalReport:
             best_f1=0.5,
             best_threshold=0.25,
             timings={"load": 0.1, "fit": 0.2, "score": 0.3},
-            histogram=score_histogram([0.0, 1.0], [0, 1], 2),
+            histogram=score_table([0.0, 1.0], [0, 1]).histogram(2),
             meta={"dataset": "d", "representation": "words", "model": "rm", "scenario": "unfiltered"},
         )
 

@@ -450,23 +450,23 @@ class TestSharedStages:
             assert _without_timings(alone) == _without_timings(report), (rep, model)
 
     # Per representation: each side's units are counted once by
-    # `vectorize._unit_counts`, the one counting routine; the train side
-    # reaches it through `vectorize._fit_units`, the test side straight from
+    # `vectorize.count_units`, the one counting routine; the train side
+    # reaches it through `vectorize.fit_units`, the test side straight from
     # `pipeline`.  The vocabulary is read from the train counts, and the
     # train tf-idf that kmeans and iforest read and the test tf-idf are
     # weighted from the counts.  Load normalizes the lines as it reads them:
     # the corpus's 630 lines are one block.
     @pytest.mark.parametrize("entry,expected", [
         (run_grid, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 3,
-                    "_unit_counts": 6, "tfidf_weighting": 6}),
+                    "count_units": 6, "tfidf_weighting": 6}),
         (run, {"load": 1, "normalize_block": 1, "split": 1, "_represent": 1,
-               "_unit_counts": 2, "tfidf_weighting": 1}),
+               "count_units": 2, "tfidf_weighting": 1}),
     ])
     def test_shared_stages_run_once(self, unseen_corpus, monkeypatch, entry, expected):
         calls = Counter()
         hooks = [(pipeline, name) for name in (
-            "load", "normalize_block", "split", "_represent", "tfidf_weighting", "_unit_counts"
-        )] + [(vectorize, "_unit_counts")]
+            "load", "normalize_block", "split", "_represent", "tfidf_weighting", "count_units"
+        )] + [(vectorize, "count_units")]
         for owner, name in hooks:
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
@@ -475,7 +475,7 @@ class TestSharedStages:
         out = entry(_config(unseen_corpus, scenario="normal_only", model="rm"))
         assert calls == expected
         # One count per side and representation.
-        assert calls["_unit_counts"] == 2 * calls["_represent"]
+        assert calls["count_units"] == 2 * calls["_represent"]
         for report in out if entry is run_grid else [out]:
             assert report.timings["normalize"] > 0.0
             assert report.timings["load"] > 0.0

@@ -26,7 +26,7 @@ class TestWords:
 
     def test_empty(self):
         ts = tokenize_words("")
-        assert ts.terms == [] and ts.source_len == 0
+        assert ts.terms == []
 
     def test_whitespace_runs(self):
         assert tokenize_words("a  b").terms == ["a", "b"]
@@ -52,7 +52,6 @@ class TestTrigrams:
     def test_length_law(self, s):
         ts = tokenize_trigrams(s)
         assert len(ts.terms) == len(s) - 2
-        assert ts.source_len == len(ts.terms)
 
     @given(st.text(max_size=2))
     def test_short_single_term(self, s):
@@ -190,7 +189,7 @@ class TestFlatten:
 
     def test_concatenation_in_line_order(self):
         rs = _seq_records([("s1", Label.NORMAL), ("s1", Label.NORMAL)])
-        docs = flatten_sequences(rs, [TokenSeq.of(["a", "b"]), TokenSeq.of(["c"])])
+        docs = flatten_sequences(rs, [TokenSeq(["a", "b"]), TokenSeq(["c"])])
         assert rs.seq_keys == ["s1"]
         assert [d.terms for d in docs] == [["a", "b", "c"]]
         assert _sequence_labels(rs) == [Label.NORMAL]
@@ -198,21 +197,21 @@ class TestFlatten:
     def test_event_id_sequences(self):
         rs = _seq_records([("s1", Label.NORMAL)] * 3)
         docs = flatten_sequences(
-            rs, [TokenSeq.of(["e1"]), TokenSeq.of(["e7"]), TokenSeq.of(["e1"])]
+            rs, [TokenSeq(["e1"]), TokenSeq(["e7"]), TokenSeq(["e1"])]
         )
         assert docs[0].terms == ["e1", "e7", "e1"]
 
     def test_empty_sequence_keeps_label(self):
         rs = _seq_records([("s1", Label.ANOMALY)])
-        docs = flatten_sequences(rs, [TokenSeq.of([])])
-        assert docs[0].terms == [] and docs[0].source_len == 0
+        docs = flatten_sequences(rs, [TokenSeq([])])
+        assert docs[0].terms == []
         assert _sequence_labels(rs) == [Label.ANOMALY]
 
     def test_anomalous_member_marks_sequence(self):
         rs = _seq_records(
             [("s1", Label.NORMAL), ("s1", Label.ANOMALY), ("s2", Label.NORMAL)]
         )
-        assert len(flatten_sequences(rs, [TokenSeq.of(["x"])] * 3)) == 2
+        assert len(flatten_sequences(rs, [TokenSeq(["x"])] * 3)) == 2
         assert _sequence_labels(rs) == [Label.ANOMALY, Label.NORMAL]
 
     @pytest.mark.parametrize("members,expected", [
@@ -229,7 +228,7 @@ class TestFlatten:
         spec = [("s1", members[0]), ("s2", Label.NORMAL), ("s1", members[1]),
                 ("s3", Label.ANOMALY)]
         rs = _seq_records(spec)
-        assert len(flatten_sequences(rs, [TokenSeq.of(["x"])] * len(spec))) == 3
+        assert len(flatten_sequences(rs, [TokenSeq(["x"])] * len(spec))) == 3
         keys, labels = rs.seq_keys, _sequence_labels(rs)
         assert keys == ["s1", "s2", "s3"]
         assert labels == [expected, Label.NORMAL, Label.ANOMALY]
@@ -243,9 +242,9 @@ class TestFlatten:
     def test_token_count_conserved(self):
         spec = [("s1", Label.NORMAL), ("s2", Label.NORMAL), ("s1", Label.NORMAL)]
         rs = _seq_records(spec)
-        seqs = [TokenSeq.of(["a"] * 3), TokenSeq.of(["b"] * 5), TokenSeq.of(["c"] * 2)]
+        seqs = [TokenSeq(["a"] * 3), TokenSeq(["b"] * 5), TokenSeq(["c"] * 2)]
         docs = flatten_sequences(rs, seqs)
-        assert sum(d.source_len for d in docs) == sum(s.source_len for s in seqs)
+        assert sum(len(d.terms) for d in docs) == sum(len(s.terms) for s in seqs)
 
     def test_length_mismatch_errors(self):
         rs = _seq_records([("s1", Label.NORMAL)])
@@ -255,4 +254,4 @@ class TestFlatten:
     def test_line_granularity_rejected(self):
         rs = record_set([LogRecord(message="a", line_no=0)], Granularity.LINE)
         with pytest.raises(ValueError):
-            flatten_sequences(rs, [TokenSeq.of(["a"])])
+            flatten_sequences(rs, [TokenSeq(["a"])])

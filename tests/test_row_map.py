@@ -28,7 +28,7 @@ from logad.detect import (
     rm_score,
 )
 from logad.represent import TokenSeq
-from logad.vectorize import DocTermMatrix, Vocabulary, Weighting, _unit_counts, tfidf_weighting
+from logad.vectorize import DocTermMatrix, Vocabulary, Weighting, count_units, tfidf_weighting
 
 from csr import expand, from_dense
 
@@ -182,10 +182,10 @@ class TestIdentityMap:
         assert m.per_doc(np.array([5.0, 6.0, 7.0])).tolist() == [5.0, 6.0, 7.0]
 
     def test_sequence_units_are_their_own_rows(self):
-        docs = [TokenSeq.of(["a", "b"]), TokenSeq.of(["b"]), TokenSeq.of(["c"])]
+        docs = [TokenSeq(["a", "b"]), TokenSeq(["b"]), TokenSeq(["c"])]
         # Five records of three documents in three units; unit 1 is empty.
         ids, unit_ids = np.array([0, 1, 1, 2, 0]), np.array([2, 0, 2, 0, 2])
-        m = _unit_counts({"a": 0, "b": 1}, docs, ids, unit_ids, 3)
+        m = count_units({"a": 0, "b": 1}, docs, ids, unit_ids, 3)
         assert m.doc_rows.tobytes() == np.arange(3).tobytes()
         assert m.n_docs == m.n_rows == 3
-        assert m.per_doc(m.row_sums()).tolist() == [1.0, 0.0, 5.0]
+        assert m.per_doc(m.matrix.row_sums()).tolist() == [1.0, 0.0, 5.0]
