@@ -67,41 +67,47 @@ REPRESENTATIONS = ("words", "trigrams", "events")
 SCENARIOS = ("unfiltered", "normal_only")
 
 class _Model(NamedTuple):
-    """What one model reads and runs; a matrix is named by its ``Weighting``.
+    """All that the pipeline knows of one model; a matrix is named by its ``Weighting``.
 
-    The lambdas look the layer functions up in this module when they run, so
-    a name replaced after import (to trace a run, say) is the one called.
+    Every model fits and scores through the same two calls.  The lambdas
+    look the layer functions up in this module when they run, so a name
+    replaced after import (to trace a run, say) is the one called.
     """
 
+    train: Weighting | None  # None: the model reads no train matrix
     test: Weighting
-    score: Callable  # (vocab, model, test_m) -> scores
-    train: Weighting | None = None  # None: the model reads no train matrix
-    fit: Callable | None = None  # (config, vocab, train_m) -> model; None: fits nothing
+    fit: Callable  # (config, vocab, train_m) -> model
+    score: Callable  # (model, test_m) -> scores
     # (config) -> the fewest train units the model fits on, and their name in an error
     min_train: Callable = lambda config: (1, config.model)
+    unfiltered_error: str | None = None  # why it cannot train unfiltered, or None
 
 
 _MODEL_TABLE = {
-    "oovd": _Model(Weighting.COUNT, lambda vocab, model, m: oovd_score(vocab, m)),
+    "oovd": _Model(
+        None, Weighting.COUNT,
+        lambda config, vocab, train_m: vocab,  # its model is the train vocabulary
+        lambda model, m: oovd_score(model, m),
+        unfiltered_error="oovd counts terms missing from the training vocabulary, which is "
+        "meaningless when anomalies train the vocabulary; use scenario normal_only",
+    ),
     "rm": _Model(
-        Weighting.TFIDF,
-        lambda vocab, model, m: rm_score(model, m),
-        fit=lambda config, vocab, train_m: rm_fit(vocab),
+        None, Weighting.TFIDF,
+        lambda config, vocab, train_m: rm_fit(vocab),
+        lambda model, m: rm_score(model, m),
     ),
     "kmeans": _Model(
-        Weighting.TFIDF,
-        lambda vocab, model, m: kmeans_score(model, m),
-        Weighting.TFIDF,
+        Weighting.TFIDF, Weighting.TFIDF,
         lambda config, vocab, train_m: kmeans_fit(train_m, config.k, config.seed),
+        lambda model, m: kmeans_score(model, m),
         lambda config: (config.k, f"k={config.k}"),
     ),
     "iforest": _Model(
-        Weighting.TFIDF,
-        lambda vocab, model, m: iforest_score(model, m),
-        Weighting.TFIDF,
+        Weighting.TFIDF, Weighting.TFIDF,
         lambda config, vocab, train_m: iforest_fit(
             train_m, config.n_trees, config.subsample, config.seed
         ),
+        lambda model, m: iforest_score(model, m),
         lambda config: (2, "iforest's minimum of 2"),
     ),
 }
@@ -114,13 +120,15 @@ class ConfigError(ValueError):
 
 def _cell_error(model: str, scenario: str) -> str | None:
     """Why ``model`` cannot run under ``scenario``, or None if it can."""
-    if model == "oovd" and scenario == "unfiltered":
-        return (
-            "oovd counts terms missing from the training vocabulary, which is "
-            "meaningless when anomalies train the vocabulary; use scenario "
-            "normal_only"
-        )
-    return None
+    return _MODEL_TABLE[model].unfiltered_error if scenario == "unfiltered" else None
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 # Smallest valid value of each integer run parameter (``f1_budget`` may
@@ -179,12 +187,8 @@ class RunConfig:
             raise ConfigError(cell_error)
         for name, low in _LOWER_BOUNDS.items():
             value = getattr(self, name)
-            if value is None and name == "f1_budget":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
+            if value is not None or name != "f1_budget":
+                _check_count(name, value, low)
         for name in ("sample_fraction", "train_fraction", "sim_threshold"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -221,8 +225,7 @@ class FittedArtifacts:
 
     vocabulary: Vocabulary
     drain: DrainParser | None
-    model_name: str
-    model: RarityModel | KMeansModel | IForestModel | None
+    model: Vocabulary | RarityModel | KMeansModel | IForestModel  # oovd's is the vocabulary
 
 
 _TOKENIZERS = {"words": tokenize_words, "trigrams": tokenize_trigrams}
@@ -336,9 +339,9 @@ def _load_and_split(
 class _Features:
     """One representation: its train vocabulary and the matrices its cells read.
 
-    ``matrices`` maps (side, ``Weighting``) to a matrix; a tf-idf is weighted
-    from its side's unit counts, and the test counts are kept only if a cell
-    reads them.  ``timings`` are the shared ``timings`` plus ``represent``
+    ``matrices`` maps (side, ``Weighting``) to a matrix; on either side the
+    unit counts are kept, and weighted into a tf-idf, only if a cell reads
+    that matrix.  ``timings`` are the shared ``timings`` plus ``represent``
     and ``vectorize``, the vocabulary fit and every matrix built here.
     """
 
@@ -351,18 +354,16 @@ class _Features:
         t0 = time.perf_counter()
         self.vocab, train_counts = fit_units(train_docs, train_ids, train_rs.unit_ids,
                                              train_rs.n_units)
+        test_counts = count_units(self.vocab.term_to_col, test_docs, test_ids,
+                                  test_rs.unit_ids, test_rs.n_units)
         entries = [_MODEL_TABLE[cell.model] for cell in cells]
-        test_reads = {entry.test for entry in entries}
+        reads = {("train", e.train) for e in entries} | {("test", e.test) for e in entries}
         self.matrices: dict[tuple[str, Weighting], DocTermMatrix] = {}
-        if any(entry.train is not None for entry in entries):
-            # Every train matrix in _MODEL_TABLE is tf-idf.
-            self.matrices["train", Weighting.TFIDF] = tfidf_weighting(self.vocab, train_counts)
-        counts = count_units(self.vocab.term_to_col, test_docs, test_ids,
-                             test_rs.unit_ids, test_rs.n_units)
-        if Weighting.COUNT in test_reads:
-            self.matrices["test", Weighting.COUNT] = counts
-        if Weighting.TFIDF in test_reads:
-            self.matrices["test", Weighting.TFIDF] = tfidf_weighting(self.vocab, counts)
+        for side, counts in (("train", train_counts), ("test", test_counts)):
+            if (side, Weighting.COUNT) in reads:
+                self.matrices[side, Weighting.COUNT] = counts
+            if (side, Weighting.TFIDF) in reads:
+                self.matrices[side, Weighting.TFIDF] = tfidf_weighting(self.vocab, counts)
         t["vectorize"] = time.perf_counter() - t0
 
 
@@ -375,13 +376,11 @@ def _run_cell(
     cell that used it; ``fit`` and ``score`` are this cell's own.
     """
     entry = _MODEL_TABLE[config.model]
-    train_m = features.matrices.get(("train", entry.train))  # rm fits on the vocabulary
+    train_m = features.matrices.get(("train", entry.train))  # None: it reads no train matrix
     test_m = features.matrices["test", entry.test]
     timings = dict(features.timings)
-    model = None
-    if entry.fit is not None:
-        model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
-    scores = _timed(timings, "score", entry.score, features.vocab, model, test_m)
+    model = _timed(timings, "fit", entry.fit, config, features.vocab, train_m)
+    scores = _timed(timings, "score", entry.score, model, test_m)
 
     # One threshold table per cell, over the stored rows that some test unit uses.
     table = score_table(scores, y, test_m.doc_rows)
@@ -407,10 +406,7 @@ def _run_cell(
             "params": config.params_snapshot(),
         },
     )
-    artifacts = FittedArtifacts(
-        vocabulary=features.vocab, drain=features.drain, model_name=config.model, model=model
-    )
-    return report, artifacts
+    return report, FittedArtifacts(vocabulary=features.vocab, drain=features.drain, model=model)
 
 
 def _run_cells(
@@ -505,8 +501,7 @@ def run_repeats(config: RunConfig, repeats: int) -> tuple[list[EvalReport], dict
 
     With ``out_dir`` set, each seed writes its own ``report_{tag}.json``.
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    _check_count("repeats", repeats, 1)
     reports = []
     cells = [(config.representation, config.model)]
     for cell, report, artifacts in _run_cells(config, cells, repeats):

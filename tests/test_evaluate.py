@@ -411,7 +411,7 @@ class TestEvalReport:
         timings = {"load": 0.1, "fit": 0.2, "score": 0.3}
         report = EvalReport(None, None, None, timings, None)
         assert report.model_time == pytest.approx(timings["fit"] + timings["score"], abs=1e-12)
-        # A model that fits nothing (oovd) has no fit stage.
+        # A report built by hand may have no fit stage.
         assert EvalReport(None, None, None, {"score": 0.3}, None).model_time == 0.3
 
     def test_json_round_trip(self):

@@ -486,9 +486,8 @@ class TestSharedStages:
             assert len({r.timings[stage] for r in reports}) == 1
         by_rep = {}
         for r in reports:
-            expected = {"load", "normalize", "split", "filter", "represent", "vectorize", "score"}
-            if r.meta["model"] != "oovd":
-                expected.add("fit")
+            expected = {"load", "normalize", "split", "filter", "represent", "vectorize", "fit",
+                        "score"}
             assert set(r.timings) == expected
             by_rep.setdefault(r.meta["representation"], {})[r.meta["model"]] = r.timings
         assert len(by_rep) == len(pipeline.REPRESENTATIONS)
@@ -531,6 +530,17 @@ class TestSharedStages:
         execute(_config(unseen_corpus, scenario="normal_only", model="rm"))
         assert kept == [{("test", Weighting.TFIDF)}]
 
+    @pytest.mark.parametrize("model,expected", [
+        ("oovd", {("test", Weighting.COUNT)}),
+        ("kmeans", {("train", Weighting.TFIDF), ("test", Weighting.TFIDF)}),
+        ("iforest", {("train", Weighting.TFIDF), ("test", Weighting.TFIDF)}),
+    ])
+    def test_single_run_keeps_only_what_its_model_reads(self, unseen_corpus, monkeypatch,
+                                                        model, expected):
+        kept = self._matrices_kept(monkeypatch)
+        execute(_config(unseen_corpus, scenario="normal_only", model=model, k=2))
+        assert kept == [expected]
+
     def test_grid_keeps_the_test_counts_oovd_reads(self, unseen_corpus, monkeypatch):
         kept = self._matrices_kept(monkeypatch)
         run_grid(_config(unseen_corpus, scenario="normal_only"))
@@ -545,6 +555,29 @@ class TestSharedStages:
         assert len(kept) == len(grid_cells("unfiltered"))
         assert all(names == {("train", Weighting.TFIDF), ("test", Weighting.TFIDF)}
                    for names in kept)
+
+    @pytest.mark.parametrize("scenario", pipeline.SCENARIOS)
+    def test_every_cell_fits_and_scores(self, unseen_corpus, tmp_path, monkeypatch, scenario):
+        # Each model fits and scores through the model table; oovd's model is
+        # the train vocabulary, so its fit is timed too.
+        fitted = []
+
+        def run_cell(config, features, y, _run_cell=pipeline._run_cell):
+            report, artifacts = _run_cell(config, features, y)
+            fitted.append((config.model, artifacts))
+            return report, artifacts
+
+        monkeypatch.setattr(pipeline, "_run_cell", run_cell)
+        reports = run_grid(_config(unseen_corpus, scenario=scenario, out_dir=tmp_path))
+        assert len(reports) == len(fitted) == len(grid_cells(scenario))
+        assert all({"fit", "score"} <= set(r.timings) for r in reports)
+        for model, artifacts in fitted:
+            assert artifacts.model is not None
+            if model == "oovd":
+                assert artifacts.model is artifacts.vocabulary
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(reports) and all(row["fit_s"] for row in rows)
 
     def test_timed_returns_the_result_and_stores_its_seconds(self):
         timings = {}
@@ -573,6 +606,14 @@ class TestRepeats:
     def test_bad_repeat_count(self, unseen_corpus):
         with pytest.raises(ConfigError):
             run_repeats(_config(unseen_corpus), repeats=0)
+
+    @pytest.mark.parametrize("repeats", [True, 2.5, "3", None, np.float64(2.0)])
+    def test_a_repeat_count_that_is_no_integer_is_refused_before_load(
+        self, unseen_corpus, monkeypatch, repeats
+    ):
+        monkeypatch.setattr(pipeline, "load", lambda *a: pytest.fail("the input was opened"))
+        with pytest.raises(ConfigError, match="repeats must be an integer"):
+            run_repeats(_config(unseen_corpus), repeats)
 
     def test_the_input_is_loaded_once(self, unseen_corpus, monkeypatch):
         calls = Counter()
