@@ -99,10 +99,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if "input" not in values or values["input"] is None:
         raise ConfigError("an input log file is required (--input or config file)")
-    # A path field of another type is left for RunConfig.validate to reject.
-    for key in ("input", "labels", "out_dir"):
-        if isinstance(values.get(key), str):
-            values[key] = Path(values[key])
     return RunConfig(**values)
 
 

@@ -141,10 +141,11 @@ def score_table(
     row_scores = row_scores[used] + 0.0
     order = np.argsort(-row_scores)
     s = row_scores[order]
-    # A row's normal documents are all but those labelled otherwise, so the
-    # per-document gathers cover only the rare labels.
-    tps = np.cumsum(np.bincount(rows[y == 1], minlength=n_rows)[used][order])
-    fps = np.cumsum((docs - np.bincount(rows[y != 0], minlength=n_rows))[used][order])
+    # A row's normal documents are all but its anomalous ones, so the
+    # per-document gather covers only the rare label.
+    anomalous = np.bincount(rows[y == 1], minlength=n_rows)[used][order]
+    tps = np.cumsum(anomalous)
+    fps = np.cumsum(docs[used][order] - anomalous)
     # The last entry of each run of equal scores (NaNs sort last and are one
     # run); the slice leaves none when there are no scores.
     last = np.flatnonzero(np.r_[(s[1:] != s[:-1]) & ~np.isnan(s[:-1]), True][:len(s)])
@@ -172,12 +173,6 @@ def _best_f1_budgeted(thresholds, tps, fps, n_pos, budget) -> tuple[float, float
     # thresholds are descending; work in index space over the unique scores.
     n = len(thresholds)
     evaluated: dict[int, float] = {}
-
-    def f1_at(i: int) -> float:
-        if i not in evaluated:
-            evaluated[i] = _f1_counts(int(tps[i]), int(fps[i]), n_pos)
-        return evaluated[i]
-
     lo, hi = 0, n - 1
     best_i = 0
     while len(evaluated) < budget:
@@ -187,9 +182,9 @@ def _best_f1_budgeted(thresholds, tps, fps, n_pos, budget) -> tuple[float, float
         if not fresh:
             break
         for i in fresh:
-            f1_at(i)
+            evaluated[i] = _f1_counts(int(tps[i]), int(fps[i]), n_pos)
         # recenter on the best index seen so far, preferring lower thresholds
-        best_i = max(sorted(evaluated), key=lambda i: (evaluated[i], i))
+        best_i = max(evaluated, key=lambda i: (evaluated[i], i))
         known = sorted(evaluated)
         pos = known.index(best_i)
         lo = known[pos - 1] if pos > 0 else max(0, best_i - 1)

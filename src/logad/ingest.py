@@ -33,7 +33,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
@@ -43,20 +43,17 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 
-class Label(Enum):
-    NORMAL = "normal"
-    ANOMALY = "anomaly"
-    UNKNOWN = "unknown"
+class Label(IntEnum):
+    """A label, whose value is its int8 code in a RecordSet's label column.
+    The codes order the labels for the sequence-label rule: a sequence takes
+    the highest among its records, so anomaly beats unknown beats normal."""
+
+    NORMAL = 0
+    UNKNOWN = 1
+    ANOMALY = 2
 
 
-# The int8 code of each label in a RecordSet's label column.  The codes
-# order the labels as the sequence-label rule does: a sequence takes the
-# highest code among its records, so anomaly beats unknown and unknown
-# beats normal.
-_NORMAL, _UNKNOWN, _ANOMALY = range(3)
-LABEL_CODE = {Label.NORMAL: _NORMAL, Label.UNKNOWN: _UNKNOWN, Label.ANOMALY: _ANOMALY}
-_LABEL_OF_CODE = tuple(LABEL_CODE)
-_CSV_LABELS = {"normal": _NORMAL, "anomaly": _ANOMALY}
+_CSV_LABELS = {"normal": Label.NORMAL, "anomaly": Label.ANOMALY}
 
 
 class Granularity(Enum):
@@ -89,8 +86,8 @@ class RecordSet:
 
     ``texts`` lists the load's distinct messages in first-appearance order
     (raw, or normalized by ``load``'s normalizer), and the
-    ``int32`` ``message_ids`` index it.  ``label_codes`` is ``int8`` (see
-    ``LABEL_CODE``); ``seq_ids`` is ``int32`` into ``seq_keys``, the keys in
+    ``int32`` ``message_ids`` index it.  ``label_codes`` is ``int8`` (each
+    a ``Label``); ``seq_ids`` is ``int32`` into ``seq_keys``, the keys in
     first-appearance order (-1 for none); ``line_nos`` is ``int64``.  Sets
     share columns and ``texts``, and never modify them in place.
     Iterating yields the records as ``LogRecord`` rows, built on every pass.
@@ -115,7 +112,7 @@ class RecordSet:
             line_no = self.line_nos[np.argmax(keyless)]
             raise ValueError(f"sequence-granularity record at line {line_no} has no seq_key")
         for name, column, low, high in (("message id", self.message_ids, 0, len(self.texts) - 1),
-                                        ("label code", self.label_codes, 0, _ANOMALY),
+                                        ("label code", self.label_codes, 0, Label.ANOMALY),
                                         ("seq id", self.seq_ids, -1, len(self.seq_keys) - 1)):
             if (bad := (column < low) | (column > high)).any():
                 i = np.argmax(bad)
@@ -134,7 +131,7 @@ class RecordSet:
         keys = self.seq_keys
         for message, line_no, code, sid in zip(self.messages, self.line_nos.tolist(),
                 self.label_codes.tolist(), self.seq_ids.tolist()):
-            yield LogRecord(message, line_no, _LABEL_OF_CODE[code], None if sid < 0 else keys[sid])
+            yield LogRecord(message, line_no, Label(code), None if sid < 0 else keys[sid])
 
     @property
     def n_units(self) -> int:
@@ -148,7 +145,7 @@ class RecordSet:
         return None if self.granularity is Granularity.LINE else self.seq_ids
 
     def unit_codes(self) -> np.ndarray:
-        """Label code of each unit: the largest code among its records."""
+        """The ``Label`` code of each unit: the largest among its records."""
         if self.unit_ids is None:
             return self.label_codes.copy()
         codes = np.zeros(self.n_units, dtype=np.int8)
@@ -227,10 +224,10 @@ def _line_blocks(
             yield raw, raw if normalizer is None else normalizer(raw)
 
 
-def _read_label_csv(path: Path) -> dict[str, int]:
-    """Two-column CSV of (seq_key, label) to label codes; label values are
+def _read_label_csv(path: Path) -> dict[str, Label]:
+    """Two-column CSV of (seq_key, label) to labels; label values are
     case-insensitive, and a key may repeat only with the same label."""
-    rows: dict[str, tuple[int, int]] = {}  # key -> (code, row number)
+    rows: dict[str, tuple[Label, int]] = {}  # key -> (label, row number)
     try:
         # utf-8-sig drops a leading byte-order mark, which would join the first key.
         fh = open(path, encoding="utf-8-sig", newline="")
@@ -242,17 +239,18 @@ def _read_label_csv(path: Path) -> dict[str, int]:
         for i, (row_no, row) in enumerate(filled):
             if len(row) < 2:
                 raise LoadError(f"{path}: row {row_no} has fewer than 2 columns")
-            code = _CSV_LABELS.get(row[1].strip().lower())
-            if code is None:
+            label = _CSV_LABELS.get(row[1].strip().lower())
+            if label is None:
                 if i == 0:
                     continue  # header row: the first that is not blank
                 raise LoadError(f"{path}: row {row_no} has label {row[1]!r}")
             key = row[0].strip()
-            first_code, first_row = rows.setdefault(key, (code, row_no))
-            if first_code != code:
-                raise LoadError(f"{path}: key {key!r} is {_LABEL_OF_CODE[first_code].value} in "
-                                f"row {first_row} but {_LABEL_OF_CODE[code].value} in row {row_no}")
-    return {key: code for key, (code, _) in rows.items()}
+            first, first_row = rows.setdefault(key, (label, row_no))
+            if first is not label:
+                # str() of an IntEnum member is its number on Python 3.11.
+                raise LoadError(f"{path}: key {key!r} is {first.name.lower()} in "
+                                f"row {first_row} but {label.name.lower()} in row {row_no}")
+    return {key: label for key, (label, _) in rows.items()}
 
 
 # Alert-tagged formats carry nine header fields before the message body.
@@ -264,9 +262,10 @@ _HDFS_HEADER_FIELDS = 5
 def _load_tagged(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     message_ids, codes, blank_lines = array("i"), bytearray(), array("q")
     add_id, add_code = message_ids.append, codes.append
+    normal, anomaly = Label.NORMAL, Label.ANOMALY  # reading a member off Label is a call
     n_lines = 0
     for _, lines in _line_blocks(path, normalizer):
-        parsed: dict[str, tuple[int, int]] = {}  # each distinct line of the block split once
+        parsed: dict[str, tuple[int, Label]] = {}  # each distinct line of the block split once
         for i, line in enumerate(lines, n_lines):
             row = parsed.get(line)
             if row is None:
@@ -276,7 +275,7 @@ def _load_tagged(path: Path, normalizer: Normalizer | None, texts: dict[str, int
                     continue
                 body = parts[_TAG_HEADER_FIELDS] if len(parts) > _TAG_HEADER_FIELDS else ""
                 row = parsed[line] = (texts.setdefault(body, len(texts)),
-                                      _NORMAL if parts[0] == "-" else _ANOMALY)
+                                      normal if parts[0] == "-" else anomaly)
             add_id(row[0])
             add_code(row[1])
         n_lines += len(lines)
@@ -336,7 +335,8 @@ def _load_hadoop(path: Path, normalizer: Normalizer | None, texts: dict[str, int
 def _load_plain(path: Path, normalizer: Normalizer | None, texts: dict[str, int]) -> tuple:
     message_ids = _whole_lines(path, normalizer, texts)
     n = len(message_ids)
-    return Granularity.LINE, message_ids, np.full(n, _UNKNOWN), np.full(n, -1), {}, np.arange(n)
+    return (Granularity.LINE, message_ids, np.full(n, Label.UNKNOWN), np.full(n, -1), {},
+            np.arange(n))
 
 
 # An adapter returns the granularity and the columns of its records: message
@@ -377,7 +377,7 @@ def load(path: str | Path, adapter: str, labels: str | Path | None = None,
         Path(path), normalizer, texts)
     seq_ids = np.asarray(seq_ids, dtype=np.int32)
     if key_labels is not None:
-        codes = np.array([key_labels.get(key, _UNKNOWN) for key in keys], np.int8)[seq_ids]
+        codes = np.array([key_labels.get(key, Label.UNKNOWN) for key in keys], np.int8)[seq_ids]
     return RecordSet(granularity, list(texts), np.asarray(message_ids, dtype=np.int32),
                      np.asarray(codes, dtype=np.int8), seq_ids, list(keys),
                      np.asarray(line_nos, dtype=np.int64))
@@ -428,8 +428,8 @@ def filter_normal(train: RecordSet) -> RecordSet:
     Requires every label to be known: the normal-only scenario models
     curated data, so unknown labels are an error rather than a guess.
     """
-    unknown = train.label_codes == _UNKNOWN
+    unknown = train.label_codes == Label.UNKNOWN
     if unknown.any():
         line_no = train.line_nos[np.argmax(unknown)]
         raise ValueError(f"record at line {line_no} has an unknown label")
-    return train._take_units(train.unit_codes() == _NORMAL)
+    return train._take_units(train.unit_codes() == Label.NORMAL)

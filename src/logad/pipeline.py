@@ -47,7 +47,6 @@ from .detect import (
 from .evaluate import GRID_COLUMNS, EvalReport, score_table
 from .ingest import (
     ADAPTERS,
-    LABEL_CODE,
     Label,
     RecordSet,
     SplitMode,
@@ -131,6 +130,10 @@ def _check_count(name: str, value, low: int) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+# Each choice parameter's valid values, in a tuple, as a JSON list is unhashable.
+_CHOICES = {"adapter": tuple(ADAPTERS), "representation": REPRESENTATIONS, "model": MODELS,
+            "scenario": SCENARIOS, "split_mode": tuple(m.value for m in SplitMode)}
+
 # Smallest valid value of each integer run parameter (``f1_budget`` may
 # also be None).  A subsample of one document gives the isolation forest a
 # zero path-length normalizer.
@@ -172,16 +175,9 @@ class RunConfig:
                 raise ConfigError(f"out_dir {out} cannot be made: {found} is not a directory")
         if not isinstance(self.dump_templates, bool):
             raise ConfigError(f"dump_templates must be true or false, got {self.dump_templates!r}")
-        if self.adapter not in tuple(ADAPTERS):  # a JSON list is unhashable
-            raise ConfigError(f"adapter must be one of {tuple(ADAPTERS)}")
-        if self.representation not in REPRESENTATIONS:
-            raise ConfigError(f"representation must be one of {REPRESENTATIONS}")
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if self.split_mode not in [m.value for m in SplitMode]:
-            raise ConfigError("split_mode must be 'random' or 'chronological'")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}")
         cell_error = _cell_error(self.model, self.scenario)
         if cell_error is not None:
             raise ConfigError(cell_error)
@@ -246,12 +242,12 @@ def _test_labels(test_rs: RecordSet) -> np.ndarray:
     that cannot be evaluated stops before representation.
     """
     codes = test_rs.unit_codes()
-    if (codes == LABEL_CODE[Label.UNKNOWN]).any():
+    if (codes == Label.UNKNOWN).any():
         raise ValueError(
             "evaluation needs Normal/Anomaly labels on every test unit; "
             "got an unknown label (unlabeled input with metrics requested?)"
         )
-    y = (codes == LABEL_CODE[Label.ANOMALY]).astype(np.int64)
+    y = (codes == Label.ANOMALY).astype(np.int64)
     if y.min() == y.max():
         raise ValueError(
             "evaluation needs both Normal and Anomaly labels on the test side; "

@@ -41,7 +41,7 @@ def _index_dtype(largest: int) -> type:
 
 def _sum_repeats(positions: np.ndarray, n_positions: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct positions (all below ``n_positions``), ascending, and
-    the float64 count of each; ``positions`` may be sorted in place."""
+    the float64 count of each."""
     if n_positions <= len(positions):
         # A count per possible position takes no more room than the entries.
         # Sequence units summed from their records are this dense (each run
@@ -51,15 +51,8 @@ def _sum_repeats(positions: np.ndarray, n_positions: int) -> tuple[np.ndarray, n
         counts = np.bincount(positions, minlength=n_positions)
         distinct = np.flatnonzero(counts)
         return distinct, counts[distinct].astype(np.float64)
-    positions.sort()
-    starts_run = np.ones(len(positions), dtype=bool)
-    np.not_equal(positions[1:], positions[:-1], out=starts_run[1:])
-    first = np.flatnonzero(starts_run)
-    # Run lengths, written straight into floats to spare a copy.
-    counts = np.empty(len(first))
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = len(positions) - first[-1:]
-    return positions[first], counts
+    distinct, counts = np.unique(positions, return_counts=True)
+    return distinct, counts.astype(np.float64)
 
 
 # Entries summed per step when documents' columns are summed into their

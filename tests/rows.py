@@ -6,7 +6,7 @@ Messages and sequence keys are numbered in their first appearance.
 
 import numpy as np
 
-from logad.ingest import LABEL_CODE, Granularity, RecordSet
+from logad.ingest import Granularity, RecordSet
 
 
 def record_set(rows, granularity=Granularity.LINE):
@@ -19,7 +19,7 @@ def record_set(rows, granularity=Granularity.LINE):
         granularity,
         texts,
         np.array([text_id[r.message] for r in rows], dtype=np.int32),
-        np.array([LABEL_CODE[r.label] for r in rows], dtype=np.int8),
+        np.array([r.label for r in rows], dtype=np.int8),
         np.array([key_id.get(r.seq_key, -1) for r in rows], dtype=np.int32),
         keys,
         np.array([r.line_no for r in rows], dtype=np.int64),

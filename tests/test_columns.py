@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logad.ingest import (
-    LABEL_CODE,
     Granularity,
     Label,
     LogRecord,
@@ -37,8 +36,7 @@ KEYS = [f"s{i}" for i in range(6)]
 
 
 def _sequence_labels(rs):
-    label_of = {code: label for label, code in LABEL_CODE.items()}
-    return dict(zip(rs.seq_keys, (label_of[c] for c in rs.unit_codes().tolist())))
+    return dict(zip(rs.seq_keys, map(Label, rs.unit_codes().tolist())))
 
 
 def _keys_in_order(records):

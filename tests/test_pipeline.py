@@ -775,6 +775,27 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--model", "oovd"]) == 0
         assert "model=oovd" in capsys.readouterr().out
 
+    def test_config_file_paths_as_strings_match_the_flags(self, tmp_path, hdfs_corpus):
+        # A config file's paths reach RunConfig as the strings it holds.
+        log, labels = hdfs_corpus / "hdfs.log", hdfs_corpus / "labels.csv"
+        assert main(["run", "--input", str(log), "--adapter", "hdfs", "--labels", str(labels),
+                     "--scenario", "normal_only", "--train-frac", "0.2", "--seed", "1",
+                     "--out", str(tmp_path / "flags")]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": str(log), "adapter": "hdfs", "labels": str(labels),
+            "scenario": "normal_only", "train_fraction": 0.2, "seed": 1,
+            "out_dir": str(tmp_path / "file"),
+        }))
+        assert main(["run", "--config", str(cfg)]) == 0
+        reports = []
+        for out in ("flags", "file"):
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            del report["timings"], report["model_time"], report["meta"]["params"]["out_dir"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["meta"]["params"]["labels"] == str(labels)
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"inptu": "x.log"}))
@@ -872,8 +893,14 @@ class TestCli:
         ({"labels": 3}, "labels must be a path, got 3"),
         ({"adapter": ["bgl"]},
          "adapter must be one of ('bgl', 'thunderbird', 'hdfs', 'hadoop', 'plain')"),
+        ({"representation": ["words"]},
+         "representation must be one of ('words', 'trigrams', 'events')"),
+        ({"model": ["rm"]}, "model must be one of ('oovd', 'rm', 'kmeans', 'iforest')"),
+        ({"scenario": ["unfiltered"]}, "scenario must be one of ('unfiltered', 'normal_only')"),
+        ({"split_mode": ["random"]}, "split_mode must be one of ('random', 'chronological')"),
         ({"dump_templates": "yes"}, "dump_templates must be true or false, got 'yes'"),
-    ], ids=["int_file", "list_file", "input", "labels", "adapter", "dump_templates"])
+    ], ids=["int_file", "list_file", "input", "labels", "adapter", "representation", "model",
+            "scenario", "split_mode", "dump_templates"])
     def test_malformed_config_file_rejected(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
         if isinstance(content, dict):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logad.ingest import LABEL_CODE, Granularity, Label, LogRecord, filter_normal
+from logad.ingest import Granularity, Label, LogRecord, filter_normal
 from logad.represent import (
     UNSEEN_EVENT,
     WILDCARD,
@@ -180,8 +180,7 @@ def _seq_records(spec):
 
 def _sequence_labels(rs):
     """The label of each sequence, in the order of ``rs.seq_keys``."""
-    label_of = {code: label for label, code in LABEL_CODE.items()}
-    return [label_of[code] for code in rs.unit_codes().tolist()]
+    return list(map(Label, rs.unit_codes().tolist()))
 
 
 class TestFlatten:
@@ -220,7 +219,7 @@ class TestFlatten:
         ((Label.UNKNOWN, Label.NORMAL), Label.UNKNOWN),
         ((Label.UNKNOWN, Label.ANOMALY), Label.ANOMALY),
         ((Label.ANOMALY, Label.NORMAL), Label.ANOMALY),
-    ])
+    ], ids=lambda v: f"Label.{v.name}" if isinstance(v, Label) else None)  # str() is "0" on 3.11
     def test_one_label_rule_for_flatten_and_filter(self, members, expected):
         # Anomaly beats unknown, unknown beats normal; filter_normal keeps
         # the keys whose documents flatten_sequences builds and that
