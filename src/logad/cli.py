@@ -39,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the detection pipeline")
     p_run.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     p_run.add_argument("--input", type=Path, help="log file (or directory for hadoop)")
-    p_run.add_argument("--adapter", choices=list(ADAPTERS),
-                       help=f"dataset adapter (default {RunConfig.adapter})")
+    p_run.add_argument("--adapter", choices=list(ADAPTERS), help="dataset adapter")
     p_run.add_argument("--labels", type=Path, help="label CSV: hdfs/hadoop need one, others refuse")
     p_run.add_argument("--rep", dest="representation", choices=REPRESENTATIONS,
                        help="log representation")
@@ -97,8 +96,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
     values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
-    if "input" not in values or values["input"] is None:
+    if values.get("input") is None:
         raise ConfigError("an input log file is required (--input or config file)")
+    if values.get("adapter") is None:
+        raise ConfigError("an adapter is required (--adapter or config file)")
     return RunConfig(**values)
 
 

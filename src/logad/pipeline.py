@@ -145,7 +145,7 @@ _LOWER_BOUNDS = {
 @dataclass
 class RunConfig:
     input: str | Path
-    adapter: str = "plain"
+    adapter: str
     labels: str | Path | None = None
     representation: str = "words"
     model: str = "rm"
@@ -208,11 +208,8 @@ class RunConfig:
         )
 
     def params_snapshot(self) -> dict:
-        snap = asdict(self)
-        snap["input"] = str(snap["input"])
-        snap["labels"] = None if snap["labels"] is None else str(snap["labels"])
-        snap["out_dir"] = None if snap["out_dir"] is None else str(snap["out_dir"])
-        return snap
+        """The fields as JSON values: a path becomes its string."""
+        return {k: str(v) if isinstance(v, os.PathLike) else v for k, v in asdict(self).items()}
 
 
 @dataclass

@@ -103,23 +103,15 @@ class DrainParser:
         for tok in tokens[: self._route_len]:
             # Normalization rewrites every number to '0', so a token
             # containing '0' is treated as a variable and routed through
-            # the wildcard child instead of spawning its own branch.
-            if "0" in tok:
-                child = node.children.get(WILDCARD)
-                if child is None:
-                    child = node.children[WILDCARD] = _Node()
-            else:
-                child = node.children.get(tok)
-                if child is None:
-                    if WILDCARD in node.children:
-                        if len(node.children) < _MAX_CHILDREN:
-                            child = node.children[tok] = _Node()
-                        else:
-                            child = node.children[WILDCARD]
-                    elif len(node.children) + 1 < _MAX_CHILDREN:
-                        child = node.children[tok] = _Node()
-                    else:
-                        child = node.children[WILDCARD] = _Node()
+            # the wildcard child, as is a new token once the node has no
+            # room left beside a wildcard child.
+            children = node.children
+            child = children.get(tok)
+            if child is None:
+                if "0" not in tok and len(children) + (WILDCARD not in children) < _MAX_CHILDREN:
+                    child = children[tok] = _Node()
+                elif (child := children.get(WILDCARD)) is None:
+                    child = children[WILDCARD] = _Node()
             node = child
         return node.groups
 

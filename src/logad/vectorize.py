@@ -34,11 +34,6 @@ def _weighted_bincount(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
     return np.bincount(bins, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
-def _index_dtype(largest: int) -> type:
-    """int32 while ``largest`` fits, else int64, as scipy chooses index arrays."""
-    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-
-
 def _sum_repeats(positions: np.ndarray, n_positions: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct positions (all below ``n_positions``), ascending, and
     the float64 count of each."""
@@ -66,8 +61,8 @@ class CSRMatrix:
     ``data[indptr[r]:indptr[r + 1]]`` at the columns
     ``indices[indptr[r]:indptr[r + 1]]``, which ascend and never repeat.
 
-    Index arrays are int32 while every index fits, else int64, as scipy
-    chooses them.
+    ``indptr`` is int64 and ``indices`` holds C ints (``np.intc``), half the
+    room: a vocabulary never nears 2**31 terms.
     """
 
     indptr: np.ndarray
@@ -86,18 +81,14 @@ class CSRMatrix:
     def take_rows(self, rows: np.ndarray) -> CSRMatrix:
         """The listed rows, in the listed order (scipy's ``X[rows]``)."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows].astype(np.int64)
+        starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         entries = np.arange(indptr[-1])
         entries += np.repeat(starts - indptr[:-1], lengths)
-        shape = (len(rows), self.shape[1])
-        index = _index_dtype(max(*shape, int(indptr[-1])))
-        return CSRMatrix(
-            indptr.astype(index), self.indices[entries].astype(index, copy=False),
-            self.data[entries], shape,
-        )
+        return CSRMatrix(indptr, self.indices[entries].astype(np.intc, copy=False),
+                         self.data[entries], (len(rows), self.shape[1]))
 
     def toarray(self) -> np.ndarray:
         """The dense matrix."""
@@ -219,21 +210,28 @@ def count_units(term_to_col: dict[str, int], docs: Iterable[TokenSeq],
     """The counts of the terms in ``term_to_col`` in units made of the
     distinct ``docs``, the one counting routine: record ``i`` adds document
     ``ids[i]`` to unit ``unit_ids[i]``, which is row ``unit_ids[i]`` of
-    ``n_units``.  Without ``unit_ids`` each record is its own unit (a line),
-    which ``doc_rows`` maps to its document's row; without ``ids`` too,
-    document d is row d, one row per given document.  Other terms add
-    nothing to a row but still count in its ``doc_token_totals``, the number
-    of its documents' terms.
+    ``n_units``.  Without ``unit_ids`` each document is the one record of its
+    own row, and ``doc_rows`` maps each unit (a line) to the row of its
+    document ``ids[i]``; without ``ids`` too, document d is row d.  Other
+    terms add nothing to a row but still count in its ``doc_token_totals``,
+    the number of its documents' terms.
 
     Each document's columns are collected once, and the records' columns are
     summed into their rows in runs of about ``_CHUNK`` entries, a larger row
     in a run of its own, so no array spans all the entries.  Each row's
     columns ascend without repeats, as scipy's ``sum_duplicates`` leaves
-    them, and index arrays are int32 while the row and column counts and the
-    number of entries fit.
+    them.
     """
-    # Columns are C ints, half the room of int64: a vocabulary never nears
-    # 2**31 terms, and a larger column would overflow loudly.
+    if unit_ids is not None:
+        for name, value in (("ids", ids), ("n_units", n_units)):
+            if value is None:
+                raise ValueError(f"unit_ids needs {name}")
+        if len(unit_ids) != len(ids):
+            raise ValueError(f"unit_ids has {len(unit_ids)} records, ids {len(ids)}")
+        if len(unit_ids) and not 0 <= unit_ids.min() <= unit_ids.max() < n_units:
+            raise ValueError(f"unit_ids must lie in [0, n_units = {n_units})")
+    # Columns are C ints, as CSRMatrix keeps them: a larger column would
+    # overflow loudly here.
     lengths, cols, totals = array("q"), array("i"), array("q")
     for doc in docs:
         start, terms = len(cols), doc.terms
@@ -245,8 +243,8 @@ def count_units(term_to_col: dict[str, int], docs: Iterable[TokenSeq],
     doc_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=doc_starts[1:])
     if unit_ids is None:
-        # A row per document, whose columns lie in row order already.
-        records, n_rows, row_starts = None, len(lengths), doc_starts
+        records = rows = np.arange(len(lengths))
+        n_rows = len(lengths)
     else:
         row_totals = np.zeros(n_units, dtype=np.int64)
         np.add.at(row_totals, unit_ids, totals[ids])
@@ -255,30 +253,25 @@ def count_units(term_to_col: dict[str, int], docs: Iterable[TokenSeq],
         order = np.argsort(unit_ids, kind="stable")
         records, rows = ids[order], unit_ids[order]
         del order
-        record_starts = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(lengths[records], out=record_starts[1:])
-        row_records = np.searchsorted(rows, np.arange(n_rows + 1))
-        row_starts = record_starts[row_records]
+    record_starts = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(lengths[records], out=record_starts[1:])
+    row_records = np.searchsorted(rows, np.arange(n_rows + 1))
+    row_starts = record_starts[row_records]
     n_cols = len(term_to_col)
-    index = _index_dtype(max(n_rows, n_cols, int(row_starts[-1])))
     # Cut after the first row that reaches each multiple of _CHUNK entries.
     ends = np.searchsorted(row_starts[1:], np.arange(_CHUNK, row_starts[-1], _CHUNK)) + 1
     cuts = sorted({0, n_rows, *ends.tolist()})
     # A run sums to no more entries than it has, nor than its rows have columns.
     room = int(np.minimum(np.diff(row_starts[cuts]), np.diff(cuts) * n_cols).sum())
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    indices, data = np.empty(room, index), np.empty(room)
+    indices, data = np.empty(room, np.intc), np.empty(room)
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        if records is None:
-            run_rows, run_lengths = np.arange(r1 - r0, dtype=np.int64), lengths[r0:r1]
-            positions = cols[row_starts[r0]:row_starts[r1]].astype(np.int64)
-        else:
-            b0, b1 = row_records[r0], row_records[r1]
-            run_rows, run_lengths = (rows[b0:b1] - r0).astype(np.int64), lengths[records[b0:b1]]
-            # Each record's columns: its document's entries, gathered in record order.
-            positions = np.arange(row_starts[r0], row_starts[r1])
-            positions += np.repeat(doc_starts[records[b0:b1]] - record_starts[b0:b1], run_lengths)
-            positions = cols[positions].astype(np.int64)
+        b0, b1 = row_records[r0], row_records[r1]
+        run_rows, run_lengths = (rows[b0:b1] - r0).astype(np.int64), lengths[records[b0:b1]]
+        # Each record's columns: its document's entries, gathered in record order.
+        positions = np.arange(row_starts[r0], row_starts[r1])
+        positions += np.repeat(doc_starts[records[b0:b1]] - record_starts[b0:b1], run_lengths)
+        positions = cols[positions].astype(np.int64)
         positions += np.repeat(run_rows * n_cols, run_lengths)
         distinct, sums = _sum_repeats(positions, (r1 - r0) * n_cols)
         start = int(indptr[r0])
@@ -290,7 +283,7 @@ def count_units(term_to_col: dict[str, int], docs: Iterable[TokenSeq],
     # Shrink to the entries written; realloc frees the tail without a copy.
     indices.resize(indptr[-1], refcheck=False)
     data.resize(indptr[-1], refcheck=False)
-    matrix = CSRMatrix(indptr.astype(index), indices, data, (n_rows, n_cols))
+    matrix = CSRMatrix(indptr, indices, data, (n_rows, n_cols))
     return DocTermMatrix(matrix, Weighting.COUNT, totals, ids if unit_ids is None else None)
 
 

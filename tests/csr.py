@@ -9,11 +9,17 @@ from logad.vectorize import CSRMatrix, DocTermMatrix
 
 
 def from_dense(rows) -> CSRMatrix:
-    """The CSR of the nonzero entries of dense rows, as float64."""
+    """The CSR of the nonzero entries of dense rows, as float64, in the index
+    layout of every matrix logad builds."""
     arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     row_of, cols = np.nonzero(arr)
     indptr = np.searchsorted(row_of, np.arange(arr.shape[0] + 1))
-    return CSRMatrix(indptr.astype(np.int32), cols.astype(np.int32), arr[row_of, cols], arr.shape)
+    return CSRMatrix(indptr.astype(np.int64), cols.astype(np.intc), arr[row_of, cols], arr.shape)
+
+
+def assert_layout(m: CSRMatrix) -> None:
+    """``m`` has the one index layout: int64 ``indptr`` and C-int ``indices``."""
+    assert (m.indptr.dtype, m.indices.dtype) == (np.int64, np.intc)
 
 
 def to_scipy(m: CSRMatrix):

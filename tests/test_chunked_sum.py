@@ -1,10 +1,10 @@
 """The chunked count build against one-shot references.
 
 ``count_units`` counts documents, lines and sequence units in runs of about
-``vectorize._CHUNK`` entries.  It must give the bytes and index dtypes of
-counting every entry at once, whatever the chunk size, and neither the unit
-sum nor the document build may hold an entry-sized array beyond each entry's
-column.  A line set's units map to their messages' rows, with no array per
+``vectorize._CHUNK`` entries.  It must give the bytes of counting every
+entry at once, in the one index layout (int64 ``indptr``, C-int
+``indices``), whatever the chunk size, and neither the unit sum nor the
+document build may hold an entry-sized array beyond each entry's column.  A line set's units map to their messages' rows, with no array per
 line.  The references count with ``np.unique`` and share no code with src.
 """
 
@@ -35,13 +35,13 @@ def peak_of(fn):
 
 def _reference_from_positions(positions, shape):
     """The one-shot build: every entry's row-major position counted at once,
-    index arrays int32 while the shape and the number of entries fit."""
+    with int64 ``indptr`` and C-int ``indices``."""
     n_rows, n_cols = shape
     positions = np.asarray(positions, dtype=np.int64)
-    index = np.int32 if max(n_rows, n_cols, len(positions)) < 2**31 else np.int64
     distinct, counts = np.unique(positions, return_counts=True)
     indptr = np.searchsorted(distinct, np.arange(n_rows + 1) * n_cols)
-    return indptr.astype(index), (distinct % n_cols).astype(index), counts.astype(np.float64)
+    return (indptr.astype(np.int64), (distinct % n_cols).astype(np.intc),
+            counts.astype(np.float64))
 
 
 def _reference_sum_rows(term_to_col, docs, ids, unit_ids, n_units):

@@ -4,19 +4,22 @@ Every operation the pipeline uses must give the bytes scipy gave before it
 was replaced: the build that sums repeated entries, row sums, the tf-idf
 norms, products with a vector and with the transposed centroids, row
 gathers, row slices, column sums of a row subset, and the sum of records'
-documents into units.
+documents into units.  Index arrays hold scipy's values in logad's one
+layout, int64 ``indptr`` and C-int ``indices``, whatever dtypes scipy chose.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logad.represent import TokenSeq
 from logad.vectorize import (
-    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, _index_dtype, count_units,
-    tfidf_weighting,
+    CSRMatrix, DocTermMatrix, Vocabulary, Weighting, count_units, fit_units, tfidf_weighting,
 )
+
+from csr import assert_layout
 
 
 def _assert_same(actual, expected):
@@ -28,8 +31,10 @@ def _assert_same(actual, expected):
 def _assert_same_csr(actual: CSRMatrix, expected: sp.csr_matrix):
     assert actual.shape == expected.shape
     assert actual.nnz == expected.nnz
-    for name in ("indptr", "indices", "data"):
-        _assert_same(getattr(actual, name), getattr(expected, name))
+    assert_layout(actual)
+    _assert_same(actual.indptr, expected.indptr.astype(np.int64))
+    _assert_same(actual.indices, expected.indices.astype(np.intc))
+    _assert_same(actual.data, expected.data)
 
 
 @st.composite
@@ -123,10 +128,6 @@ class TestBuild:
             _scipy_build(shape, rows, cols, np.ones(len(rows))),
         )
 
-    def test_index_arrays_are_int32_while_they_fit(self):
-        assert _index_dtype(np.iinfo(np.int32).max) is np.int32
-        assert _index_dtype(np.iinfo(np.int32).max + 1) is np.int64
-
 
 class TestOperations:
     # Rows, and columns, of more than 8 entries, where numpy's pairwise sums
@@ -162,19 +163,21 @@ class TestOperations:
                 X.take_rows(members).column_sums(), np.asarray(S[members].sum(axis=0)).ravel()
             )
 
-    def test_gather_index_dtype_follows_the_result(self):
-        # int64 source arrays whose gather fits int32, and int32 source
-        # arrays whose gather has more columns than int32 holds.
+    def test_gather_has_the_one_index_layout(self):
+        # int64 source arrays, and int32 source arrays whose gather has more
+        # columns than int32 holds: the layout depends on neither.
         X = CSRMatrix(np.array([0, 1, 2]), np.array([0, 2]), np.array([1.0, 2.0]), (2, 3))
         gathered = X.take_rows([1, 0, 1])
-        assert gathered.indptr.dtype == gathered.indices.dtype == np.int32
+        assert_layout(gathered)
         assert gathered.indptr.tolist() == [0, 1, 2, 3]
         assert gathered.indices.tolist() == [2, 0, 2]
         assert gathered.data.tolist() == [2.0, 1.0, 2.0]
         wide = CSRMatrix(np.array([0, 1], np.int32), np.array([5], np.int32), np.array([1.0]),
                          (1, 2**31))
         gathered = wide.take_rows([0, 0])
-        assert gathered.indptr.dtype == gathered.indices.dtype == np.int64
+        assert_layout(gathered)
+        assert gathered.shape == (2, 2**31)
+        assert gathered.indptr.tolist() == [0, 1, 2]
         assert gathered.indices.tolist() == [5, 5]
 
 
@@ -221,3 +224,34 @@ class TestUnitCounts:
         totals = np.array([len(d.terms) for d in docs], dtype=np.int64)
         _assert_same(got.doc_token_totals, multiplicity @ totals)
         assert got.weighting is Weighting.COUNT
+
+    @pytest.mark.parametrize("args,message", [
+        ((None, np.array([0]), 1), "unit_ids needs ids"),
+        ((np.array([0]), np.array([0]), None), "unit_ids needs n_units"),
+        ((np.array([0, 0]), np.array([0]), 1), "unit_ids has 1 records, ids 2"),
+        ((np.array([0, 0]), np.array([0, 1]), 1), r"unit_ids must lie in \[0, n_units = 1\)"),
+        ((np.array([0]), np.array([-1]), 1), r"unit_ids must lie in \[0, n_units = 1\)"),
+    ], ids=["no_ids", "no_n_units", "lengths", "unit_past_n_units", "negative_unit"])
+    def test_inconsistent_records_are_refused_before_any_work(self, args, message):
+        def docs():
+            raise AssertionError("documents read before the check")
+            yield
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count_units({"a": 0}, docs(), *args)
+        # fit_units passes the record arguments on.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_units([TokenSeq(["a"])], *args)
+
+
+@pytest.mark.parametrize("side", ["lines", "sequences"])
+def test_every_matrix_has_the_one_index_layout(side):
+    docs = [TokenSeq(["a", "b", "a"]), TokenSeq(["c", "oov"]), TokenSeq([])]
+    ids = np.array([2, 0, 1, 0], dtype=np.int32)
+    units = (None, 4) if side == "lines" else (np.array([1, 0, 1, 2], dtype=np.int32), 3)
+    vocab, train = fit_units(docs, ids, *units)
+    test = count_units(vocab.term_to_col, docs, ids, *units)
+    matrices = [train, test, tfidf_weighting(vocab, test), count_units(vocab.term_to_col, docs)]
+    for m in matrices:
+        assert_layout(m.matrix)
+        assert_layout(m.take_docs(np.arange(m.n_docs)))

@@ -80,7 +80,7 @@ def _assert_identical(got, want):
 
 
 def _check_features(representation, train_rs, test_rs):
-    config = RunConfig(input=Path("unused.log"), representation=representation)
+    config = RunConfig(input=Path("unused.log"), adapter="bgl", representation=representation)
     (_, train_ids), (test_docs, message_ids), _ = pipeline._represent(config, train_rs, test_rs)
     assert len(test_docs) == len(set(test_rs.messages))
     assert len(message_ids) == len(test_rs)

@@ -215,8 +215,7 @@ class TestRun:
         # Every plain line is unlabeled, and every run evaluates its test units.
         calls = Counter()
         monkeypatch.setattr(pipeline, "load", lambda *args: calls.update(["load"]))
-        config = RunConfig(input=tmp_path / "in.log")
-        assert config.adapter == "plain"
+        config = RunConfig(input=tmp_path / "in.log", adapter="plain")
         message = ("plain input has no labels to evaluate; use a labeled adapter, one of "
                    "('bgl', 'thunderbird', 'hdfs', 'hadoop'), or logad.load")
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -243,7 +242,8 @@ class TestRun:
     @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
     def test_out_dir_under_a_file_is_config_error(self, tmp_path, out_dir):
         (tmp_path / "afile").write_text("")
-        config = RunConfig(input=tmp_path / "missing.log", out_dir=tmp_path / out_dir)
+        config = RunConfig(input=tmp_path / "missing.log", adapter="bgl",
+                           out_dir=tmp_path / out_dir)
         with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'afile'} is not a dir")):
             config.validate()
 
@@ -829,8 +829,13 @@ class TestCli:
     def test_missing_input(self):
         assert main(["run", "--model", "rm"]) == 2
 
-    def test_default_adapter_fails_before_reading_the_log(self, tmp_path, capsys):
+    def test_missing_adapter_fails_before_reading_the_log(self, tmp_path, capsys):
         assert main(["run", "--input", str(tmp_path / "missing.log")]) == 2
+        assert capsys.readouterr().err == (
+            "error: an adapter is required (--adapter or config file)\n")
+
+    def test_plain_adapter_fails_before_reading_the_log(self, tmp_path, capsys):
+        assert main(["run", "--input", str(tmp_path / "missing.log"), "--adapter", "plain"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: plain input has no labels to evaluate")
         assert "cannot read" not in err
@@ -882,7 +887,8 @@ class TestCli:
     ], ids=["k", "seed", "f1_budget", "train_fraction", "sim_threshold"])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), key: value}))
+        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), "adapter": "bgl",
+                                   key: value}))
         assert main(["run", "--config", str(cfg)]) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
 
@@ -904,14 +910,15 @@ class TestCli:
     def test_malformed_config_file_rejected(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
         if isinstance(content, dict):
-            content = {"input": str(tmp_path / "missing.log"), **content}
+            content = {"input": str(tmp_path / "missing.log"), "adapter": "bgl", **content}
         cfg.write_text(json.dumps(content))
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
 
     def test_repeats_check_the_seed_before_deriving_seeds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), "seed": "1"}))
+        cfg.write_text(json.dumps({"input": str(tmp_path / "missing.log"), "adapter": "bgl",
+                                   "seed": "1"}))
         assert main(["run", "--config", str(cfg), "--repeats", "2"]) == 2
         assert capsys.readouterr().err == "error: seed must be an integer, got '1'\n"
 

@@ -246,7 +246,7 @@ def test_a_fixed_grid_runs(adapter, tmp_path):
                 path = f"log/app_{i // 4}.log"
                 files[path] = files.get(path, "") + f"x INFO [main] {m}\n"
     config = _write(tmp_path, adapter, files, RunConfig(
-        input="log", scenario="normal_only", train_fraction=0.5, split_mode="chronological",
+        input="log", adapter=adapter, scenario="normal_only", train_fraction=0.5, split_mode="chronological",
         k=2, n_trees=3))
     reports, scores = _captured(run_grid, config)
     assert len(reports) == len(scores) == 12

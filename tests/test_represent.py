@@ -160,6 +160,21 @@ class TestDrain:
         assert p.parse_line("wnew disk full") == events[99] == "e100"
         assert p.parse_line(f"{first[5]} disk full") == events[5]
 
+    def test_variable_token_opens_the_wildcard_child_early(self):
+        # A token with a "0" opens the wildcard child first.  New tokens
+        # without one still get a child each until the node holds 100; every
+        # later newcomer joins the variable token's group.
+        p = DrainParser(depth=4)
+        variable = p.fit_line("v0 disk full")
+        first = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(120)]
+        events = [p.fit_line(f"{tok} disk full") for tok in first]
+        node = p._length_roots[3]
+        assert len(node.children) == 100 and WILDCARD in node.children
+        assert len(set(events[:99])) == 99 and variable not in events[:99]
+        assert set(events[99:]) == {variable} == {"e1"}
+        assert p.parse_line("wnew disk full") == p.parse_line("v00 disk full") == variable
+        assert p.parse_line(f"{first[5]} disk full") == events[5]
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             DrainParser(depth=2)

@@ -226,8 +226,9 @@ class TestCountingEquivalence:
             m = count_units(v.term_to_col, feed(side))
             expected = _reference_counts(term_to_col, side)
             assert m.matrix.shape == expected.shape
-            for name in ("indptr", "indices", "data"):
-                _assert_same_array(getattr(m.matrix, name), getattr(expected, name))
+            # scipy's values, in logad's one index layout.
+            for name, dtype in (("indptr", np.int64), ("indices", np.intc), ("data", np.float64)):
+                _assert_same_array(getattr(m.matrix, name), getattr(expected, name).astype(dtype))
             assert to_scipy(m.matrix).has_sorted_indices
             _assert_same_array(
                 m.doc_token_totals, np.array([len(d.terms) for d in side], dtype=np.int64)
